@@ -11,15 +11,13 @@ package paradet_test
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"paradet"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/pinned_stats.golden from current results")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*.golden pins from current results")
 
 const pinnedStatsInstrs = 5000
 
@@ -46,27 +44,5 @@ func TestPinnedStatsGolden(t *testing.T) {
 		}
 		lines = append(lines, pinnedStatsLine(res))
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	golden := filepath.Join("testdata", "pinned_stats.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
-	}
-	if got != string(want) {
-		t.Errorf("pinned timing-model stats drifted from golden.\n"+
-			"If this change is an intended model change, regenerate with -update-golden "+
-			"and explain the drift in the PR; a pure performance refactor must never trip this.\n"+
-			"--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "pinned_stats.golden", strings.Join(lines, "\n")+"\n")
 }
