@@ -197,10 +197,7 @@ func (s *System) buildDetector() {
 		DelayHistBinNS:    50,
 		DelayHistBins:     100,
 	}
-	s.det = detect.New(dcfg, s.prog.prog, trace.InitialRegs(s.prog.prog))
-	if s.fp != nil && s.fp.main != nil {
-		s.det.RetireHooks().PostExec = s.fp.main
-	}
+	s.det = detect.New(dcfg, trace.InitialRegs(s.prog.prog))
 }
 
 // buildCheckerCluster attaches the checker-core pool to the detector:

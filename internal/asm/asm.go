@@ -306,7 +306,7 @@ func (a *assembler) pass2() (*isa.Program, error) {
 	if e, ok := a.symbols["_start"]; ok {
 		entry = e
 	}
-	return &isa.Program{Entry: entry, Origin: a.origin, Image: image, Symbols: a.symbols}, nil
+	return isa.NewProgram(entry, a.origin, image, a.symbols), nil
 }
 
 func (a *assembler) encodeData(st *stmt) ([]byte, error) {

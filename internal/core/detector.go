@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"paradet/internal/isa"
-	"paradet/internal/mem"
 	"paradet/internal/obs/telemetry"
 	"paradet/internal/sim"
 	"paradet/internal/stats"
@@ -60,9 +59,9 @@ type Stats struct {
 }
 
 // Detector is the detection architecture controller: it owns the
-// partitioned load-store log, takes register checkpoints from the
-// commit-time architectural replica, schedules checker cores, and runs
-// the strong-induction error-confirmation protocol.
+// partitioned load-store log, keeps the committed register file that
+// register checkpoints are copied from, schedules checker cores, and
+// runs the strong-induction error-confirmation protocol.
 type Detector struct {
 	cfg      Config
 	capacity int
@@ -71,11 +70,14 @@ type Detector struct {
 	checkers []Checker
 	cur      int
 
-	// Commit-time architectural replica: a second functional machine
-	// stepped exactly at commit, so register checkpoints reflect the
-	// committed boundary even though the trace oracle runs ahead.
-	retire    isa.Machine
-	retireEnv *retireEnv
+	// committed is the architectural register file and PC as of the last
+	// committed instruction: each commit writes the instruction's
+	// destination values and next PC, as the main core produced them
+	// (after any fault hook), so a checkpoint reflects the committed
+	// boundary even though the trace oracle runs ahead. nextSeq is the
+	// dynamic instruction number the next commit must carry.
+	committed isa.ArchRegs
+	nextSeq   uint64
 
 	startRegs     isa.ArchRegs
 	startSeq      uint64
@@ -87,11 +89,6 @@ type Detector struct {
 	finished      bool
 
 	lfu lfu
-
-	// retireScratch receives the replica's dynamic record each commit;
-	// a struct field (rather than a local) keeps the hot Step call from
-	// heap-allocating one DynInst per instruction.
-	retireScratch isa.DynInst
 
 	// Strong-induction confirmation state. resultPool recycles the
 	// per-segment CheckResult boxes drained by the confirmation loop.
@@ -108,38 +105,11 @@ type Detector struct {
 
 var _ ResultSink = (*Detector)(nil)
 
-// retireEnv is the commit-time replica's environment: instruction fetch
-// from the shared read-only image, data in the replica's own memory, and
-// RDTIME values replayed from the log (non-determinism must flow through
-// the log, never be recomputed).
-type retireEnv struct {
-	prog    *isa.Program
-	mem     *mem.Sparse
-	nonDetQ []uint64
-}
-
-func (e *retireEnv) FetchWord(pc uint64) (uint32, bool) { return e.prog.Word(pc) }
-func (e *retireEnv) Load(addr uint64, size uint8) uint64 {
-	return e.mem.Read(addr, size)
-}
-func (e *retireEnv) Store(addr uint64, size uint8, val uint64) {
-	e.mem.Write(addr, size, val)
-}
-func (e *retireEnv) ReadTime() uint64 {
-	if len(e.nonDetQ) == 0 {
-		panic("core: retire machine consumed RDTIME with empty queue")
-	}
-	v := e.nonDetQ[0]
-	e.nonDetQ = e.nonDetQ[1:]
-	return v
-}
-func (e *retireEnv) Syscall(m *isa.Machine) {}
-
-// New builds a detector. prog is the shared read-only image; initRegs the
-// architectural start state (seed of the first checkpoint). Checker cores
-// are attached afterwards with AttachCheckers (they need the detector as
-// their result sink, so construction is two-phase).
-func New(cfg Config, prog *isa.Program, initRegs isa.ArchRegs) *Detector {
+// New builds a detector. initRegs is the architectural start state (seed
+// of the first checkpoint). Checker cores are attached afterwards with
+// AttachCheckers (they need the detector as their result sink, so
+// construction is two-phase).
+func New(cfg Config, initRegs isa.ArchRegs) *Detector {
 	if cfg.NumSegments <= 0 {
 		panic("core: need at least one segment")
 	}
@@ -151,6 +121,8 @@ func New(cfg Config, prog *isa.Program, initRegs isa.ArchRegs) *Detector {
 		capacity:    cfg.SegmentEntries(),
 		results:     make(map[uint64]*CheckResult),
 		nextConfirm: 1,
+		committed:   initRegs,
+		nextSeq:     1,
 		startRegs:   initRegs,
 		startSeq:    1,
 		Delay:       stats.NewHist(cfg.DelayHistBinNS, cfg.DelayHistBins),
@@ -160,10 +132,6 @@ func New(cfg Config, prog *isa.Program, initRegs isa.ArchRegs) *Detector {
 		d.segs[i] = &Segment{Index: i, State: SegFree, Entries: make([]LogEntry, 0, d.capacity)}
 	}
 	d.segs[0].State = SegFilling
-	d.retireEnv = &retireEnv{prog: prog, mem: mem.NewSparse()}
-	d.retireEnv.mem.SetBytes(prog.Origin, prog.Image)
-	d.retire.Env = d.retireEnv
-	d.retire.Restore(initRegs)
 	if cfg.InterruptInterval > 0 {
 		d.nextInterrupt = cfg.InterruptInterval
 	}
@@ -178,14 +146,6 @@ func (d *Detector) AttachCheckers(checkers []Checker) {
 	}
 	d.checkers = checkers
 }
-
-// RetireHooks exposes the commit-time replica's hook point so the fault
-// injector can apply the identical corruption to both functional copies.
-func (d *Detector) RetireHooks() *isa.Hooks { return &d.retire.Hooks }
-
-// RetireMemory exposes the committed memory image (used by tests and by
-// fault classification).
-func (d *Detector) RetireMemory() *mem.Sparse { return d.retireEnv.mem }
 
 // Stats returns a copy of the counters, with the LFU peak folded in.
 func (d *Detector) Stats() Stats {
@@ -241,7 +201,7 @@ func (d *Detector) TryCommit(di *isa.DynInst, now sim.Time) (sim.Time, bool) {
 		stall = d.seal(reason, now)
 	}
 
-	d.retireStep(di)
+	d.retire(di)
 
 	cur = d.segs[d.cur]
 	base := len(cur.Entries)
@@ -281,24 +241,29 @@ func (d *Detector) OnLoadData(di *isa.DynInst, at sim.Time) {
 	d.stats.LFUCaptures++
 }
 
-// retireStep advances the commit-time architectural replica by exactly
-// the committing instruction and cross-checks the dynamic record.
-func (d *Detector) retireStep(di *isa.DynInst) {
-	if di.HasNonDet {
-		d.retireEnv.nonDetQ = append(d.retireEnv.nonDetQ, di.NonDetVal)
+// retire writes the committing instruction's results into the committed
+// register file. The commit stream must continue exactly where the last
+// commit left off; anything else is a simulator bug, not a modelled
+// fault (a control-flow fault moves NextPC, and the stream follows it).
+func (d *Detector) retire(di *isa.DynInst) {
+	if di.Seq != d.nextSeq || di.PC != d.committed.PC {
+		panic(fmt.Sprintf("core: commit stream broken: seq %d pc %#x, want seq %d pc %#x",
+			di.Seq, di.PC, d.nextSeq, d.committed.PC))
 	}
-	rd := &d.retireScratch
-	if err := d.retire.Step(rd); err != nil {
-		panic(fmt.Sprintf("core: retire replica fault at committed instruction %d: %v", di.Seq, err))
+	var dbuf [2]isa.RegRef
+	for i, r := range di.Inst.Dsts(dbuf[:0]) {
+		if r.FP {
+			d.committed.F[r.Idx] = di.DstVal[i]
+		} else {
+			d.committed.X[r.Idx] = di.DstVal[i]
+		}
 	}
-	if rd.Seq != di.Seq || rd.PC != di.PC {
-		panic(fmt.Sprintf("core: retire replica diverged: seq %d/%d pc %#x/%#x",
-			rd.Seq, di.Seq, rd.PC, di.PC))
-	}
+	d.committed.PC = di.NextPC
+	d.nextSeq++
 }
 
 // seal closes the current segment, takes the end register checkpoint from
-// the commit-time replica, hands the segment to its checker core, and
+// the committed register file, hands the segment to its checker core, and
 // advances to the next buffer. It returns the checkpoint commit pause.
 func (d *Detector) seal(reason SealReason, now sim.Time) sim.Time {
 	cur := d.segs[d.cur]
@@ -306,7 +271,7 @@ func (d *Detector) seal(reason SealReason, now sim.Time) sim.Time {
 	stall := d.checkpointStall()
 	cur.SeqNo = d.segSeq
 	cur.StartRegs = d.startRegs
-	cur.EndRegs = d.retire.Snapshot()
+	cur.EndRegs = d.committed
 	cur.StartSeq = d.startSeq
 	cur.InstCount = d.instrsInCur
 	cur.Reason = reason
@@ -357,7 +322,7 @@ func (d *Detector) sealFinal(now sim.Time) {
 	d.segSeq++
 	cur.SeqNo = d.segSeq
 	cur.StartRegs = d.startRegs
-	cur.EndRegs = d.retire.Snapshot()
+	cur.EndRegs = d.committed
 	cur.StartSeq = d.startSeq
 	cur.InstCount = d.instrsInCur
 	cur.Reason = SealFinish

@@ -62,7 +62,7 @@ func buildDetector(t *testing.T, src string, cfg Config, auto bool) (*Detector, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(cfg, prog, trace.InitialRegs(prog))
+	d := New(cfg, trace.InitialRegs(prog))
 	stubs := make([]*stubChecker, cfg.NumSegments)
 	pool := make([]Checker, cfg.NumSegments)
 	for i := range stubs {
@@ -373,7 +373,6 @@ func TestLFUOccupancyBounded(t *testing.T) {
 }
 
 func TestConfigValidationPanics(t *testing.T) {
-	prog, _ := asm.Assemble("hlt")
 	expectPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -385,11 +384,11 @@ func TestConfigValidationPanics(t *testing.T) {
 	expectPanic("tiny segment", func() {
 		cfg := testConfig(2)
 		cfg.LogBytes = 16 // one entry per segment: can't hold a macro-op
-		New(cfg, prog, isa.ArchRegs{})
+		New(cfg, isa.ArchRegs{})
 	})
 	expectPanic("checker count mismatch", func() {
 		cfg := testConfig(2)
-		d := New(cfg, prog, isa.ArchRegs{})
+		d := New(cfg, isa.ArchRegs{})
 		d.AttachCheckers([]Checker{&stubChecker{}})
 	})
 }

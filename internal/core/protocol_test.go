@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"paradet/internal/asm"
 	"paradet/internal/isa"
 	"paradet/internal/sim"
 )
@@ -14,15 +13,11 @@ import (
 // induction protocol: whatever order segment results arrive in, the
 // confirmed first error is always the lowest-numbered failing segment.
 func TestConfirmationIsOrderInsensitive(t *testing.T) {
-	prog, err := asm.Assemble("hlt")
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := func(seed int64, nSeg uint8, failMask uint16) bool {
 		n := 2 + int(nSeg%10)
 		r := rand.New(rand.NewSource(seed))
 		// Only the confirmation path is exercised; no checkers needed.
-		d := New(testConfig(4), prog, isa.ArchRegs{})
+		d := New(testConfig(4), isa.ArchRegs{})
 		d.segSeq = uint64(n)
 
 		var wantFirst uint64

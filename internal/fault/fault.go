@@ -17,11 +17,14 @@
 //   - errors inside a checker core — reported as errors even though the
 //     main computation is fine (over-detection, §IV-I).
 //
+// Main-core corruption happens once, in the trace oracle's PostExec hook,
+// and touches only the first destination register, the next PC and data
+// memory. The oracle records the instruction's destination values and
+// next PC after the hook, and the detector commits exactly those into
+// its register file, so register checkpoints carry the corruption just
+// as a real core's committed state would: there is only one main core.
 // All corruption is a deterministic function of the dynamic instruction
-// number, so the identical hook applied to the trace oracle and the
-// detector's commit-time replica keeps the two functional copies
-// consistent (which is exactly what real hardware guarantees: there is
-// only one main core).
+// number.
 package fault
 
 import (
@@ -110,9 +113,10 @@ type Injector struct {
 	Faults []Fault
 }
 
-// MainHook returns the PostExec hook for the main core's functional
-// copies (the trace oracle and the commit-time replica). The same
-// function must be installed on both.
+// MainHook returns the PostExec hook for the main core's trace oracle.
+// What it corrupts reaches the detection hardware only through the
+// oracle's DynInst record (destination values, NextPC, memory
+// operations), which is what the main core commits.
 func (inj *Injector) MainHook() func(*isa.Machine, *isa.DynInst) {
 	faults := make([]Fault, 0, len(inj.Faults))
 	for _, f := range inj.Faults {

@@ -12,7 +12,6 @@ type execEnv struct {
 	stores map[uint64]uint64
 }
 
-func (e *execEnv) FetchWord(pc uint64) (uint32, bool)  { return 0, false }
 func (e *execEnv) Load(addr uint64, size uint8) uint64 { return 0 }
 func (e *execEnv) Store(addr uint64, size uint8, val uint64) {
 	if e.stores == nil {
@@ -61,7 +60,7 @@ func TestMainHookIsDeterministic(t *testing.T) {
 	di2 := *di
 	h2(m2, &di2)
 	if m1.X[3] != m2.X[3] {
-		t.Error("identical hooks must corrupt identically (oracle vs replica)")
+		t.Error("identical hooks must corrupt identically (a re-run sees the same fault)")
 	}
 }
 

@@ -62,7 +62,6 @@ type Stats struct {
 type Checker struct {
 	id     int
 	cfg    Config
-	prog   *isa.Program
 	icache *mem.Cache // private L0 (behind it the shared checker L1I)
 	sink   core.ResultSink
 	eng    *sim.Engine
@@ -89,9 +88,9 @@ var _ sim.Ticker = (*Checker)(nil)
 // New builds a checker core. It registers itself with the engine in the
 // idle state; StartCheck wakes it.
 func New(id int, cfg Config, prog *isa.Program, icache *mem.Cache, sink core.ResultSink, eng *sim.Engine) *Checker {
-	c := &Checker{id: id, cfg: cfg, prog: prog, icache: icache, sink: sink, eng: eng}
-	c.env.prog = prog
+	c := &Checker{id: id, cfg: cfg, icache: icache, sink: sink, eng: eng}
 	c.env.sink = sink
+	c.m.Prog = prog
 	c.m.Env = &c.env
 	eng.Add(c, sim.MaxTime)
 	return c
@@ -249,7 +248,6 @@ func (c *Checker) finish(now sim.Time, res core.CheckResult) {
 // validate address and value without touching memory, RDTIME replays the
 // logged non-deterministic result. Any mismatch records the first error.
 type segEnv struct {
-	prog    *isa.Program
 	sink    core.ResultSink
 	seg     *core.Segment
 	entries []core.LogEntry
@@ -290,8 +288,6 @@ func (e *segEnv) next(kind core.EntryKind) *core.LogEntry {
 	e.sink.EntryChecked(ent, e.now)
 	return ent
 }
-
-func (e *segEnv) FetchWord(pc uint64) (uint32, bool) { return e.prog.Word(pc) }
 
 func (e *segEnv) Load(addr uint64, size uint8) uint64 {
 	ent := e.next(EntryLoadKind)

@@ -6,14 +6,13 @@ import (
 	"math/bits"
 )
 
-// Env supplies the environment an executing Machine runs against. The main
-// core's functional oracle uses a real memory image; a checker core uses a
-// log-backed Env that serves loads from its load-store log segment and
-// validates stores instead of performing them (§IV-B).
+// Env supplies the data environment an executing Machine runs against.
+// The main core's functional oracle uses a real memory image; a checker
+// core uses a log-backed Env that serves loads from its load-store log
+// segment and validates stores instead of performing them (§IV-B).
+// Instructions never come from an Env: every Machine steps its Program's
+// predecoded, read-only instruction table.
 type Env interface {
-	// FetchWord reads the instruction word at pc. ok is false if pc is
-	// outside mapped code, which the system treats as a program fault.
-	FetchWord(pc uint64) (word uint32, ok bool)
 	// Load reads size bytes at addr, zero-extended.
 	Load(addr uint64, size uint8) uint64
 	// Store writes the low size bytes of val at addr.
@@ -55,10 +54,12 @@ type DynInst struct {
 	// baseline (0 = leading, 1 = trailing); the detection system proper
 	// is single-threaded.
 	Thread uint8
+	// DstVal holds the values of the instruction's destination registers
+	// (in Inst.Dsts order) as the main core's oracle left them, after any
+	// fault hook: what the instruction commits to the register file.
+	// Only the oracle fills it.
+	DstVal [2]uint64
 }
-
-// IsBranch reports whether the instruction can redirect control flow.
-func (d *DynInst) IsBranch() bool { return d.Inst.Op.IsBranch() }
 
 // ProgError is an architectural program fault (bad fetch, undefined
 // instruction). Under the detection scheme, process termination from such
@@ -83,12 +84,14 @@ type Hooks struct {
 }
 
 // Machine is the PDX64 architectural (functional) model. The main core's
-// oracle and every checker core instantiate one; they differ only in Env.
+// oracle and every checker core instantiate one over the same Program;
+// they differ only in Env.
 type Machine struct {
 	X  [NumIntRegs]uint64 // X[31] reads as zero
 	F  [NumFPRegs]uint64  // raw float64 bits
 	PC uint64
 
+	Prog   *Program
 	Env    Env
 	Hooks  Hooks
 	Halted bool
@@ -168,19 +171,30 @@ func (m *Machine) Step(di *DynInst) error {
 	if m.Halted {
 		return &ProgError{PC: m.PC, Reason: "machine is halted"}
 	}
-	word, ok := m.Env.FetchWord(m.PC)
-	if !ok {
+	ip := m.Prog.inst(m.PC)
+	if ip == nil {
 		m.Halted = true
 		return &ProgError{PC: m.PC, Reason: "instruction fetch outside mapped code"}
 	}
-	in, err := Decode(word)
-	if err != nil {
+	in := *ip
+	if in.Op == OpInvalid {
 		m.Halted = true
 		return &ProgError{PC: m.PC, Reason: "undefined instruction"}
 	}
 
+	// Reset the record field by field: a composite-literal assignment
+	// would zero and copy the whole struct on every instruction. Mem
+	// entries past NMem and DstVal are left stale; readers never look.
 	m.InstCount++
-	*di = DynInst{Seq: m.InstCount, PC: m.PC, Inst: in}
+	di.Seq = m.InstCount
+	di.PC = m.PC
+	di.Inst = in
+	di.Taken = false
+	di.NMem = 0
+	di.HasNonDet = false
+	di.NonDetVal = 0
+	di.Halt = false
+	di.Thread = 0
 	next := m.PC + 4
 
 	switch in.Op {
@@ -359,10 +373,6 @@ func (m *Machine) Step(di *DynInst) error {
 		di.Halt = true
 	case OpSVC:
 		m.Env.Syscall(m)
-
-	default:
-		m.Halted = true
-		return &ProgError{PC: m.PC, Reason: "undefined instruction"}
 	}
 
 	di.NextPC = next

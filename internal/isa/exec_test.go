@@ -5,23 +5,21 @@ import (
 	"testing"
 )
 
-// testEnv is a trivial Env over a flat map with a code image.
+// testEnv is a trivial Env over a byte map, plus the program its
+// machines step.
 type testEnv struct {
-	code  map[uint64]uint32
-	data  map[uint64]uint64 // 8-byte granules, little-endian composition below
+	prog  *Program
 	bytes map[uint64]byte
 	time  uint64
 	svc   func(m *Machine)
 }
 
 func newTestEnv() *testEnv {
-	return &testEnv{code: map[uint64]uint32{}, bytes: map[uint64]byte{}}
+	return &testEnv{prog: NewProgram(0, 0, nil, nil), bytes: map[uint64]byte{}}
 }
 
-func (e *testEnv) FetchWord(pc uint64) (uint32, bool) {
-	w, ok := e.code[pc]
-	return w, ok
-}
+// machine returns a fresh machine stepping the env's program.
+func (e *testEnv) machine() *Machine { return &Machine{Prog: e.prog, Env: e} }
 
 func (e *testEnv) Load(addr uint64, size uint8) uint64 {
 	var v uint64
@@ -46,15 +44,17 @@ func (e *testEnv) Syscall(m *Machine) {
 }
 
 // load assembles a sequence of instructions at pc 0.
-func (e *testEnv) load(t *testing.T, insts ...Inst) {
+func (e *testEnv) load(t testing.TB, insts ...Inst) {
 	t.Helper()
-	for i, in := range insts {
+	image := make([]byte, 0, 4*len(insts))
+	for _, in := range insts {
 		w, err := Encode(in)
 		if err != nil {
 			t.Fatalf("encode %v: %v", in, err)
 		}
-		e.code[uint64(i*4)] = w
+		image = append(image, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	}
+	e.prog = NewProgram(0, 0, image, nil)
 }
 
 func run(t *testing.T, m *Machine, n int) []DynInst {
@@ -111,7 +111,7 @@ func TestIntArithmetic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newTestEnv()
 			env.load(t, tc.in)
-			m := &Machine{Env: env}
+			m := env.machine()
 			m.X[1], m.X[2] = tc.x1, tc.x2
 			run(t, m, 1)
 			if m.X[3] != tc.want {
@@ -132,7 +132,7 @@ func TestImmediatesAndMov(t *testing.T) {
 		Inst{Op: OpLSLI, Rd: 5, Rs1: 1, Imm: 4},
 		Inst{Op: OpSLTI, Rd: 6, Rs1: 1, Imm: ImmIMax},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	run(t, m, 7)
 	if m.X[1] != 0xdeadbeef {
 		t.Errorf("movz/movk: x1 = %#x", m.X[1])
@@ -160,7 +160,7 @@ func TestZeroRegister(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: ZeroReg, Imm: 0x1234},
 		Inst{Op: OpADD, Rd: 1, Rs1: ZeroReg, Rs2: ZeroReg},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	run(t, m, 2)
 	if m.X[ZeroReg] != 0 {
 		t.Error("write to xzr must be discarded")
@@ -185,7 +185,7 @@ func TestFloatingPoint(t *testing.T) {
 		Inst{Op: OpFMIN, Rd: 9, Rs1: 0, Rs2: 1},
 		Inst{Op: OpFMAX, Rd: 10, Rs1: 0, Rs2: 1},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	m.WriteF(0, 9.0)
 	m.WriteF(1, 2.0)
 	m.X[3] = 7
@@ -219,7 +219,7 @@ func TestFCVTZSSaturation(t *testing.T) {
 	for _, c := range cases {
 		env := newTestEnv()
 		env.load(t, Inst{Op: OpFCVTZS, Rd: 1, Rs1: 0})
-		m := &Machine{Env: env}
+		m := env.machine()
 		m.WriteF(0, c.f)
 		run(t, m, 1)
 		if int64(m.X[1]) != c.want {
@@ -239,7 +239,7 @@ func TestLoadsAndStores(t *testing.T) {
 		Inst{Op: OpSTRB, Rd: 1, Rs1: 2, Imm: 100},
 		Inst{Op: OpLDRD, Rd: 7, Rs1: 2, Imm: 100},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	m.X[1] = 0x1122334455667788
 	m.X[2] = 0x1000
 	dis := run(t, m, 7)
@@ -273,7 +273,7 @@ func TestPairOps(t *testing.T) {
 		Inst{Op: OpSTP, Rd: 1, Rs2: 2, Rs1: 3, Imm: 16},
 		Inst{Op: OpLDP, Rd: 4, Rs2: 5, Rs1: 3, Imm: 16},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	m.X[1], m.X[2], m.X[3] = 111, 222, 0x2000
 	dis := run(t, m, 2)
 	if m.X[4] != 111 || m.X[5] != 222 {
@@ -295,7 +295,7 @@ func TestBranches(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: 3, Imm: 1},         // skipped
 		Inst{Op: OpMOVZ, Rd: 4, Imm: 2},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	m.X[1], m.X[2] = 7, 7
 	dis := run(t, m, 2)
 	if !dis[0].Taken || dis[0].NextPC != 8 {
@@ -311,7 +311,7 @@ func TestBranches(t *testing.T) {
 		Inst{Op: OpBNE, Rs1: 1, Rs2: 2, Imm: 8},
 		Inst{Op: OpMOVZ, Rd: 3, Imm: 1},
 	)
-	m2 := &Machine{Env: env2}
+	m2 := env2.machine()
 	m2.X[1], m2.X[2] = 7, 7
 	dis2 := run(t, m2, 2)
 	if dis2[0].Taken {
@@ -329,7 +329,7 @@ func TestJalAndJalr(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: 3, Imm: 1},                   // skipped, then return target
 		Inst{Op: OpJALR, Rd: ZeroReg, Rs1: RegLR, Imm: 0}, // ret -> pc 4
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	run(t, m, 2)
 	if m.X[RegLR] != 4 {
 		t.Errorf("jal link = %#x, want 4", m.X[RegLR])
@@ -347,7 +347,7 @@ func TestRdtimeIsRecordedAsNonDeterministic(t *testing.T) {
 	env := newTestEnv()
 	env.time = 12345
 	env.load(t, Inst{Op: OpRDTIME, Rd: 1})
-	m := &Machine{Env: env}
+	m := env.machine()
 	dis := run(t, m, 1)
 	if m.X[1] != 12345 {
 		t.Errorf("rdtime: x1 = %d", m.X[1])
@@ -360,7 +360,7 @@ func TestRdtimeIsRecordedAsNonDeterministic(t *testing.T) {
 func TestHaltAndFaults(t *testing.T) {
 	env := newTestEnv()
 	env.load(t, Inst{Op: OpHLT})
-	m := &Machine{Env: env}
+	m := env.machine()
 	dis := run(t, m, 5)
 	if len(dis) != 1 || !dis[0].Halt || !m.Halted {
 		t.Fatal("hlt must halt the machine")
@@ -371,12 +371,47 @@ func TestHaltAndFaults(t *testing.T) {
 	}
 
 	// Fetch outside code is a program fault.
-	m2 := &Machine{Env: newTestEnv()}
+	m2 := newTestEnv().machine()
 	m2.PC = 0x9999
 	if err := m2.Step(&di); err == nil {
 		t.Error("fetch from unmapped pc must fault")
 	} else if _, ok := err.(*ProgError); !ok {
 		t.Errorf("want *ProgError, got %T", err)
+	}
+}
+
+func TestPredecodedFetch(t *testing.T) {
+	// An image at an unaligned origin holding an undefined word, then
+	// hlt: the table covers exactly the word-aligned words inside it.
+	hlt, _ := Encode(Inst{Op: OpHLT})
+	image := make([]byte, 12) // 0x102-0x10d
+	image[6], image[7], image[8], image[9] = byte(hlt), byte(hlt>>8), byte(hlt>>16), byte(hlt>>24)
+	p := NewProgram(0x102, 0x102, image, nil)
+	if got, want := len(p.code), 2; got != want { // 0x104 and 0x108; 0x10c would overrun
+		t.Fatalf("predecoded %d words, want %d", got, want)
+	}
+	step := func(pc uint64) (*Machine, error) {
+		m := &Machine{Prog: p, Env: newTestEnv(), PC: pc}
+		var di DynInst
+		return m, m.Step(&di)
+	}
+	for _, c := range []struct {
+		pc     uint64
+		reason string
+	}{
+		{0x100, "instruction fetch outside mapped code"}, // below the image
+		{0x102, "instruction fetch outside mapped code"}, // in it, but unaligned
+		{0x104, "undefined instruction"},
+		{0x10c, "instruction fetch outside mapped code"}, // past the end
+	} {
+		m, err := step(c.pc)
+		pe, ok := err.(*ProgError)
+		if !ok || pe.Reason != c.reason || pe.PC != c.pc || !m.Halted || m.InstCount != 0 {
+			t.Errorf("pc %#x: err %v, halted %v, count %d; want %q", c.pc, err, m.Halted, m.InstCount, c.reason)
+		}
+	}
+	if m, err := step(0x108); err != nil || !m.Halted || m.InstCount != 1 {
+		t.Errorf("hlt at 0x108: err %v, halted %v", err, m.Halted)
 	}
 }
 
@@ -405,7 +440,7 @@ func TestPostExecHookCanCorruptState(t *testing.T) {
 		Inst{Op: OpMOVZ, Rd: 1, Imm: 10},
 		Inst{Op: OpADDI, Rd: 2, Rs1: 1, Imm: 0},
 	)
-	m := &Machine{Env: env}
+	m := env.machine()
 	m.Hooks.PostExec = func(mm *Machine, di *DynInst) {
 		if di.Seq == 1 {
 			mm.X[1] ^= 1 << 4 // bit flip: the fault injector's mechanism
@@ -421,7 +456,7 @@ func TestSyscallHook(t *testing.T) {
 	env := newTestEnv()
 	env.svc = func(m *Machine) { m.X[9] = 77 }
 	env.load(t, Inst{Op: OpSVC})
-	m := &Machine{Env: env}
+	m := env.machine()
 	run(t, m, 1)
 	if m.X[9] != 77 {
 		t.Error("svc must invoke the environment")
@@ -446,4 +481,26 @@ func TestDisassemblyIsStable(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
 	}
+}
+
+// BenchmarkStep steps a predecoded five-instruction ALU/branch loop; a
+// b.N iteration is one retired instruction.
+func BenchmarkStep(b *testing.B) {
+	env := newTestEnv()
+	env.load(b,
+		Inst{Op: OpADDI, Rd: 1, Rs1: 1, Imm: 1},
+		Inst{Op: OpXOR, Rd: 2, Rs1: 2, Rs2: 1},
+		Inst{Op: OpLSLI, Rd: 3, Rs1: 1, Imm: 3},
+		Inst{Op: OpADD, Rd: 4, Rs1: 3, Rs2: 2},
+		Inst{Op: OpBNE, Rs1: 1, Rs2: ZeroReg, Imm: -16},
+	)
+	m := env.machine()
+	var di DynInst
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Step(&di); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/instr")
 }

@@ -1,6 +1,10 @@
 package isa
 
-// Program is a loadable memory image produced by the assembler.
+// Program is a loadable memory image produced by the assembler, with its
+// instruction words decoded once. It is read-only after NewProgram, so
+// every Machine that steps it — the main core's oracle, the checker
+// cores, a lockstep shadow — and every goroutine of a campaign can share
+// one Program.
 type Program struct {
 	// Entry is the initial PC (the `_start` label, or the image origin).
 	Entry uint64
@@ -9,16 +13,32 @@ type Program struct {
 	Image  []byte
 	// Symbols maps labels to addresses.
 	Symbols map[string]uint64
+
+	// code holds the decoded instruction at every word-aligned address
+	// of the image, starting at codeBase; a word that does not decode is
+	// OpInvalid. The instruction stream is read-only (§IV-A), so the
+	// table never goes stale.
+	code     []Inst
+	codeBase uint64
+}
+
+// NewProgram builds a program over image loaded at origin and decodes
+// every word-aligned instruction word in it.
+func NewProgram(entry, origin uint64, image []byte, symbols map[string]uint64) *Program {
+	p := &Program{Entry: entry, Origin: origin, Image: image, Symbols: symbols}
+	p.codeBase = (origin + 3) &^ 3
+	if end := p.End(); p.codeBase < end {
+		p.code = make([]Inst, (end-p.codeBase)/4)
+	}
+	for i := range p.code {
+		w, _ := p.Word(p.codeBase + uint64(i)*4)
+		p.code[i], _ = Decode(w) // an invalid word decodes to OpInvalid
+	}
+	return p
 }
 
 // End reports the first address past the image.
 func (p *Program) End() uint64 { return p.Origin + uint64(len(p.Image)) }
-
-// Contains reports whether addr lies within the image, used to bound
-// instruction fetch (a fetch outside the image is a program fault).
-func (p *Program) Contains(addr uint64) bool {
-	return addr >= p.Origin && addr < p.End()
-}
 
 // Word reads the 32-bit little-endian word at addr, if within the image.
 func (p *Program) Word(addr uint64) (uint32, bool) {
@@ -28,4 +48,14 @@ func (p *Program) Word(addr uint64) (uint32, bool) {
 	off := addr - p.Origin
 	b := p.Image[off : off+4]
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, true
+}
+
+// inst returns the predecoded instruction at pc, or nil when pc is not a
+// word-aligned address inside the image (the fetch faults).
+func (p *Program) inst(pc uint64) *Inst {
+	i := (pc - p.codeBase) / 4 // wraps to out of range below codeBase
+	if pc%4 != 0 || i >= uint64(len(p.code)) {
+		return nil
+	}
+	return &p.code[i]
 }

@@ -57,12 +57,10 @@ func (d *Divergence) String() string {
 }
 
 type shadowEnv struct {
-	prog    *isa.Program
 	mem     *mem.Sparse
 	nonDetQ []uint64
 }
 
-func (e *shadowEnv) FetchWord(pc uint64) (uint32, bool) { return e.prog.Word(pc) }
 func (e *shadowEnv) Load(addr uint64, size uint8) uint64 {
 	return e.mem.Read(addr, size)
 }
@@ -87,8 +85,9 @@ func NewComparator(prog *isa.Program, initRegs isa.ArchRegs, compareLat sim.Time
 		CompareLat: compareLat,
 		Delay:      stats.NewHist(1, 100), // 0-100 ns bins: lockstep delays are tiny
 	}
-	c.shadowEnv = &shadowEnv{prog: prog, mem: mem.NewSparse()}
+	c.shadowEnv = &shadowEnv{mem: mem.NewSparse()}
 	c.shadowEnv.mem.SetBytes(prog.Origin, prog.Image)
+	c.shadow.Prog = prog
 	c.shadow.Env = c.shadowEnv
 	c.shadow.Restore(initRegs)
 	return c

@@ -184,6 +184,9 @@ type robEntry struct {
 	nextWaiter  [3]int32 // per-dep-slot link in a producer's waiter list
 }
 
+// fetchedInst is one fetch-queue slot. The trace source writes the next
+// dynamic instruction straight into the tail slot, which holds it until
+// fetch can enqueue it, so the record is never copied on the way in.
 type fetchedInst struct {
 	di         isa.DynInst
 	mispredict bool
@@ -202,11 +205,12 @@ type Core struct {
 	// Front end. fetchQ is a fixed ring of cfg.FetchQueue slots so the
 	// steady-state fetch path never touches the allocator (the old
 	// fetchQ = fetchQ[1:] pattern retained and eventually regrew the
-	// backing array).
+	// backing array). pendingValid means the tail slot holds an
+	// instruction taken from the trace but not yet enqueued (its I-cache
+	// line is still being fetched).
 	fetchQ        []fetchedInst
 	fqHead        int
 	fqLen         int
-	pending       isa.DynInst
 	pendingValid  bool
 	traceDone     bool
 	curFetchLine  uint64
@@ -236,6 +240,13 @@ type Core struct {
 
 	// Commit.
 	commitBlockedTil sim.Time
+
+	// Dead-cycle skipping. active records that this cycle changed
+	// anything (committed, issued, renamed, fetched, touched a cache) or
+	// that the commit gate refused; nextReady is the earliest future
+	// readyAt among ready entries seen by this cycle's issue scan.
+	active    bool
+	nextReady sim.Time
 
 	// Telemetry. probeNext is the committed-instruction count at which
 	// the next sample fires; with no probe attached it is MaxUint64, so
@@ -328,9 +339,13 @@ func (c *Core) setReady(idx uint64)   { c.ready[idx>>6] |= 1 << (idx & 63) }
 func (c *Core) clearReady(idx uint64) { c.ready[idx>>6] &^= 1 << (idx & 63) }
 
 // Tick advances the core by one cycle. Stages run commit-first so that a
-// single instruction cannot traverse multiple stages in one cycle.
+// single instruction cannot traverse multiple stages in one cycle. After
+// a cycle in which nothing happened, the next activation may lie several
+// cycles ahead (see skipDead).
 func (c *Core) Tick(now sim.Time) (sim.Time, bool) {
 	c.stats.Cycles++
+	renameStalls, icacheStalls := c.stats.RenameStallCycles, c.stats.FetchStallICache
+	c.active = false
 	c.commit(now)
 	c.issue(now)
 	c.rename(now)
@@ -340,7 +355,51 @@ func (c *Core) Tick(now sim.Time) (sim.Time, bool) {
 		c.stats.FinishTime = now
 		return 0, true
 	}
-	return now + c.cfg.Clock.Period, false
+	next := now + c.cfg.Clock.Period
+	if !c.active {
+		next = c.skipDead(now, c.stats.RenameStallCycles != renameStalls,
+			c.stats.FetchStallICache != icacheStalls)
+	}
+	return next, false
+}
+
+// skipDead is called after a cycle that changed nothing and in which the
+// commit gate did not refuse. Every cycle repeats it exactly until the
+// earliest pending event — the ROB head completing, a ready entry's
+// operands arriving, a divider freeing, a commit pause or fetch stall
+// ending — so the core returns the first clock edge at or after that
+// event, adding the skipped cycles to Cycles and to each stall counter
+// the idle cycle charged. Only core state and time can end the spell:
+// the gate is consulted only once the head can commit, and a refusal
+// (log full, which a checker may clear at any time) is never skipped.
+// Waking early is always safe: that cycle is idle again and skips on.
+func (c *Core) skipDead(now sim.Time, renameStalled, icacheStalled bool) sim.Time {
+	wake := c.nextReady
+	var headDone sim.Time
+	if !c.robEmpty() {
+		if h := c.entry(c.headID); h.issued {
+			headDone = h.completeAt
+		}
+	}
+	for _, t := range [...]sim.Time{headDone, c.mulDivBusyTil, c.fpDivBusyTil, c.commitBlockedTil, c.fetchStallTil} {
+		if t > now && t < wake {
+			wake = t
+		}
+	}
+	period := c.cfg.Clock.Period
+	if wake <= now+period || wake == sim.MaxTime {
+		return now + period
+	}
+	cycles := (wake - now + period - 1) / period // edges up to and including the wake edge
+	skipped := uint64(cycles - 1)
+	c.stats.Cycles += skipped
+	if renameStalled {
+		c.stats.RenameStallCycles += skipped
+	}
+	if icacheStalled {
+		c.stats.FetchStallICache += skipped
+	}
+	return now + cycles*period
 }
 
 // ---- Commit ----
@@ -363,6 +422,7 @@ func (c *Core) commit(now sim.Time) {
 			stall, ok := c.gate.TryCommit(&e.di, now)
 			if !ok {
 				c.stats.LogFullStallCycles++
+				c.active = true // a checker may free a segment at any time
 				return
 			}
 			if stall > 0 {
@@ -371,6 +431,7 @@ func (c *Core) commit(now sim.Time) {
 			}
 		}
 		c.retire(e, now)
+		c.active = true
 		budget -= uops
 		c.headID++
 		if c.stats.Instructions >= c.probeNext {
@@ -452,6 +513,7 @@ type issueRes struct {
 // their bit set; an entry whose readyAt is still in the future, or that
 // loses structural arbitration, keeps its bit and is retried next cycle.
 func (c *Core) issue(now sim.Time) {
+	c.nextReady = sim.MaxTime
 	rs := issueRes{
 		intALU:   c.cfg.IntALUs,
 		fpALU:    c.cfg.FPALUs,
@@ -490,7 +552,11 @@ func (c *Core) issueScan(now sim.Time, lo, hi uint64, rs *issueRes) {
 // structural limits exactly as the old oldest-first window scan did.
 func (c *Core) tryIssue(e *robEntry, now sim.Time, rs *issueRes) {
 	if now < e.readyAt {
-		return // sources issued but data not yet available
+		// Sources issued but data not yet available.
+		if e.readyAt < c.nextReady {
+			c.nextReady = e.readyAt
+		}
+		return
 	}
 	op := e.di.Inst.Op
 	switch op.Class() {
@@ -547,6 +613,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Time, rs *issueRes) {
 			return
 		}
 		rs.memPorts--
+		c.active = true
 		e.issued = true
 		e.inIQ = false
 		c.iqCount--
@@ -569,6 +636,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Time, rs *issueRes) {
 }
 
 func (c *Core) complete(e *robEntry, now sim.Time, latCycles int) {
+	c.active = true
 	e.issued = true
 	e.inIQ = false
 	c.iqCount--
@@ -629,6 +697,9 @@ func (c *Core) issueLoad(e *robEntry, now sim.Time) (sim.Time, bool) {
 			doneAt = sim.Max(doneAt, fwd)
 			continue
 		}
+		// A pair's first access touches the cache even if its second
+		// then waits on a store: that cycle is not dead.
+		c.active = true
 		doneAt = sim.Max(doneAt, c.dcache.Access(ld.Addr, false, e.di.PC, now))
 	}
 	return doneAt, true
@@ -701,11 +772,22 @@ func (c *Core) rename(now sim.Time) {
 			return
 		}
 
+		// Fill the entry field by field: a composite literal would build
+		// the whole entry, record included, and then copy it again.
 		id := c.tailID
 		idx := id & c.robMask
 		e := &c.rob[idx]
-		*e = robEntry{di: f.di, id: id, mispredict: f.mispredict, inIQ: true,
-			firstWaiter: noWaiter, nextWaiter: [3]int32{noWaiter, noWaiter, noWaiter}}
+		e.di = f.di
+		e.id = id
+		e.issued = false
+		e.completeAt = 0
+		e.mispredict = f.mispredict
+		e.inIQ = true
+		e.pendingDeps = 0
+		e.readyAt = 0
+		e.firstWaiter = noWaiter
+		e.nextWaiter = [3]int32{noWaiter, noWaiter, noWaiter}
+		c.active = true
 		thr := int(f.di.Thread)
 		for _, s := range in.Srcs(sbuf[:0]) {
 			file := 0
@@ -776,14 +858,23 @@ func (c *Core) fetch(now sim.Time) {
 	}
 	budget := c.cfg.Width
 	for budget > 0 && c.fqLen < len(c.fetchQ) {
+		if !c.pendingValid && c.traceDone {
+			return
+		}
+		c.active = true // reads the trace, accesses the I-cache or enqueues
+		slot := c.fqHead + c.fqLen
+		if slot >= len(c.fetchQ) {
+			slot -= len(c.fetchQ)
+		}
+		f := &c.fetchQ[slot]
+		di := &f.di
 		if !c.pendingValid {
-			if c.traceDone || !c.trace.Next(&c.pending) {
+			if !c.trace.Next(di) {
 				c.traceDone = true
 				return
 			}
 			c.pendingValid = true
 		}
-		di := &c.pending
 
 		// Instruction cache: a new line access may stall fetch; the
 		// access is charged once (the fill continues in the background).
@@ -810,11 +901,7 @@ func (c *Core) fetch(now sim.Time) {
 				c.bp.NoteDirMiss()
 			}
 		}
-		slot := c.fqHead + c.fqLen
-		if slot >= len(c.fetchQ) {
-			slot -= len(c.fetchQ)
-		}
-		c.fetchQ[slot] = fetchedInst{di: *di, mispredict: mispredict}
+		f.mispredict = mispredict
 		c.fqLen++
 		c.pendingValid = false
 		budget--

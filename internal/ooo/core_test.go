@@ -9,6 +9,7 @@ import (
 	"paradet/internal/mem"
 	"paradet/internal/sim"
 	"paradet/internal/trace"
+	"paradet/internal/workloads"
 )
 
 // buildCore assembles src and wires a core with a private hierarchy.
@@ -268,4 +269,55 @@ func TestTraceBudgetBoundsRun(t *testing.T) {
 	if st.Instructions != 500 {
 		t.Errorf("retired %d instructions under a 500 budget", st.Instructions)
 	}
+}
+
+// tickCounter counts the activations the engine gives the core.
+type tickCounter struct {
+	*Core
+	ticks uint64
+}
+
+func (t *tickCounter) Tick(now sim.Time) (sim.Time, bool) {
+	t.ticks++
+	return t.Core.Tick(now)
+}
+
+func TestDeadCyclesSkippedButCounted(t *testing.T) {
+	// Each commit pauses commit and rename for 10 ns, exactly 32 cycles:
+	// the core is idle through most of every pause, yet every cycle of
+	// it still counts, as a cycle and as a rename stall.
+	c := buildCore(t, repeat("add x1, x1, x2"), &alwaysStall{}, 0)
+	tc := &tickCounter{Core: c}
+	eng := sim.NewEngine()
+	eng.Add(tc, 0)
+	eng.Run(sim.MaxTime - 1)
+	if !c.Done() {
+		t.Fatal("core did not drain")
+	}
+	st := c.Stats()
+	if want := uint64(st.FinishTime/c.cfg.Clock.Period) + 1; st.Cycles != want {
+		t.Errorf("cycles = %d, want one per clock edge up to the finish, %d", st.Cycles, want)
+	}
+	// The last commit's pause is cut short by the end of the run.
+	if want := 32*(st.Instructions-1) + 1; st.RenameStallCycles != want {
+		t.Errorf("rename stalls = %d, want %d", st.RenameStallCycles, want)
+	}
+	if tc.ticks*4 > st.Cycles {
+		t.Errorf("%d ticks for %d cycles: dead cycles are not being skipped", tc.ticks, st.Cycles)
+	}
+}
+
+// BenchmarkCore runs the bare main core over 40,000 instructions of
+// randacc, the kernel with the largest share of idle cycles, and reports
+// the cost per committed instruction (functional oracle included).
+func BenchmarkCore(b *testing.B) {
+	_, src, err := workloads.Get("randacc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		instrs += runToCompletion(b, buildCore(b, src, nil, 40_000)).Instructions
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }

@@ -276,15 +276,16 @@ func TestCampaignSingleFlight(t *testing.T) {
 		}()
 	}
 
-	// The leader is inside the gated simulation; wait until every
-	// request has reached the server (the followers are then parked in
-	// the single-flight group, having already expanded the same grid),
-	// then let the leader finish.
+	// The leader is inside the gated simulation; wait until the other
+	// n-1 requests are parked behind it in the single-flight group, then
+	// let the leader finish. (A request counted in flight may not have
+	// expanded its grid yet: released then, it would lead a flight of
+	// its own.)
 	<-sim.started
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Snapshot().Inflight < n {
+	for srv.flights.waiting() < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests in flight", srv.Snapshot().Inflight, n)
+			t.Fatalf("only %d/%d followers parked", srv.flights.waiting(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -23,6 +23,7 @@ import (
 type group struct {
 	mu       sync.Mutex
 	inflight map[string]chan struct{}
+	parked   int // callers blocked on another caller's execution
 }
 
 func newGroup() *group {
@@ -48,15 +49,31 @@ func (g *group) do(ctx context.Context, key string, fn func() error) (shared boo
 			close(ch)
 			return shared, err
 		}
+		g.parked++
 		g.mu.Unlock()
 		shared = true
 		select {
 		case <-ctx.Done():
-			return shared, ctx.Err()
+			err = ctx.Err()
 		case <-ch:
 			// Leader done; loop to take (or queue for) the key.
 		}
+		g.mu.Lock()
+		g.parked--
+		g.mu.Unlock()
+		if err != nil {
+			return shared, err
+		}
 	}
+}
+
+// waiting reports how many callers are parked behind another caller's
+// execution, so a test can tell when every follower has joined a
+// flight.
+func (g *group) waiting() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.parked
 }
 
 // active reports how many keys currently have an execution in

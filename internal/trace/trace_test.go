@@ -6,6 +6,7 @@ import (
 	"paradet/internal/asm"
 	"paradet/internal/isa"
 	"paradet/internal/mem"
+	"paradet/internal/workloads"
 )
 
 func assemble(t *testing.T, src string) *isa.Program {
@@ -143,4 +144,78 @@ word: .dword 0xfeedface
 	if o.M.X[2] != 0xfeedface {
 		t.Fatalf("data segment not visible to loads: x2 = %#x", o.M.X[2])
 	}
+}
+
+func TestDstValIsWhatCommits(t *testing.T) {
+	prog := assemble(t, `
+_start:
+	la   x1, pair
+	ldp  x2, x3, [x1]
+	addi x4, x2, 1
+	fmovfx f5, x4
+	strd x4, [x1]
+	hlt
+pair: .dword 7, 9
+`)
+	o := NewOracle(prog, mem.NewSparse(), 0)
+	// A fault hook flipping x4 after the addi: the record must carry the
+	// corrupted value, which is what the register file commits.
+	o.M.Hooks.PostExec = func(m *isa.Machine, di *isa.DynInst) {
+		if di.Inst.Op == isa.OpADDI && di.Inst.Rd == 4 {
+			m.X[4] ^= 1 << 10
+		}
+	}
+	want := map[isa.Op][]uint64{
+		isa.OpLDP:    {7, 9},
+		isa.OpADDI:   {8 ^ 1<<10},
+		isa.OpFMOVFX: {8 ^ 1<<10},
+	}
+	var di isa.DynInst
+	for o.Next(&di) {
+		w, ok := want[di.Inst.Op]
+		if !ok {
+			continue
+		}
+		var buf [2]isa.RegRef
+		dsts := di.Inst.Dsts(buf[:0])
+		if len(dsts) != len(w) {
+			t.Fatalf("%v: %d destinations, want %d", di.Inst, len(dsts), len(w))
+		}
+		for i := range w {
+			if di.DstVal[i] != w[i] {
+				t.Errorf("%v: DstVal[%d] = %#x, want %#x", di.Inst, i, di.DstVal[i], w[i])
+			}
+		}
+		delete(want, di.Inst.Op)
+	}
+	if len(want) != 0 {
+		t.Errorf("instructions not seen: %v", want)
+	}
+}
+
+// BenchmarkOracle streams 40,000 instructions of the freqmine kernel
+// through the functional oracle alone; it reports the cost per retired
+// instruction.
+func BenchmarkOracle(b *testing.B) {
+	_, src, err := workloads.Get("freqmine")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := NewOracle(prog, mem.NewSparse(), 40_000)
+		var di isa.DynInst
+		for o.Next(&di) {
+		}
+		if o.Err != nil {
+			b.Fatal(o.Err)
+		}
+		instrs += o.M.InstCount
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }

@@ -11,8 +11,8 @@ import (
 // faultPlan carries the injector's hook functions into a run; it is
 // produced by the fault API in faults.go.
 type faultPlan struct {
-	// main is applied identically to the trace oracle and the detector's
-	// commit-time replica (both must see the same corruption).
+	// main is installed on the trace oracle; the detector commits what
+	// the oracle recorded after it ran.
 	main func(*isa.Machine, *isa.DynInst)
 	// checker produces the per-checker-core hook (nil for none).
 	checker func(id int) func(*isa.Machine, *isa.DynInst)
