@@ -122,9 +122,19 @@ func signExtend(v uint32, bits uint) int64 {
 
 // Decode unpacks a 32-bit word into an instruction.
 func Decode(w uint32) (Inst, error) {
+	in, ok := decode(w)
+	if !ok {
+		return Inst{}, &DecodeError{w}
+	}
+	return in, nil
+}
+
+// decode is Decode without the error value, so predecoding an image full
+// of data words allocates nothing; an invalid word yields Inst{} (OpInvalid).
+func decode(w uint32) (Inst, bool) {
 	op := Op(w >> 24)
 	if op == OpInvalid || op >= opMax {
-		return Inst{}, &DecodeError{w}
+		return Inst{}, false
 	}
 	in := Inst{Op: op}
 	switch op.Format() {
@@ -159,7 +169,7 @@ func Decode(w uint32) (Inst, error) {
 	case FmtS:
 		// opcode only
 	default:
-		return Inst{}, &DecodeError{w}
+		return Inst{}, false
 	}
-	return in, nil
+	return in, true
 }

@@ -32,7 +32,7 @@ func NewProgram(entry, origin uint64, image []byte, symbols map[string]uint64) *
 	}
 	for i := range p.code {
 		w, _ := p.Word(p.codeBase + uint64(i)*4)
-		p.code[i], _ = Decode(w) // an invalid word decodes to OpInvalid
+		p.code[i], _ = decode(w) // an invalid word decodes to OpInvalid
 	}
 	return p
 }
