@@ -184,14 +184,6 @@ type robEntry struct {
 	nextWaiter  [3]int32 // per-dep-slot link in a producer's waiter list
 }
 
-// fetchedInst is one fetch-queue slot. The trace source writes the next
-// dynamic instruction straight into the tail slot, which holds it until
-// fetch can enqueue it, so the record is never copied on the way in.
-type fetchedInst struct {
-	di         isa.DynInst
-	mispredict bool
-}
-
 // Core is the out-of-order main core timing model. It implements
 // sim.Ticker; one Tick is one core cycle.
 type Core struct {
@@ -202,14 +194,13 @@ type Core struct {
 	bp     *branch.Predictor
 	gate   CommitGate // may be nil (unprotected baseline)
 
-	// Front end. fetchQ is a fixed ring of cfg.FetchQueue slots so the
-	// steady-state fetch path never touches the allocator (the old
-	// fetchQ = fetchQ[1:] pattern retained and eventually regrew the
-	// backing array). pendingValid means the tail slot holds an
-	// instruction taken from the trace but not yet enqueued (its I-cache
-	// line is still being fetched).
-	fetchQ        []fetchedInst
-	fqHead        int
+	// Front end. The fetch queue lives in the window's backing array:
+	// its fqLen instructions sit in the slots of the ids rename will give
+	// them, tailID onwards, so the trace source writes each record
+	// straight into the slot it commits from and it is never copied.
+	// pendingValid means the next slot holds an instruction taken from
+	// the trace but not yet enqueued (its I-cache line is still being
+	// fetched).
 	fqLen         int
 	pendingValid  bool
 	traceDone     bool
@@ -217,9 +208,9 @@ type Core struct {
 	fetchStallTil sim.Time
 	blockedOnSeq  uint64 // dynamic Seq of the unresolved mispredicted branch
 
-	// Window. The backing array is rounded up to a power of two so the
-	// id -> slot mapping is a mask, not a division; the logical capacity
-	// stays cfg.ROBEntries.
+	// Window. The backing array holds cfg.ROBEntries plus the fetch
+	// queue, rounded up to a power of two so the id -> slot mapping is a
+	// mask, not a division; the logical capacity stays cfg.ROBEntries.
 	rob            []robEntry
 	robMask        uint64
 	headID, tailID uint64                       // ids are 1-based; index = id & robMask
@@ -265,7 +256,7 @@ func New(cfg Config, trace TraceSource, icache, dcache *mem.Cache, bp *branch.Pr
 		panic("ooo: invalid config")
 	}
 	robLen := 1
-	for robLen < cfg.ROBEntries {
+	for robLen < cfg.ROBEntries+cfg.FetchQueue {
 		robLen <<= 1
 	}
 	return &Core{
@@ -279,7 +270,6 @@ func New(cfg Config, trace TraceSource, icache, dcache *mem.Cache, bp *branch.Pr
 		robMask:     uint64(robLen - 1),
 		ready:       make([]uint64, (robLen+63)/64),
 		storeQ:      make([]uint64, robLen),
-		fetchQ:      make([]fetchedInst, cfg.FetchQueue),
 		headID:      1,
 		tailID:      1,
 		intRegsFree: cfg.IntPhysRegs - isa.NumIntRegs,
@@ -748,8 +738,10 @@ func (c *Core) rename(now sim.Time) {
 	}
 	budget := c.cfg.Width
 	for budget > 0 && c.fqLen > 0 {
-		f := &c.fetchQ[c.fqHead]
-		in := f.di.Inst
+		id := c.tailID
+		idx := id & c.robMask
+		e := &c.rob[idx]
+		in := e.di.Inst
 		op := in.Op
 
 		var dbuf, sbuf [3]isa.RegRef
@@ -762,7 +754,7 @@ func (c *Core) rename(now sim.Time) {
 				needInt++
 			}
 		}
-		nmem := int(f.di.NMem)
+		nmem := int(e.di.NMem)
 		switch {
 		case c.robFull(), c.iqCount >= c.cfg.IQEntries,
 			needInt > c.intRegsFree, needFP > c.fpRegsFree,
@@ -772,23 +764,18 @@ func (c *Core) rename(now sim.Time) {
 			return
 		}
 
-		// Fill the entry field by field: a composite literal would build
-		// the whole entry, record included, and then copy it again.
-		id := c.tailID
-		idx := id & c.robMask
-		e := &c.rob[idx]
-		e.di = f.di
+		// The record and its mispredict flag are in place since fetch;
+		// reset the rest of the slot field by field.
 		e.id = id
 		e.issued = false
 		e.completeAt = 0
-		e.mispredict = f.mispredict
 		e.inIQ = true
 		e.pendingDeps = 0
 		e.readyAt = 0
 		e.firstWaiter = noWaiter
 		e.nextWaiter = [3]int32{noWaiter, noWaiter, noWaiter}
 		c.active = true
-		thr := int(f.di.Thread)
+		thr := int(e.di.Thread)
 		for _, s := range in.Srcs(sbuf[:0]) {
 			file := 0
 			if s.FP {
@@ -831,16 +818,12 @@ func (c *Core) rename(now sim.Time) {
 		}
 		if op.IsStore() {
 			c.sqCount += nmem
-			if f.di.Thread == 0 {
+			if e.di.Thread == 0 {
 				c.storeQ[(c.sqHead+c.sqLen)&int(c.robMask)] = id
 				c.sqLen++
 			}
 		}
 		c.tailID++
-		c.fqHead++
-		if c.fqHead == len(c.fetchQ) {
-			c.fqHead = 0
-		}
 		c.fqLen--
 		budget--
 	}
@@ -857,17 +840,13 @@ func (c *Core) fetch(now sim.Time) {
 		return
 	}
 	budget := c.cfg.Width
-	for budget > 0 && c.fqLen < len(c.fetchQ) {
+	for budget > 0 && c.fqLen < c.cfg.FetchQueue {
 		if !c.pendingValid && c.traceDone {
 			return
 		}
 		c.active = true // reads the trace, accesses the I-cache or enqueues
-		slot := c.fqHead + c.fqLen
-		if slot >= len(c.fetchQ) {
-			slot -= len(c.fetchQ)
-		}
-		f := &c.fetchQ[slot]
-		di := &f.di
+		e := c.entry(c.tailID + uint64(c.fqLen))
+		di := &e.di
 		if !c.pendingValid {
 			if !c.trace.Next(di) {
 				c.traceDone = true
@@ -901,7 +880,7 @@ func (c *Core) fetch(now sim.Time) {
 				c.bp.NoteDirMiss()
 			}
 		}
-		f.mispredict = mispredict
+		e.mispredict = mispredict
 		c.fqLen++
 		c.pendingValid = false
 		budget--
