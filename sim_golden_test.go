@@ -13,6 +13,11 @@ package paradet_test
 // fault campaign on every kernel plus a handful of checker-core faults:
 // it pins what the detection hardware sees at commit, where an error is
 // detected and when.
+// testdata/config_matrix.golden holds one line per kernel under six
+// checker-bound configurations (fast and slow checkers, a tiny log, few
+// checkers, interrupts, the big core, null checkers): cycles, seals,
+// log-full stalls, the whole delay summary and every checker's
+// utilisation, with floats printed so that they round-trip exactly.
 
 import (
 	"encoding/json"
@@ -20,6 +25,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -143,4 +149,56 @@ func TestFaultRecordsGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "fault_records.golden", b.String())
+}
+
+func TestConfigMatrixGolden(t *testing.T) {
+	configs := []struct {
+		name string
+		set  func(*paradet.Config)
+	}{
+		{"chk2GHz", func(c *paradet.Config) { c.CheckerHz = 2_000_000_000 }},
+		{"chk500MHz-log3686", func(c *paradet.Config) { c.CheckerHz = 500_000_000; c.LogBytes = 3686 }},
+		{"chk3", func(c *paradet.Config) { c.NumCheckers = 3 }},
+		{"irq2000ns", func(c *paradet.Config) { c.InterruptIntervalNS = 2000 }},
+		{"bigcore", func(c *paradet.Config) { c.BigCore = true }},
+		{"nullchk", func(c *paradet.Config) { c.DisableCheckers = true }},
+	}
+	exact := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	for _, c := range configs {
+		for _, w := range paradet.Workloads() {
+			p, _, err := paradet.LoadWorkload(w.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := paradet.DefaultConfig()
+			cfg.MaxInstrs = 20_000
+			c.set(&cfg)
+			res, err := paradet.Run(cfg, p)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, w.Name, err)
+			}
+			d := res.Delay
+			fmt.Fprintf(&b, "%s %s cycles=%d seals=%d/%d/%d/%d lfstall=%d lfupeak=%d "+
+				"delay=%d/%s/%s/%s/%s/%s/%s util=",
+				c.name, w.Name, res.Cycles,
+				res.SealsByReason["capacity"], res.SealsByReason["timeout"],
+				res.SealsByReason["interrupt"], res.SealsByReason["finish"],
+				res.LogFullStallCycles, res.LFUPeak,
+				d.Samples, exact(d.MeanNS), exact(d.MaxNS), exact(d.P50NS),
+				exact(d.P99NS), exact(d.P999NS), exact(d.FracBelow5us))
+			for i, u := range res.CheckerUtilization {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString(exact(u))
+			}
+			if fe := res.FirstError; fe != nil {
+				fmt.Fprintf(&b, " err=%s/%d/%d/%s\n", fe.Kind, fe.SegmentSeq, fe.InstSeq, exact(fe.DetectedNS))
+			} else {
+				b.WriteString(" err=-\n")
+			}
+		}
+	}
+	checkGolden(t, "config_matrix.golden", b.String())
 }
