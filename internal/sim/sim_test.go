@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +167,63 @@ func TestEngineWake(t *testing.T) {
 	e.Run(Time(1_000_000))
 	if woke != 15 {
 		t.Errorf("sleeper woke at %v, want 15", woke)
+	}
+}
+
+// TestEngineParkedTickerNotTicked: a ticker registered at MaxTime, or
+// that returns MaxTime, is never ticked, even by a run without a limit,
+// until another ticker wakes it.
+func TestEngineParkedTickerNotTicked(t *testing.T) {
+	e := NewEngine()
+	var parkedTicks, selfTicks []Time
+	parked := tickFunc(func(now Time) (Time, bool) {
+		parkedTicks = append(parkedTicks, now)
+		return MaxTime, false
+	})
+	self := tickFunc(func(now Time) (Time, bool) {
+		selfTicks = append(selfTicks, now)
+		return MaxTime, false
+	})
+	e.Add(parked, MaxTime)
+	e.Add(self, 3)
+	e.Add(&counter{period: 10, left: 5}, 0)
+	e.Run(MaxTime)
+	if len(parkedTicks) != 0 || len(selfTicks) != 1 || selfTicks[0] != 3 {
+		t.Fatalf("before waking: parked ticked at %v, self-parked at %v; want never, once at 3", parkedTicks, selfTicks)
+	}
+	e.Add(tickFunc(func(now Time) (Time, bool) {
+		e.Wake(parked, now+7)
+		e.Wake(self, now+9)
+		return 0, true
+	}), 100)
+	e.Run(MaxTime)
+	if len(parkedTicks) != 1 || parkedTicks[0] != 107 || len(selfTicks) != 2 || selfTicks[1] != 109 {
+		t.Errorf("after waking at 100: parked ticked at %v, self-parked at %v; want 107, 109", parkedTicks, selfTicks)
+	}
+}
+
+// TestEngineWokenTickerWinsTie: a ticker woken to a time at which an
+// already armed ticker is due runs first if it was registered first.
+func TestEngineWokenTickerWinsTie(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	sleeper := tickFunc(func(now Time) (Time, bool) {
+		order = append(order, fmt.Sprintf("sleeper@%d", now))
+		return MaxTime, false
+	})
+	e.Add(sleeper, MaxTime)
+	e.Add(tickFunc(func(now Time) (Time, bool) {
+		order = append(order, fmt.Sprintf("armed@%d", now))
+		return now + 10, now >= 30
+	}), 10)
+	e.Add(tickFunc(func(now Time) (Time, bool) {
+		e.Wake(sleeper, 20)
+		return 0, true
+	}), 5)
+	e.Run(MaxTime)
+	want := "armed@10 sleeper@20 armed@20 armed@30"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("order %q, want %q", got, want)
 	}
 }
 
