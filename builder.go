@@ -253,13 +253,16 @@ func (s *System) buildMainCore() {
 // hook from the detection-side components the core cannot see. The
 // hook runs once per sample interval, never per instruction.
 func (s *System) attachTelemetry(p *telemetry.Probe) {
-	det, checkers := s.det, s.checkers
+	det, checkers, eng := s.det, s.checkers, s.eng
 	p.Extra = func(smp *telemetry.Sample) {
 		if det != nil {
 			det.TelemetryFill(smp)
 		}
+		// The core samples inside its activation, at the engine's time;
+		// checkers may have run ahead of it.
+		at := eng.Now()
 		for _, ck := range checkers {
-			busy, instrs := ck.TelemetrySnapshot()
+			busy, instrs := ck.TelemetrySnapshot(at)
 			if busy {
 				smp.CheckersBusy++
 			}

@@ -126,6 +126,7 @@ func New(cfg Config, initRegs isa.ArchRegs) *Detector {
 		startRegs:   initRegs,
 		startSeq:    1,
 		Delay:       stats.NewHist(cfg.DelayHistBinNS, cfg.DelayHistBins),
+		lfu:         lfu{inFlight: make([]uint64, 0, 32)},
 	}
 	d.segs = make([]*Segment, cfg.NumSegments)
 	for i := range d.segs {
@@ -250,8 +251,7 @@ func (d *Detector) retire(di *isa.DynInst) {
 		panic(fmt.Sprintf("core: commit stream broken: seq %d pc %#x, want seq %d pc %#x",
 			di.Seq, di.PC, d.nextSeq, d.committed.PC))
 	}
-	var dbuf [2]isa.RegRef
-	for i, r := range di.Inst.Dsts(dbuf[:0]) {
+	for i, r := range di.Ops.Dsts() {
 		if r.FP {
 			d.committed.F[r.Idx] = di.DstVal[i]
 		} else {
@@ -388,7 +388,7 @@ func (d *Detector) SegmentChecked(seg *Segment, res CheckResult) {
 // checker at time at; record the store-commit-to-check delay (paper
 // Figs. 8, 11, 12).
 func (d *Detector) EntryChecked(e *LogEntry, at sim.Time) {
-	d.Delay.Add((at - e.CommitTime).Nanoseconds())
+	d.Delay.Add(at - e.CommitTime)
 }
 
 // FirstError returns the confirmed first error, or nil if none (yet).
@@ -427,26 +427,28 @@ func (d *Detector) TelemetryFill(s *telemetry.Sample) {
 // ROB entry is reallocated. Here it is occupancy bookkeeping: the
 // functional duplication is inherent in the DynInst record, which is
 // snapshotted at execute time, before any later corruption of the
-// register file can touch it.
+// register file can touch it. inFlight holds the dynamic sequence
+// numbers captured and not yet committed, in no particular order: at
+// most one ROB's worth, usually a handful.
 type lfu struct {
-	inFlight map[uint64]uint8 // dynamic seq -> entry count
+	inFlight []uint64
 	peak     int
 }
 
 func (l *lfu) capture(di *isa.DynInst) {
-	if l.inFlight == nil {
-		l.inFlight = make(map[uint64]uint8)
-	}
-	n := di.NMem
-	if n == 0 && di.HasNonDet {
-		n = 1
-	}
-	l.inFlight[di.Seq] = n
+	l.inFlight = append(l.inFlight, di.Seq)
 	if len(l.inFlight) > l.peak {
 		l.peak = len(l.inFlight)
 	}
 }
 
 func (l *lfu) commit(di *isa.DynInst) {
-	delete(l.inFlight, di.Seq)
+	for i, seq := range l.inFlight {
+		if seq == di.Seq {
+			last := len(l.inFlight) - 1
+			l.inFlight[i] = l.inFlight[last]
+			l.inFlight = l.inFlight[:last]
+			return
+		}
+	}
 }

@@ -44,8 +44,6 @@ func (s *stubChecker) completeAll(d *Detector, lag sim.Time) {
 	s.live = s.live[:0]
 }
 
-func (s *stubChecker) Busy() bool { return false }
-
 func testConfig(nseg int) Config {
 	cfg := DefaultConfig(sim.NewClock(3_200_000_000))
 	cfg.NumSegments = nseg

@@ -147,8 +147,6 @@ type Checker interface {
 	// StartCheck hands the checker a sealed segment; checking may begin
 	// no earlier than `at` (checkpoint copy completion).
 	StartCheck(seg *Segment, at sim.Time)
-	// Busy reports whether a check is in flight.
-	Busy() bool
 }
 
 // ResultSink receives checker results and per-entry validation events;

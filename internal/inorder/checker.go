@@ -58,7 +58,21 @@ type Stats struct {
 	ICacheStalls    uint64
 }
 
+// runAheadCap bounds the instructions one activation executes.
+const runAheadCap = 256
+
 // Checker is one checker core. It implements sim.Ticker and core.Checker.
+//
+// Between touches of shared hardware a checker changes only its own
+// state: its machine, its environment over an immutable sealed segment,
+// its private L0 on a hit, and its own fault hook. So one activation runs
+// instructions back to back, each at the time it would have had if every
+// instruction were its own activation, and stops only where another
+// component could observe it: at an L0 miss (the shared L1I and L2 must
+// see the access at its time, in engine order), at the end of the check
+// (the detector must see the verdict at its time), or after runAheadCap
+// instructions. A checker may therefore have executed past the engine's
+// current time.
 type Checker struct {
 	id     int
 	cfg    Config
@@ -78,6 +92,17 @@ type Checker struct {
 	startedAt sim.Time
 	execd     uint64
 	curLine   uint64
+
+	// verdict is the finished check's result, held until the activation
+	// at its FinishedAt delivers it; concluded marks it valid.
+	verdict   core.CheckResult
+	concluded bool
+
+	// ranAt holds the times of the nRan instructions the latest
+	// activation executed, oldest first, so that a telemetry sample can
+	// leave out those that lie after it.
+	ranAt [runAheadCap]sim.Time
+	nRan  int
 
 	stats Stats
 }
@@ -107,14 +132,17 @@ func (c *Checker) Stats() Stats { return c.stats }
 // §IV-I).
 func (c *Checker) Hooks() *isa.Hooks { return &c.m.Hooks }
 
-// Busy implements core.Checker.
-func (c *Checker) Busy() bool { return c.seg != nil }
-
 // TelemetrySnapshot reports the checker's contribution to a telemetry
-// sample: whether a segment check is in flight, and the cumulative
-// count of re-executed instructions. Called only at sample time.
-func (c *Checker) TelemetrySnapshot() (busy bool, instrs uint64) {
-	return c.seg != nil, c.stats.Instructions
+// sample taken at time at, during an activation at that time: whether a
+// segment check is in flight, and the cumulative count of re-executed
+// instructions whose time is at or before at. Called only at sample
+// time.
+func (c *Checker) TelemetrySnapshot(at sim.Time) (busy bool, instrs uint64) {
+	instrs = c.stats.Instructions
+	for i := c.nRan - 1; i >= 0 && c.ranAt[i] > at; i-- {
+		instrs--
+	}
+	return c.seg != nil, instrs
 }
 
 // StartCheck implements core.Checker: accept a sealed segment, reset the
@@ -135,52 +163,71 @@ func (c *Checker) StartCheck(seg *core.Segment, at sim.Time) {
 	c.eng.Wake(c, c.startAt)
 }
 
-// Tick executes (at most) one instruction of the current check.
+// Tick runs the current check ahead from now until the next point
+// another component could observe (see Checker) and returns that time.
 func (c *Checker) Tick(now sim.Time) (sim.Time, bool) {
 	if c.seg == nil {
+		return sim.MaxTime, false
+	}
+	if c.concluded {
+		c.deliver()
 		return sim.MaxTime, false
 	}
 	if now < c.startAt {
 		return c.startAt, false
 	}
-
-	// Instruction fetch through the L0/L1I hierarchy; a line miss stalls.
-	line := c.m.PC &^ 63
-	if line != c.curLine {
-		done := c.icache.Access(line, false, c.m.PC, now)
-		c.curLine = line
-		if done > now {
-			c.stats.ICacheStalls++
-			return done, false
-		}
-	}
-
-	c.env.now = now
-	c.env.curSeq = c.seg.StartSeq + c.execd
+	c.nRan = 0
 	di := &c.scratch
-	stepErr := c.m.Step(di)
-	c.execd++
-	c.stats.Instructions++
+	for t := now; ; {
+		if c.nRan == runAheadCap {
+			return t, false
+		}
+		// Instruction fetch through the L0/L1I hierarchy; a line miss
+		// stalls, and reaches shared hardware only in its own activation.
+		if line := c.m.PC &^ 63; line != c.curLine {
+			if t > now && !c.icache.Holds(line) {
+				return t, false
+			}
+			done := c.icache.Access(line, false, c.m.PC, t)
+			c.curLine = line
+			if done > t {
+				c.stats.ICacheStalls++
+				return done, false
+			}
+		}
 
-	if stepErr != nil {
-		// The checker ran off the instruction stream: control-flow
-		// divergence (§IV-J).
-		c.fail(now, &core.ErrorReport{
-			Kind: core.ErrDivergence, SegSeqNo: c.seg.SeqNo,
-			InstSeq: c.seg.StartSeq + c.execd - 1,
-			Detail:  stepErr.Error(), DetectedAt: now,
-		})
+		c.env.now = t
+		c.env.curSeq = c.seg.StartSeq + c.execd
+		stepErr := c.m.Step(di)
+		c.execd++
+		c.stats.Instructions++
+		c.ranAt[c.nRan] = t
+		c.nRan++
+
+		switch {
+		case stepErr != nil:
+			// The checker ran off the instruction stream: control-flow
+			// divergence (§IV-J).
+			c.fail(t, &core.ErrorReport{
+				Kind: core.ErrDivergence, SegSeqNo: c.seg.SeqNo,
+				InstSeq: c.seg.StartSeq + c.execd - 1,
+				Detail:  stepErr.Error(), DetectedAt: t,
+			})
+		case c.env.err != nil:
+			c.fail(t, c.env.err)
+		case c.execd >= c.seg.InstCount:
+			c.finalize(t)
+		default:
+			t += c.cfg.Clock.Duration(c.latencyCycles(di))
+			continue
+		}
+		// The check is over at t; the detector hears of it then.
+		if t > now {
+			return t, false
+		}
+		c.deliver()
 		return sim.MaxTime, false
 	}
-	if c.env.err != nil {
-		c.fail(now, c.env.err)
-		return sim.MaxTime, false
-	}
-	if c.execd >= c.seg.InstCount {
-		c.finalize(now)
-		return sim.MaxTime, false
-	}
-	return now + c.cfg.Clock.Duration(c.latencyCycles(di)), false
 }
 
 func (c *Checker) latencyCycles(di *isa.DynInst) int64 {
@@ -227,19 +274,29 @@ func (c *Checker) finalize(now sim.Time) {
 		})
 		return
 	}
-	c.finish(now, core.CheckResult{OK: true, FinishedAt: now, Instrs: c.execd})
+	c.finish(core.CheckResult{OK: true, FinishedAt: now, Instrs: c.execd})
 }
 
 func (c *Checker) fail(now sim.Time, err *core.ErrorReport) {
-	c.stats.Errors++
-	c.finish(now, core.CheckResult{OK: false, Err: err, FinishedAt: now, Instrs: c.execd})
+	c.finish(core.CheckResult{OK: false, Err: err, FinishedAt: now, Instrs: c.execd})
 }
 
-func (c *Checker) finish(now sim.Time, res core.CheckResult) {
-	seg := c.seg
+// finish holds the check's verdict for deliver, which hands it to the
+// detector in the activation at its finish time.
+func (c *Checker) finish(res core.CheckResult) {
+	c.verdict = res
+	c.concluded = true
+}
+
+func (c *Checker) deliver() {
+	seg, res := c.seg, c.verdict
 	c.seg = nil
+	c.concluded = false
+	if !res.OK {
+		c.stats.Errors++
+	}
 	c.stats.SegmentsChecked++
-	c.stats.BusyTime += now - c.startedAt
+	c.stats.BusyTime += res.FinishedAt - c.startedAt
 	c.sink.SegmentChecked(seg, res)
 }
 

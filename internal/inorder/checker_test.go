@@ -1,6 +1,7 @@
 package inorder
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"paradet/internal/mem"
 	"paradet/internal/sim"
 	"paradet/internal/trace"
+	"paradet/internal/workloads"
 )
 
 // sinkRecorder collects checker results.
@@ -31,7 +33,7 @@ func (s *sinkRecorder) EntryChecked(e *core.LogEntry, at sim.Time) {
 
 // buildSegment runs the oracle over src and packages the first n
 // committed instructions as one segment (whole program if n == 0).
-func buildSegment(t *testing.T, src string, n uint64) (*isa.Program, *core.Segment) {
+func buildSegment(t testing.TB, src string, n uint64) (*isa.Program, *core.Segment) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
@@ -110,7 +112,7 @@ buf: .space 256
 
 func TestCheckerValidatesCleanSegment(t *testing.T) {
 	prog, seg := buildSegment(t, checkerLoop, 0)
-	sink, ck, _ := runChecker(t, prog, seg, 1_000_000_000)
+	sink, ck, end := runChecker(t, prog, seg, 1_000_000_000)
 	res := sink.results[0]
 	if !res.OK {
 		t.Fatalf("clean segment rejected: %+v", res.Err)
@@ -124,8 +126,8 @@ func TestCheckerValidatesCleanSegment(t *testing.T) {
 	if ck.Stats().SegmentsChecked != 1 || ck.Stats().Errors != 0 {
 		t.Errorf("stats: %+v", ck.Stats())
 	}
-	if ck.Busy() {
-		t.Error("checker must go idle after finishing")
+	if busy, n := ck.TelemetrySnapshot(end); busy || n != seg.InstCount {
+		t.Errorf("after the check: busy %t, %d instructions, want idle after %d", busy, n, seg.InstCount)
 	}
 }
 
@@ -271,4 +273,139 @@ func TestCheckerRejectsDoubleStart(t *testing.T) {
 		}
 	}()
 	ck.StartCheck(seg, 0)
+}
+
+// newWarmChecker builds a checker whose L0 already holds every line of
+// prog, with the fills complete by the returned time.
+func newWarmChecker(prog *isa.Program, sink core.ResultSink, eng *sim.Engine) (*Checker, sim.Time) {
+	clock := sim.NewClock(1_000_000_000)
+	l0 := mem.NewCache(mem.CacheConfig{
+		Name: "cl0", SizeBytes: 2 << 10, Ways: 2, LineBytes: 64, HitLat: 0, MSHRs: 1,
+	}, mem.NewDDR3())
+	var ready sim.Time
+	for line := prog.Origin &^ 63; line < prog.End(); line += 64 {
+		ready = l0.Access(line, false, 0, ready)
+	}
+	return New(0, DefaultConfig(clock), prog, l0, sink, eng), ready
+}
+
+// loopSource is checkerLoop with n iterations.
+func loopSource(n int) string {
+	return strings.Replace(checkerLoop, "li   x3, 30", fmt.Sprintf("li   x3, %d", n), 1)
+}
+
+// TestCheckerRunsAhead: on code that stays in L0, the activation at
+// the start of a check executes the whole check or runAheadCap
+// instructions, whichever is fewer, and telemetry sampled at that time
+// still sees only the instruction due then.
+func TestCheckerRunsAhead(t *testing.T) {
+	for _, iters := range []int{30, 100} {
+		prog, seg := buildSegment(t, loopSource(iters), 0)
+		sink := &sinkRecorder{}
+		eng := sim.NewEngine()
+		ck, ready := newWarmChecker(prog, sink, eng)
+		ck.StartCheck(seg, ready)
+		startAt := ready + ck.cfg.Clock.Duration(ck.cfg.PipeFillCycles)
+		eng.Run(startAt)
+		want := min(seg.InstCount, runAheadCap)
+		if got := ck.Stats().Instructions; got != want {
+			t.Errorf("%d iterations: %d instructions executed by %v, want %d", iters, got, startAt, want)
+		}
+		if busy, n := ck.TelemetrySnapshot(startAt); !busy || n != 1 {
+			t.Errorf("%d iterations: snapshot at start = busy %t, %d instructions; want busy, 1", iters, busy, n)
+		}
+		if len(sink.results) != 0 {
+			t.Errorf("%d iterations: verdict delivered at the first instruction's time", iters)
+		}
+		end := eng.Run(sim.MaxTime - 1)
+		if len(sink.results) != 1 || !sink.results[0].OK {
+			t.Fatalf("%d iterations: results %+v", iters, sink.results)
+		}
+		if busy, n := ck.TelemetrySnapshot(end); busy || n != seg.InstCount {
+			t.Errorf("%d iterations: snapshot at end = busy %t, %d instructions; want idle, %d", iters, busy, n, seg.InstCount)
+		}
+	}
+}
+
+// timedSink records when the engine delivered each verdict and when
+// the last log entry was checked.
+type timedSink struct {
+	sinkRecorder
+	eng         *sim.Engine
+	deliveredAt []sim.Time
+}
+
+func (s *timedSink) SegmentChecked(seg *core.Segment, res core.CheckResult) {
+	s.deliveredAt = append(s.deliveredAt, s.eng.Now())
+	s.sinkRecorder.SegmentChecked(seg, res)
+}
+
+// TestVerdictDeliveredAtFinishTime: a check that fails part-way stops
+// at the failing instruction, and the detector hears of it in the
+// activation at that instruction's time, not when the checker ran it.
+func TestVerdictDeliveredAtFinishTime(t *testing.T) {
+	prog, seg := buildSegment(t, checkerLoop, 0)
+	stores := 0
+	for i := range seg.Entries {
+		if seg.Entries[i].Kind == core.EntryStore {
+			if stores++; stores == 10 {
+				seg.Entries[i].Val ^= 1
+				break
+			}
+		}
+	}
+	eng := sim.NewEngine()
+	sink := &timedSink{eng: eng}
+	ck, ready := newWarmChecker(prog, sink, eng)
+	ck.StartCheck(seg, ready)
+	eng.Run(sim.MaxTime - 1)
+	if len(sink.results) != 1 {
+		t.Fatalf("%d results, want 1", len(sink.results))
+	}
+	res := sink.results[0]
+	if res.OK || res.Err.Kind != core.ErrStoreValue {
+		t.Fatalf("want a store-value error, got %+v", res.Err)
+	}
+	at := res.Err.DetectedAt
+	if sink.deliveredAt[0] != at || res.FinishedAt != at || sink.lastAt != at {
+		t.Errorf("delivered at %v, finished at %v, failing entry checked at %v; want all at detection time %v",
+			sink.deliveredAt[0], res.FinishedAt, sink.lastAt, at)
+	}
+	if ran := res.Err.InstSeq - seg.StartSeq + 1; res.Instrs != ran || ck.Stats().Instructions != ran || ran >= seg.InstCount {
+		t.Errorf("executed %d (stats %d) of %d instructions, failing one is number %d",
+			res.Instrs, ck.Stats().Instructions, seg.InstCount, ran)
+	}
+}
+
+// BenchmarkChecker reports the host cost of one re-executed instruction:
+// a checker core checking freqmine's first 40k instructions as one
+// segment, from a cold L0.
+func BenchmarkChecker(b *testing.B) {
+	_, src, err := workloads.Get("freqmine")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, seg := buildSegment(b, src, 40_000)
+	clock := sim.NewClock(1_000_000_000)
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink := &sinkRecorder{}
+		eng := sim.NewEngine()
+		l1 := mem.NewCache(mem.CacheConfig{
+			Name: "cl1", SizeBytes: 16 << 10, Ways: 4, LineBytes: 64,
+			HitLat: clock.Duration(2), MSHRs: 4,
+		}, mem.NewDDR3())
+		l0 := mem.NewCache(mem.CacheConfig{
+			Name: "cl0", SizeBytes: 2 << 10, Ways: 2, LineBytes: 64, HitLat: 0, MSHRs: 1,
+		}, l1)
+		ck := New(0, DefaultConfig(clock), prog, l0, sink, eng)
+		ck.StartCheck(seg, 0)
+		eng.Run(sim.MaxTime - 1)
+		if len(sink.results) != 1 || !sink.results[0].OK {
+			b.Fatalf("check failed: %+v", sink.results)
+		}
+		instrs += ck.Stats().Instructions
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }

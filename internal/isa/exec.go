@@ -59,6 +59,9 @@ type DynInst struct {
 	// fault hook: what the instruction commits to the register file.
 	// Only the oracle fills it.
 	DstVal [2]uint64
+	// Ops points at the instruction's register operands, resolved when
+	// the program was loaded. Step sets it.
+	Ops *Operands
 }
 
 // ProgError is an architectural program fault (bad fetch, undefined
@@ -176,7 +179,7 @@ func (m *Machine) Step(di *DynInst) error {
 		m.Halted = true
 		return &ProgError{PC: m.PC, Reason: "instruction fetch outside mapped code"}
 	}
-	in := *ip
+	in := ip.Inst
 	if in.Op == OpInvalid {
 		m.Halted = true
 		return &ProgError{PC: m.PC, Reason: "undefined instruction"}
@@ -189,6 +192,7 @@ func (m *Machine) Step(di *DynInst) error {
 	di.Seq = m.InstCount
 	di.PC = m.PC
 	di.Inst = in
+	di.Ops = &ip.ops
 	di.Taken = false
 	di.NMem = 0
 	di.HasNonDet = false

@@ -127,7 +127,7 @@ func (c *Comparator) TryCommit(di *isa.DynInst, now sim.Time) (sim.Time, bool) {
 			return 0, true
 		}
 		if a.IsStore {
-			c.Delay.Add((detectAt - now).Nanoseconds())
+			c.Delay.Add(detectAt - now)
 		}
 	}
 	return 0, true

@@ -203,6 +203,11 @@ func (c *Cache) markDirty(la uint64) {
 	}
 }
 
+// Holds reports whether addr's line is present, without touching LRU
+// state or statistics. An Access to a held line is a hit, which in a
+// cache without a prefetcher touches no other level.
+func (c *Cache) Holds(addr uint64) bool { return c.present(c.lineAddr(addr)) }
+
 func (c *Cache) present(la uint64) bool {
 	set := c.set(la)
 	for i := range set {

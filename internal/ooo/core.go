@@ -477,8 +477,7 @@ func (c *Core) retire(e *robEntry, now sim.Time) {
 
 	// Free physical registers (freed at commit of the producing
 	// instruction itself; slightly optimistic, see package doc).
-	var dbuf [2]isa.RegRef
-	for _, d := range di.Inst.Dsts(dbuf[:0]) {
+	for _, d := range di.Ops.Dsts() {
 		if d.FP {
 			c.fpRegsFree++
 		} else {
@@ -741,11 +740,8 @@ func (c *Core) rename(now sim.Time) {
 		id := c.tailID
 		idx := id & c.robMask
 		e := &c.rob[idx]
-		in := e.di.Inst
-		op := in.Op
-
-		var dbuf, sbuf [3]isa.RegRef
-		dsts := in.Dsts(dbuf[:0])
+		op := e.di.Inst.Op
+		dsts := e.di.Ops.Dsts()
 		needInt, needFP := 0, 0
 		for _, d := range dsts {
 			if d.FP {
@@ -776,7 +772,7 @@ func (c *Core) rename(now sim.Time) {
 		e.nextWaiter = [3]int32{noWaiter, noWaiter, noWaiter}
 		c.active = true
 		thr := int(e.di.Thread)
-		for _, s := range in.Srcs(sbuf[:0]) {
+		for _, s := range e.di.Ops.Srcs() {
 			file := 0
 			if s.FP {
 				file = 1

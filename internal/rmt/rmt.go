@@ -113,7 +113,7 @@ func (c *Comparator) TryCommit(di *isa.DynInst, now sim.Time) (sim.Time, bool) {
 			return 0, true
 		}
 		if a.IsStore {
-			c.Delay.Add((now - rec.at).Nanoseconds())
+			c.Delay.Add(now - rec.at)
 		}
 	}
 	return 0, true

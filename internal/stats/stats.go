@@ -9,19 +9,23 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"paradet/internal/sim"
 )
 
-// Hist is a streaming fixed-bin-width histogram over non-negative values.
-// Values beyond the binned range are counted in an overflow bucket, so
-// Mean, Max and Quantile remain exact for the recorded samples while the
-// density view covers the configured range (the paper plots 0-5000 ns and
-// notes the >5000 ns tail holds <0.1% of samples).
+// Hist is a streaming fixed-bin-width histogram over non-negative
+// durations, reported in nanoseconds. Values beyond the binned range are
+// counted in an overflow bucket, so Mean, Max and Quantile remain exact
+// for the recorded samples while the density view covers the configured
+// range (the paper plots 0-5000 ns and notes the >5000 ns tail holds
+// <0.1% of samples). Every statistic is independent of the order in
+// which samples arrive: the sum is kept in integer femtoseconds.
 type Hist struct {
 	binWidth float64
 	bins     []uint64
 	overflow uint64
 	count    uint64
-	sum      float64
+	sum      sim.Time
 	max      float64
 	min      float64
 	// tail keeps exact values for the overflow region so that extreme
@@ -30,7 +34,8 @@ type Hist struct {
 	tail []float64
 }
 
-// NewHist creates a histogram with nbins bins of the given width.
+// NewHist creates a histogram with nbins bins of the given width in
+// nanoseconds.
 func NewHist(binWidth float64, nbins int) *Hist {
 	if binWidth <= 0 || nbins <= 0 {
 		panic("stats: histogram needs positive bin width and count")
@@ -38,14 +43,15 @@ func NewHist(binWidth float64, nbins int) *Hist {
 	return &Hist{binWidth: binWidth, bins: make([]uint64, nbins), min: math.Inf(1)}
 }
 
-// Add records one sample. Negative samples are clamped to zero; they can
-// only arise from timestamp rounding at clock-domain boundaries.
-func (h *Hist) Add(v float64) {
-	if v < 0 {
-		v = 0
+// Add records one duration. Negative samples are clamped to zero; they
+// can only arise from timestamp rounding at clock-domain boundaries.
+func (h *Hist) Add(d sim.Time) {
+	if d < 0 {
+		d = 0
 	}
+	v := d.Nanoseconds()
 	h.count++
-	h.sum += v
+	h.sum += d
 	if v > h.max {
 		h.max = v
 	}
@@ -69,7 +75,7 @@ func (h *Hist) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
-	return h.sum / float64(h.count)
+	return h.sum.Nanoseconds() / float64(h.count)
 }
 
 // Max reports the largest recorded sample, or 0 if empty.

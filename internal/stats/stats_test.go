@@ -5,12 +5,17 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"paradet/internal/sim"
 )
+
+// ns converts a sample in nanoseconds to the duration Hist records.
+func ns(v float64) sim.Time { return sim.Time(v * float64(sim.Nanosecond)) }
 
 func TestHistBasics(t *testing.T) {
 	h := NewHist(10, 100) // 0-1000 in 10-unit bins
 	for _, v := range []float64{5, 15, 15, 995} {
-		h.Add(v)
+		h.Add(ns(v))
 	}
 	if h.Count() != 4 {
 		t.Errorf("count = %d", h.Count())
@@ -25,8 +30,8 @@ func TestHistBasics(t *testing.T) {
 
 func TestHistOverflowKeepsExactTail(t *testing.T) {
 	h := NewHist(1, 10)
-	h.Add(5)
-	h.Add(12345) // beyond binned range
+	h.Add(ns(5))
+	h.Add(ns(12345)) // beyond binned range
 	if h.Max() != 12345 {
 		t.Errorf("max = %v; overflow must stay exact", h.Max())
 	}
@@ -38,7 +43,7 @@ func TestHistOverflowKeepsExactTail(t *testing.T) {
 func TestQuantiles(t *testing.T) {
 	h := NewHist(1, 1000)
 	for i := 1; i <= 1000; i++ {
-		h.Add(float64(i))
+		h.Add(ns(float64(i)))
 	}
 	if q := h.Quantile(0.5); math.Abs(q-500) > 2 {
 		t.Errorf("median = %v", q)
@@ -54,7 +59,7 @@ func TestQuantiles(t *testing.T) {
 func TestFractionBelow(t *testing.T) {
 	h := NewHist(1, 100)
 	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
+		h.Add(ns(float64(i)))
 	}
 	if f := h.FractionBelow(50); math.Abs(f-0.5) > 0.02 {
 		t.Errorf("fraction below 50 = %v", f)
@@ -68,7 +73,7 @@ func TestDensityIntegratesToOne(t *testing.T) {
 	h := NewHist(5, 200)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
-		h.Add(math.Abs(r.NormFloat64())*100 + 200)
+		h.Add(ns(math.Abs(r.NormFloat64())*100 + 200))
 	}
 	var integral float64
 	for _, p := range h.Density() {
@@ -82,7 +87,7 @@ func TestDensityIntegratesToOne(t *testing.T) {
 func TestSummary(t *testing.T) {
 	h := NewHist(10, 1000)
 	for i := 0; i < 1000; i++ {
-		h.Add(float64(i)) // 0..999, all below 5000
+		h.Add(ns(float64(i))) // 0..999, all below 5000
 	}
 	s := h.Summarize()
 	if s.Count != 1000 || s.Below5000 != 1 {
@@ -96,9 +101,9 @@ func TestSummary(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := NewHist(1, 100)
 	b := NewHist(1, 100)
-	a.Add(10)
-	b.Add(20)
-	b.Add(150) // overflow
+	a.Add(ns(10))
+	b.Add(ns(20))
+	b.Add(ns(150)) // overflow
 	a.Merge(b)
 	if a.Count() != 3 || a.Max() != 150 {
 		t.Errorf("merged: count=%d max=%v", a.Count(), a.Max())
@@ -109,7 +114,7 @@ func TestMerge(t *testing.T) {
 		}
 	}()
 	bad := NewHist(2, 100)
-	bad.Add(1)
+	bad.Add(ns(1))
 	a.Merge(bad)
 }
 
@@ -124,7 +129,7 @@ func TestHistMeanMatchesDirectMean(t *testing.T) {
 		var sum float64
 		for _, v := range raw {
 			x := float64(v % 5000)
-			h.Add(x)
+			h.Add(ns(x))
 			sum += x
 		}
 		want := sum / float64(len(raw))
@@ -159,9 +164,48 @@ func TestSketchDoesNotPanic(t *testing.T) {
 		t.Errorf("empty sketch = %q", s)
 	}
 	for i := 0; i < 100; i++ {
-		h.Add(float64(i % 64))
+		h.Add(ns(float64(i % 64)))
 	}
 	if s := h.Sketch(40); len(s) == 0 {
 		t.Error("sketch must render")
+	}
+}
+
+// TestHistOrderIndependent is a property test: a histogram's summary
+// and density do not depend on the order in which samples arrive, even
+// for durations whose nanosecond values are not dyadic fractions (here
+// multiples of 3.2 ns, the period of a 312.5 MHz clock), whose float
+// sums would round differently in different orders.
+func TestHistOrderIndependent(t *testing.T) {
+	f := func(raw []uint16, seed int64) bool {
+		samples := make([]sim.Time, len(raw))
+		for i, v := range raw {
+			samples[i] = sim.Time(v) * 3200 * sim.Picosecond
+		}
+		a := NewHist(50, 100)
+		for _, d := range samples {
+			a.Add(d)
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(len(samples), func(i, j int) {
+			samples[i], samples[j] = samples[j], samples[i]
+		})
+		b := NewHist(50, 100)
+		for _, d := range samples {
+			b.Add(d)
+		}
+		if a.Summarize() != b.Summarize() {
+			t.Logf("summaries differ: %+v vs %+v", a.Summarize(), b.Summarize())
+			return false
+		}
+		da, db := a.Density(), b.Density()
+		for i := range da {
+			if da[i] != db[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -99,8 +99,7 @@ func (o *Oracle) Next(di *isa.DynInst) bool {
 		o.done = true
 		return false
 	}
-	var dbuf [2]isa.RegRef
-	for i, d := range di.Inst.Dsts(dbuf[:0]) {
+	for i, d := range di.Ops.Dsts() {
 		if d.FP {
 			di.DstVal[i] = o.M.F[d.Idx]
 		} else {

@@ -54,11 +54,8 @@ func Slowdown(cfg Config, p *Program) (float64, *Result, *Result, error) {
 // core execution").
 type nullChecker struct {
 	sink detect.ResultSink
-	busy bool
 }
 
 func (n *nullChecker) StartCheck(seg *detect.Segment, at sim.Time) {
 	n.sink.SegmentChecked(seg, detect.CheckResult{OK: true, FinishedAt: at, Instrs: seg.InstCount})
 }
-
-func (n *nullChecker) Busy() bool { return n.busy }
