@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -412,6 +413,47 @@ func TestPredecodedFetch(t *testing.T) {
 	}
 	if m, err := step(0x108); err != nil || !m.Halted || m.InstCount != 1 {
 		t.Errorf("hlt at 0x108: err %v, halted %v", err, m.Halted)
+	}
+}
+
+// TestPredecodedOperands: every opcode's table entry carries the
+// operands Inst.Dsts and Inst.Srcs report, and Step hands them over.
+func TestPredecodedOperands(t *testing.T) {
+	var image []byte
+	var insts []Inst
+	for _, op := range Ops() {
+		for _, rd := range []Reg{ZeroReg, 2} {
+			in := Inst{Op: op, Rd: rd, Rs1: 4, Rs2: 6}
+			w, err := Encode(in)
+			if err != nil {
+				continue
+			}
+			if in, err = Decode(w); err != nil {
+				t.Fatalf("%s: %v", op.Name(), err)
+			}
+			image = append(image, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+			insts = append(insts, in)
+		}
+	}
+	if len(insts) < len(Ops()) {
+		t.Fatalf("only %d instructions encoded for %d opcodes", len(insts), len(Ops()))
+	}
+	p := NewProgram(0x1000, 0x1000, image, nil)
+	for i, in := range insts {
+		pc := 0x1000 + uint64(i)*4
+		ops := &p.inst(pc).ops
+		if got, want := ops.Dsts(), in.Dsts(nil); !slices.Equal(got, want) {
+			t.Errorf("%v: predecoded dsts %v, want %v", in, got, want)
+		}
+		if got, want := ops.Srcs(), in.Srcs(nil); !slices.Equal(got, want) {
+			t.Errorf("%v: predecoded srcs %v, want %v", in, got, want)
+		}
+		m := &Machine{Prog: p, Env: newTestEnv(), PC: pc}
+		var di DynInst
+		_ = m.Step(&di) // the record is filled before the op executes; a fault does not matter here
+		if di.Ops != ops {
+			t.Errorf("%v: Step did not hand over the table's operands", in)
+		}
 	}
 }
 
