@@ -42,31 +42,15 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"paradet/internal/campaign"
 	"paradet/internal/experiments"
 	"paradet/internal/obs"
-	"paradet/internal/obs/telemetry"
 	"paradet/internal/orchestrator"
 	"paradet/internal/prof"
-	"paradet/internal/resultstore"
 )
-
-// liveProgress is the /progress snapshot for in-process campaign runs
-// (the orchestrated form lives in orchestrator.Snapshot).
-type liveProgress struct {
-	Done     int    `json:"done"`
-	Total    int    `json:"total"`
-	Hits     int    `json:"hits"`
-	Sims     int    `json:"sims"`
-	Workload string `json:"workload"`
-	Point    string `json:"point"`
-	Scheme   string `json:"scheme"`
-}
 
 func main() {
 	run := flag.String("run", "all", "experiment to run: all, or one of "+
@@ -76,14 +60,10 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit structured JSON rows instead of text tables")
 	csvOut := flag.Bool("csv", false, "emit flat CSV rows instead of text tables")
-	storeDir := flag.String("store", "", "campaign result store directory (cells persist across runs)")
 	noCache := flag.Bool("no-cache", false, "ignore -store: simulate everything, write nothing")
 	progress := flag.Bool("progress", false, "print per-cell progress to stderr")
-	progressJSON := flag.Bool("progress-json", false, "emit one machine-readable JSON progress line per completed cell to stderr (the pdsweep protocol)")
-	shardArg := flag.String("shard", "", "execute one slice i/n of every sweep's grid (e.g. 0/3); merge the shard stores with pdstore")
-	shardStrategy := flag.String("shard-strategy", "", "cell assignment for -shard: round-robin (default) or weighted (balance summed instruction samples)")
-	telem := flag.Bool("telemetry", false, "write per-cell interval telemetry sidecars (<store>/telemetry/<fp>.jsonl, or ./telemetry without -store) for simulated protected cells; analyze with pdreport")
-	telemInterval := flag.Uint64("telemetry-interval", 0, "committed instructions between telemetry samples (0 = default)")
+	var worker orchestrator.WorkerFlags
+	worker.Register(flag.CommandLine)
 	profFlags := prof.Register()
 	obsFlags := obs.Register()
 	flag.Parse()
@@ -93,7 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -json and -csv are mutually exclusive")
 		os.Exit(1)
 	}
-	if *progress && *progressJSON {
+	if *progress && worker.ProgressJSON {
 		fmt.Fprintln(os.Stderr, "experiments: -progress and -progress-json are mutually exclusive")
 		os.Exit(1)
 	}
@@ -102,56 +82,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	stats := &campaign.Stats{}
-	opts := experiments.Options{
-		MaxInstrs: *instrs,
-		Parallel:  *parallel,
-		Context:   ctx,
-		Stats:     stats,
+	if *noCache {
+		worker.Store = ""
 	}
-	if *wl != "" {
-		opts.Workloads = strings.Split(*wl, ",")
-	}
-	strategy, err := campaign.ParseStrategy(*shardStrategy)
+	copts, err := worker.Campaign(os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	if *shardArg != "" {
-		sh, err := campaign.ParseShard(*shardArg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		sh.Strategy = strategy
-		opts.Shard = &sh
-	} else if *shardStrategy != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -shard-strategy needs -shard")
-		os.Exit(1)
-	}
-	if *storeDir != "" && !*noCache {
-		st, err := resultstore.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opts.Store = st
-	}
-	if *telem {
-		dir := telemetry.SidecarDirName
-		if opts.Store != nil {
-			dir = filepath.Join(opts.Store.Dir(), telemetry.SidecarDirName)
-		}
-		opts.Telemetry = &campaign.TelemetryOptions{Dir: dir, Interval: *telemInterval}
-	} else if *telemInterval != 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -telemetry-interval needs -telemetry")
-		os.Exit(1)
-	}
-	if *progressJSON {
-		opts.Progress = orchestrator.Emitter(os.Stderr, opts.Shard, time.Now())
-	}
 	if *progress {
-		opts.Progress = func(p campaign.Progress) {
+		copts.Progress = func(p campaign.Progress) {
 			state := "sim"
 			if p.Cached {
 				state = "hit"
@@ -165,32 +105,23 @@ func main() {
 		}
 	}
 
-	// With -ledger or -debug-addr set, chain a live-snapshot recorder
-	// onto the progress callback (whatever mode it is in) so /progress
-	// always answers; unobserved runs keep the progress==nil fast path.
-	var liveMu sync.Mutex
-	var live liveProgress
-	if obsFlags.Active() {
-		prev := opts.Progress
-		opts.Progress = func(p campaign.Progress) {
-			liveMu.Lock()
-			live = liveProgress{
-				Done: p.Done, Total: p.Total,
-				Hits: p.CellHits + p.BaselineHits, Sims: p.CellSims + p.BaselineSims,
-				Workload: p.Workload, Point: p.Label, Scheme: string(p.Scheme),
-			}
-			liveMu.Unlock()
-			if prev != nil {
-				prev(p)
-			}
-		}
-	}
-	stopObs := obsFlags.Start(func() any {
-		liveMu.Lock()
-		defer liveMu.Unlock()
-		return live
-	})
+	progressFn, stopObs := orchestrator.ObserveProgress(obsFlags, copts.Progress)
 	defer stopObs()
+
+	stats := &campaign.Stats{}
+	opts := experiments.Options{
+		MaxInstrs: *instrs,
+		Parallel:  *parallel,
+		Context:   ctx,
+		Store:     copts.Store,
+		Progress:  progressFn,
+		Stats:     stats,
+		Shard:     copts.Shard,
+		Telemetry: copts.Telemetry,
+	}
+	if *wl != "" {
+		opts.Workloads = strings.Split(*wl, ",")
+	}
 
 	names := experiments.Names()
 	if *run != "all" {

@@ -35,11 +35,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"paradet"
 	"paradet/internal/campaign"
@@ -50,18 +47,6 @@ import (
 	"paradet/internal/prof"
 	"paradet/internal/resultstore"
 )
-
-// liveProgress is the /progress snapshot for fault campaigns (mirrors
-// the experiments command; single runs serve no /progress).
-type liveProgress struct {
-	Done     int    `json:"done"`
-	Total    int    `json:"total"`
-	Hits     int    `json:"hits"`
-	Sims     int    `json:"sims"`
-	Workload string `json:"workload"`
-	Point    string `json:"point"`
-	Scheme   string `json:"scheme"`
-}
 
 func main() {
 	workload := flag.String("workload", "", "workload name (see -list)")
@@ -79,12 +64,10 @@ func main() {
 	faultBits := flag.String("fault-bits", "5,40", "fault campaign: comma-separated bit positions (0-63)")
 	faultSticky := flag.Bool("fault-sticky", false, "fault campaign: also sweep hard (sticky) faults")
 	jsonOut := flag.Bool("json", false, "fault campaign: emit schema-stable JSON instead of text")
-	storeDir := flag.String("store", "", "fault campaign: persistent result store directory")
-	shardArg := flag.String("shard", "", "fault campaign: execute one slice i/n of the grid (e.g. 0/3)")
-	shardStrategy := flag.String("shard-strategy", "", "fault campaign: cell assignment for -shard, round-robin (default) or weighted")
-	progressJSON := flag.Bool("progress-json", false, "fault campaign: emit one JSON progress line per completed cell to stderr (the pdsweep protocol)")
-	telem := flag.Bool("telemetry", false, "write interval telemetry sidecars (<store>/telemetry/<fp>.jsonl, or ./telemetry without -store); campaigns cover simulated protected cells only; analyze with pdreport")
-	telemInterval := flag.Uint64("telemetry-interval", 0, "committed instructions between telemetry samples (0 = default)")
+	// -store, -shard, -shard-strategy and -progress-json apply to fault
+	// campaigns; -store also places single-run telemetry sidecars.
+	var worker orchestrator.WorkerFlags
+	worker.Register(flag.CommandLine)
 	profFlags := prof.Register()
 	obsFlags := obs.Register()
 	flag.Parse()
@@ -108,15 +91,9 @@ func main() {
 	}
 	cfg.MaxInstrs = *instrs // 0 = workload default (resolved below / by the engine)
 
-	var telemOpts *campaign.TelemetryOptions
-	if *telem {
-		dir := telemetry.SidecarDirName
-		if *storeDir != "" {
-			dir = filepath.Join(*storeDir, telemetry.SidecarDirName)
-		}
-		telemOpts = &campaign.TelemetryOptions{Dir: dir, Interval: *telemInterval}
-	} else if *telemInterval != 0 {
-		fail(fmt.Errorf("-telemetry-interval needs -telemetry"))
+	telemOpts, err := worker.TelemetryOptions()
+	if err != nil {
+		fail(err)
 	}
 
 	if *faultTargets != "" {
@@ -125,30 +102,15 @@ func main() {
 		if *workload == "" {
 			fail(fmt.Errorf("fault campaigns need -workload (the campaign engine loads by name)"))
 		}
-		strategy, err := campaign.ParseStrategy(*shardStrategy)
-		if err != nil {
-			fail(err)
-		}
-		var shard *campaign.Shard
-		if *shardArg != "" {
-			sh, err := campaign.ParseShard(*shardArg)
-			if err != nil {
-				fail(err)
-			}
-			sh.Strategy = strategy
-			shard = &sh
-		} else if *shardStrategy != "" {
-			fail(fmt.Errorf("-shard-strategy needs -shard"))
-		}
-		err = runFaultCampaign(*workload, cfg, faultGridArgs{
+		err := runFaultCampaign(*workload, cfg, faultGridArgs{
 			targets: *faultTargets, seqs: *faultSeqs, bits: *faultBits, sticky: *faultSticky,
-		}, *storeDir, *jsonOut, *progressJSON, shard, telemOpts, obsFlags)
+		}, *jsonOut, &worker, obsFlags)
 		if err != nil {
 			fail(err)
 		}
 		return
 	}
-	if *shardArg != "" || *shardStrategy != "" || *progressJSON {
+	if worker.Shard != "" || worker.ShardStrategy != "" || worker.ProgressJSON {
 		fail(fmt.Errorf("-shard, -shard-strategy and -progress-json only apply to fault campaigns (-fault-targets)"))
 	}
 
@@ -284,47 +246,20 @@ func parseGrid(a faultGridArgs) (campaign.FaultGrid, error) {
 }
 
 // runFaultCampaign executes the fault grid as a campaign spec and
-// prints either the text summary or the versioned JSON report. A
-// non-nil shard restricts it to that slice of the grid (the report
-// then only covers the shard's cells).
-func runFaultCampaign(workload string, cfg paradet.Config, args faultGridArgs, storeDir string, jsonOut, progressJSON bool, shard *campaign.Shard, telemOpts *campaign.TelemetryOptions, obsFlags *obs.Flags) error {
+// prints either the text summary or the versioned JSON report. With
+// -shard it covers only that slice of the grid (the report then only
+// covers the shard's cells).
+func runFaultCampaign(workload string, cfg paradet.Config, args faultGridArgs, jsonOut bool, worker *orchestrator.WorkerFlags, obsFlags *obs.Flags) error {
 	grid, err := parseGrid(args)
 	if err != nil {
 		return err
 	}
-	opts := campaign.Options{Shard: shard, Telemetry: telemOpts}
-	if storeDir != "" {
-		st, err := resultstore.Open(storeDir)
-		if err != nil {
-			return err
-		}
-		opts.Store = st
+	opts, err := worker.Campaign(os.Stderr)
+	if err != nil {
+		return err
 	}
-	if progressJSON {
-		opts.Progress = orchestrator.Emitter(os.Stderr, shard, time.Now())
-	}
-	var liveMu sync.Mutex
-	var live liveProgress
-	if obsFlags.Active() {
-		prev := opts.Progress
-		opts.Progress = func(p campaign.Progress) {
-			liveMu.Lock()
-			live = liveProgress{
-				Done: p.Done, Total: p.Total,
-				Hits: p.CellHits + p.BaselineHits, Sims: p.CellSims + p.BaselineSims,
-				Workload: p.Workload, Point: p.Label, Scheme: string(p.Scheme),
-			}
-			liveMu.Unlock()
-			if prev != nil {
-				prev(p)
-			}
-		}
-	}
-	stopObs := obsFlags.Start(func() any {
-		liveMu.Lock()
-		defer liveMu.Unlock()
-		return live
-	})
+	var stopObs func()
+	opts.Progress, stopObs = orchestrator.ObserveProgress(obsFlags, opts.Progress)
 	defer stopObs()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -346,9 +281,9 @@ func runFaultCampaign(workload string, cfg paradet.Config, args faultGridArgs, s
 	fmt.Fprintf(os.Stderr, "cache: cells=%d hits=%d misses=%d baseline-sims=%d\n",
 		out.Stats.Cells, out.Stats.CellHits+out.Stats.BaselineHits,
 		out.Stats.CellSims+out.Stats.BaselineSims, out.Stats.BaselineSims)
-	if shard != nil {
+	if opts.Shard != nil {
 		fmt.Fprintf(os.Stderr, "shard %s: executed %d of %d cells (%d owned elsewhere)\n",
-			shard, out.Stats.ShardCells, out.Stats.Cells, out.Stats.ShardSkipped)
+			opts.Shard, out.Stats.ShardCells, out.Stats.Cells, out.Stats.ShardSkipped)
 	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)

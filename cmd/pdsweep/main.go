@@ -1,47 +1,50 @@
 // Command pdsweep runs a sharded campaign sweep from one command: it
-// launches N shard workers concurrently (local subprocesses by
-// default, ssh hosts with -ssh), streams a live aggregate of their
-// progress, retries failed or interrupted shards (each shard's result
-// store makes resume free), and when the last shard lands merges the
-// shard stores and assembles the final output — stdout byte-identical
-// to a single-host run, with zero simulations during assembly.
+// runs N shard workers over a pool of hosts, streams a live aggregate
+// of their progress, relaunches failed or interrupted shards (each
+// shard's result store makes resume free), and when the last shard
+// lands merges the shard stores and assembles the final output —
+// stdout byte-identical to a single-host run, with zero simulations
+// during assembly.
 //
 // Usage:
 //
 //	pdsweep -n 3 go run ./cmd/experiments -run fig7
 //	pdsweep -n 3 -compact -store-root /tmp/sweep go run ./cmd/experiments -run fig7
 //	pdsweep -n 4 -retries 2 -store-root /tmp/sweep ./experiments -run fig9
-//	pdsweep -n 2 -ssh hosta,hostb -store-root /shared/sweep ./experiments -run fig7
+//	pdsweep -n 2 -hosts hosta,hostb -store-root /shared/sweep ./experiments -run fig7
 //	pdsweep -n 6 -hosts local,local,ssh:hostb -store-root /shared/sweep ./experiments -run fig7
 //	pdsweep -n 4 -hosts local,local,local,local -dry-run ./experiments -run fig7
 //	pdsweep -n 3 go run ./cmd/hetsim -workload bitcount -fault-targets all
 //	pdsweep -n 2 -telemetry -trace sweep.json -store-root /tmp/sweep go run ./cmd/experiments -run fig7
 //
-// -hosts turns the static shard-to-runner assignment into an elastic
-// pool: hosts are health-checked before every lease, a dead host is
+// Without -hosts the pool is -n local subprocess workers, each with an
+// even share of the machine's cores, and no stealing. -hosts names the
+// pool instead ('local', 'ssh:HOST', or a bare ssh host; list a host
+// twice to run two workers on it). Hosts are health-checked before
+// their first lease and after any worker failure, a dead host is
 // quarantined and its shard moves to another host (the shard store
-// makes that a resume), and an idle host steals — runs a duplicate
-// attempt of the slowest shard against its own store (shard3.b, …);
-// the first attempt to finish wins, the loser is cancelled, and the
-// merge folds every non-empty attempt store with fingerprint dedupe,
-// so assembly stays byte-identical to a single-host run.
+// makes that a resume), and with -steal an idle host runs a duplicate
+// attempt of the slowest shard against its own store (shard3.b); the
+// first attempt to finish wins, the loser is cancelled, and the merge
+// folds every non-empty attempt store with fingerprint dedupe, so
+// assembly stays byte-identical to a single-host run.
 //
 // Everything after the flags is the campaign command. pdsweep appends
-// -shard i/n, -shard-strategy, -store DIR and -progress-json for each
-// shard worker, and -store MERGED -progress-json for the assembly
-// pass, so the command must be a cmd/experiments or cmd/hetsim
-// invocation (or anything speaking the same flags and progress
-// protocol). Shard workers' stdout is discarded — their figures are
-// partial by construction; only the assembly pass's stdout is
-// printed.
+// the shard, strategy, store and progress flags of the worker-flag
+// table (orchestrator.WorkerFlags) for each shard worker, and the
+// merged store and progress flags for the assembly pass, so the
+// command must be a cmd/experiments or cmd/hetsim invocation (or
+// anything speaking the same flags and progress protocol). Shard
+// workers' stdout is discarded — their figures are partial by
+// construction; only the assembly pass's stdout is printed.
 //
 // Shard stores live under -store-root (a temp directory removed on
 // success when the flag is omitted). Re-running pdsweep with the same
-// -store-root resumes a previously interrupted sweep. With -ssh the
-// store root must name a filesystem path shared between this machine
-// and every host, and the campaign command must be runnable both on
-// the hosts (shard workers) and locally — the merge and the final
-// assembly pass always execute on the orchestrating machine.
+// -store-root resumes a previously interrupted sweep. With ssh hosts
+// the store root must name a filesystem path shared between this
+// machine and every host, and the campaign command must be runnable
+// both on the hosts (shard workers) and locally — the merge and the
+// final assembly pass always execute on the orchestrating machine.
 package main
 
 import (
@@ -69,18 +72,16 @@ const telemetryPIDBase = 1000
 func main() {
 	n := flag.Int("n", 2, "number of shard workers to split the sweep across")
 	retries := flag.Int("retries", 1, "relaunches allowed per shard before the sweep fails")
-	storeRoot := flag.String("store-root", "", "directory for shard and merged stores (default: temp dir, removed on success); reuse it to resume an interrupted sweep; with -ssh or ssh: hosts it must be on a shared filesystem")
-	sshHosts := flag.String("ssh", "", "comma-separated ssh hosts to run shard workers on, statically assigned round-robin (default: local subprocesses); see -hosts for the elastic pool")
-	hostsArg := flag.String("hosts", "", "comma-separated elastic pool hosts ('local' or 'ssh:HOST'; a bare word is an ssh host): shards lease health-checked hosts, dead hosts are quarantined and their shards move, idle hosts steal the slowest shard")
+	storeRoot := flag.String("store-root", "", "directory for shard and merged stores (default: temp dir, removed on success); reuse it to resume an interrupted sweep; with ssh hosts it must be on a shared filesystem")
+	hostsArg := flag.String("hosts", "", "comma-separated pool hosts ('local' or 'ssh:HOST'; a bare word is an ssh host; list a host twice to run two workers on it) (default: -n local workers, no stealing): shards lease health-checked hosts, dead hosts are quarantined and their shards move, idle hosts steal the slowest shard")
 	steal := flag.Bool("steal", true, "with -hosts, let idle hosts run duplicate attempts of the slowest shard (first finish wins; the merge dedupes)")
-	healthTimeout := flag.Duration("health-timeout", 5*time.Second, "with -hosts, per-probe liveness timeout (a host failing its probes is quarantined)")
+	healthTimeout := flag.Duration("health-timeout", 5*time.Second, "per-probe liveness timeout (a host failing its probes is quarantined)")
 	dryRun := flag.Bool("dry-run", false, "print the planned shard-to-host assignment and store layout, then exit without launching anything")
-	strategyArg := flag.String("shard-strategy", string(campaign.StrategyWeighted), "cell assignment: weighted (balance summed instruction samples) or round-robin")
 	compact := flag.Bool("compact", false, "pack the merged store into a segment file before assembly (keep -store-root to reuse the packed store)")
 	tick := flag.Duration("tick", time.Second, "minimum interval between progress lines on stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event timeline of the sweep to this file (open in chrome://tracing or Perfetto): shards as processes, cells as slices")
-	telem := flag.Bool("telemetry", false, "pass -telemetry to every shard worker; sidecars are forwarded into <store-root>/merged/telemetry (use -store-root to keep them) and, with -trace, rendered as per-cell counter tracks")
-	telemInterval := flag.Uint64("telemetry-interval", 0, "with -telemetry, pass -telemetry-interval N (committed instructions between samples) to every shard worker (0 = the workers' default)")
+	sweep := orchestrator.WorkerFlags{ShardStrategy: string(campaign.StrategyWeighted)}
+	sweep.RegisterSweep(flag.CommandLine)
 	obsFlags := obs.Register()
 	flag.Parse()
 
@@ -88,29 +89,23 @@ func main() {
 	if len(argv) == 0 {
 		fail(fmt.Errorf("no campaign command (try: pdsweep -n 3 go run ./cmd/experiments -run fig7)"))
 	}
-	if *telem {
-		// Shard workers write sidecars into their own -store dir; the
-		// orchestrator forwards them into the merged store. The assembly
-		// pass inherits the flags too, harmlessly: it is all store hits,
-		// and warm cells never write sidecars.
-		argv = append(argv, "-telemetry")
-		if *telemInterval != 0 {
-			argv = append(argv, "-telemetry-interval", fmt.Sprint(*telemInterval))
-		}
-	} else if *telemInterval != 0 {
-		fail(fmt.Errorf("-telemetry-interval needs -telemetry"))
-	}
-	if *n < 1 {
-		fail(fmt.Errorf("-n must be >= 1, got %d", *n))
-	}
-	strategy, err := campaign.ParseStrategy(*strategyArg)
+	// Shard workers write sidecars into their own store; the
+	// orchestrator forwards them into the merged store. The assembly
+	// pass inherits the flags too, harmlessly: it is all store hits, and
+	// warm cells never write sidecars.
+	telemArgs, err := sweep.TelemetryArgs()
 	if err != nil {
 		fail(err)
 	}
-	if *hostsArg != "" && *sshHosts != "" {
-		fail(fmt.Errorf("-hosts (elastic pool) and -ssh (static assignment) are mutually exclusive"))
+	argv = append(argv, telemArgs...)
+	if *n < 1 {
+		fail(fmt.Errorf("-n must be >= 1, got %d", *n))
 	}
-	pool, sshInPool, err := parseHosts(*hostsArg, *steal, *healthTimeout, *n)
+	strategy, err := campaign.ParseStrategy(sweep.ShardStrategy)
+	if err != nil {
+		fail(err)
+	}
+	pool, err := newPool(*hostsArg, *n, *steal, *healthTimeout, *storeRoot != "")
 	if err != nil {
 		fail(err)
 	}
@@ -118,12 +113,6 @@ func main() {
 	root := *storeRoot
 	cleanup := false
 	if root == "" {
-		// A local temp root cannot serve ssh workers: they would write
-		// shard stores on their own hosts while the merge reads empty
-		// local directories, discarding every remote cell.
-		if *sshHosts != "" || sshInPool {
-			fail(fmt.Errorf("ssh hosts need an explicit -store-root on a filesystem shared with the hosts"))
-		}
 		if *dryRun {
 			root = "<temp dir>" // the plan never creates it
 		} else {
@@ -135,31 +124,9 @@ func main() {
 		}
 	}
 
-	var runners []orchestrator.Runner
-	switch {
-	case pool != nil:
-		// The pool owns host assignment; runners stay nil.
-	case *sshHosts != "":
-		for _, h := range strings.Split(*sshHosts, ",") {
-			if h = strings.TrimSpace(h); h != "" {
-				runners = append(runners, orchestrator.SSH{Host: h})
-			}
-		}
-	default:
-		// N local workers would each default to a GOMAXPROCS-wide
-		// simulation pool and oversubscribe the machine; give each an
-		// even share instead. (The assembly pass runs uncapped — it is
-		// all store hits.)
-		share := runtime.NumCPU() / *n
-		if share < 1 {
-			share = 1
-		}
-		runners = append(runners, orchestrator.Local{Env: []string{fmt.Sprintf("GOMAXPROCS=%d", share)}})
-	}
-
 	if *dryRun {
 		plan, err := orchestrator.Plan(orchestrator.Options{
-			Argv: argv, Shards: *n, Runners: runners, Pool: pool,
+			Argv: argv, Shards: *n, Pool: pool,
 			StoreRoot: root, Strategy: strategy, Retries: *retries,
 		})
 		if err != nil {
@@ -242,7 +209,6 @@ func main() {
 	rep, err := orchestrator.Run(ctx, orchestrator.Options{
 		Argv:      argv,
 		Shards:    *n,
-		Runners:   runners,
 		Pool:      pool,
 		StoreRoot: root,
 		Strategy:  strategy,
@@ -272,19 +238,16 @@ func main() {
 	if rep.Compact != nil {
 		compacted = fmt.Sprintf(" · compacted %d cell(s)", rep.Compact.Packed)
 	}
-	poolNote := ""
-	if p := rep.Pool; p != nil {
-		poolNote = fmt.Sprintf(" · pool hosts=%d leases=%d steals=%d stolen-wins=%d relaunches=%d quarantined=%d",
-			len(p.Hosts), p.Leases, p.Steals, p.StolenWins, p.Relaunches, p.Quarantined)
-	}
-	fmt.Fprintf(os.Stderr, "pdsweep: %d shard(s) ok, %d retr%s · %s · assembled cells=%d hits=%d misses=%d%s%s · %.1fs\n",
-		*n, rep.Retried(), plural(rep.Retried(), "y", "ies"), rep.Merge, rep.Cells, rep.Hits, rep.Sims, compacted, poolNote,
-		time.Since(start).Seconds())
+	p := rep.Pool
+	fmt.Fprintf(os.Stderr, "pdsweep: %d shard(s) ok, %d retr%s · %s · assembled cells=%d hits=%d misses=%d%s"+
+		" · pool hosts=%d leases=%d steals=%d stolen-wins=%d relaunches=%d quarantined=%d · %.1fs\n",
+		*n, p.Relaunches, plural(p.Relaunches, "y", "ies"), rep.Merge, rep.Cells, rep.Hits, rep.Sims, compacted,
+		len(p.Hosts), p.Leases, p.Steals, p.StolenWins, p.Relaunches, p.Quarantined, time.Since(start).Seconds())
 
 	// With both -telemetry and -trace, the sweep timeline gains one
 	// counter-track process group per simulated cell (IPC, occupancies,
 	// stall breakdown), rendered from the merged sidecars.
-	if *telem && trace != nil {
+	if sweep.Telemetry && trace != nil {
 		telemDir := filepath.Join(root, "merged", telemetry.SidecarDirName)
 		if _, err := os.Stat(telemDir); err == nil {
 			series, err := telemetry.LoadDir(telemDir)
@@ -304,23 +267,32 @@ func main() {
 	}
 }
 
-// parseHosts builds the elastic pool from -hosts. Entries are "local"
-// (a subprocess worker) or "ssh:HOST"; a bare word is also an ssh
-// host. Local hosts split the machine's cores evenly, like the static
-// local runner. The second return reports whether any host is remote
-// (which makes a shared -store-root mandatory).
-func parseHosts(spec string, steal bool, healthTimeout time.Duration, shards int) (*orchestrator.Pool, bool, error) {
-	if spec == "" {
-		return nil, false, nil
-	}
+// newPool builds the sweep's host pool from -hosts. Entries are
+// "local" (a subprocess worker) or "ssh:HOST"; a bare word is also an
+// ssh host. Without -hosts the pool is n local hosts and stealing
+// stays off: n workers at once, no duplicate attempts. Local hosts
+// split the machine's cores evenly: n workers each defaulting to a
+// GOMAXPROCS-wide simulation pool would oversubscribe it (the assembly
+// pass runs uncapped — it is all store hits). Ssh hosts need an
+// explicit store root: a local temp root cannot serve them, because
+// they would write shard stores on their own hosts while the merge
+// reads empty local directories.
+func newPool(hosts string, n int, steal bool, healthTimeout time.Duration, haveStoreRoot bool) (*orchestrator.Pool, error) {
 	var entries []string
-	for _, h := range strings.Split(spec, ",") {
-		if h = strings.TrimSpace(h); h != "" {
-			entries = append(entries, h)
+	if hosts == "" {
+		for i := 0; i < n; i++ {
+			entries = append(entries, "local")
 		}
-	}
-	if len(entries) == 0 {
-		return nil, false, fmt.Errorf("-hosts lists no hosts")
+		steal = false
+	} else {
+		for _, h := range strings.Split(hosts, ",") {
+			if h = strings.TrimSpace(h); h != "" {
+				entries = append(entries, h)
+			}
+		}
+		if len(entries) == 0 {
+			return nil, fmt.Errorf("-hosts lists no hosts")
+		}
 	}
 	locals := 0
 	for _, e := range entries {
@@ -328,15 +300,11 @@ func parseHosts(spec string, steal bool, healthTimeout time.Duration, shards int
 			locals++
 		}
 	}
-	share := runtime.NumCPU()
+	share := 1
 	if locals > 0 {
-		share = runtime.NumCPU() / locals
-		if share < 1 {
-			share = 1
-		}
+		share = max(1, runtime.NumCPU()/locals)
 	}
 	pool := &orchestrator.Pool{Steal: steal, HealthTimeout: healthTimeout}
-	ssh := false
 	for i, e := range entries {
 		switch {
 		case e == "local":
@@ -344,15 +312,13 @@ func parseHosts(spec string, steal bool, healthTimeout time.Duration, shards int
 				Label: fmt.Sprintf("local%d", i),
 				Env:   []string{fmt.Sprintf("GOMAXPROCS=%d", share)},
 			})
-		case strings.HasPrefix(e, "ssh:"):
-			ssh = true
-			pool.Hosts = append(pool.Hosts, orchestrator.SSH{Host: strings.TrimPrefix(e, "ssh:")})
+		case !haveStoreRoot:
+			return nil, fmt.Errorf("ssh hosts need an explicit -store-root on a filesystem shared with the hosts")
 		default:
-			ssh = true
-			pool.Hosts = append(pool.Hosts, orchestrator.SSH{Host: e})
+			pool.Hosts = append(pool.Hosts, orchestrator.SSH{Host: strings.TrimPrefix(e, "ssh:")})
 		}
 	}
-	return pool, ssh, nil
+	return pool, nil
 }
 
 func plural(n int, one, many string) string {

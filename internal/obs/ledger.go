@@ -24,10 +24,9 @@ type Entry struct {
 	// within one ledger.
 	Seq int64 `json:"seq"`
 	// Event names what happened: cell_start, cell_done, sweep_start,
-	// sweep_done, store_hit, store_miss, store_write, shard_launch,
-	// shard_exit, shard_retry, merge, compact, assemble_start,
-	// assemble_done — plus, from the elastic pool scheduler: lease,
-	// release, steal, steal_cancel, relaunch, quarantine.
+	// sweep_done, store_hit, store_miss, store_write, merge, compact,
+	// assemble_start, assemble_done — plus, from the orchestrator's
+	// pool: lease, release, steal, steal_cancel, relaunch, quarantine.
 	Event string `json:"event"`
 	// Phase distinguishes otherwise identical events from different
 	// stages of an orchestrated run ("shard" vs "assemble").

@@ -18,10 +18,8 @@ var (
 		"Per-shard cells per second, from the worker's own clock.", "shard")
 	obsSlowest = obs.Default().Gauge("paradet_orch_slowest_shard",
 		"Index of the unfinished shard with the lowest completion fraction (-1 when all are done).")
-	obsRetries = obs.Default().Counter("paradet_orch_shard_retries_total",
-		"Shard worker relaunches after a failure.")
 
-	// Elastic-pool metrics.
+	// Pool metrics.
 	obsLeases = obs.Default().Counter("paradet_orch_pool_leases_total",
 		"Shard attempts started on pool hosts (primaries, relaunches and steals).")
 	obsSteals = obs.Default().Counter("paradet_orch_pool_steals_total",

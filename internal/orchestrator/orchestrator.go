@@ -1,12 +1,14 @@
 // Package orchestrator turns a sharded campaign into one supervised
-// run: it launches N shard workers (local subprocesses by default,
-// ssh hosts via the Runner seam), decodes their -progress-json
-// streams into a live aggregate, retries failed or interrupted shards
-// (resume is free — each shard's result store keeps its finished
-// cells), and when the last shard lands merges the shard stores and
-// re-runs the campaign against the merge, producing stdout
-// byte-identical to a single-host run with zero simulations. It is
-// the layer cmd/pdsweep wraps and future remote pools plug into.
+// run: it leases the hosts of a Pool (local subprocesses, ssh hosts,
+// or any other Runner) to N shard workers, decodes their
+// -progress-json streams into a live aggregate, relaunches failed or
+// interrupted shards (resume is free — each shard's result store keeps
+// its finished cells), and when the last shard lands merges the shard
+// stores and re-runs the campaign against the merge, producing stdout
+// byte-identical to a single-host run with zero simulations. It also
+// owns the worker side of that protocol: the WorkerFlags table the
+// worker CLIs parse and the Emitter behind -progress-json. It is the
+// layer cmd/pdsweep wraps.
 package orchestrator
 
 import (
@@ -29,24 +31,17 @@ import (
 // Options configure one orchestrated sweep.
 type Options struct {
 	// Argv is the campaign command (a cmd/experiments or cmd/hetsim
-	// invocation, or anything speaking the same flags and progress
-	// protocol) without -shard/-store/-progress-json, which the
+	// invocation, or anything speaking WorkerFlags and the progress
+	// protocol) without the shard, store and progress flags, which the
 	// orchestrator appends per worker.
 	Argv []string
 	// Shards is the number of workers to split the sweep across.
 	Shards int
-	// Runners execute the workers; shard i runs on Runners[i mod len].
-	// Nil means one Local runner shared by every shard.
-	Runners []Runner
-	// Pool, when non-nil, replaces the static Runners assignment with
-	// elastic scheduling: health-checked host leases, relaunch of a
+	// Pool runs the workers: health-checked host leases, relaunch of a
 	// dead host's shard on another host, and (optionally) duplicate
-	// attempts of the slowest shard on idle hosts. Mutually exclusive
-	// with Runners.
+	// attempts of the slowest shard on idle hosts. Required, with at
+	// least one host.
 	Pool *Pool
-	// Assembler runs the final merge-backed assembly pass (nil =
-	// Local; the merged store is always local to the orchestrator).
-	Assembler Runner
 	// StoreRoot is the directory holding the per-shard stores
 	// (shard0, shard1, …) and the merged store (merged). With ssh
 	// runners it must be a shared-filesystem path.
@@ -63,9 +58,6 @@ type Options struct {
 	// layout — and proves in the same breath that compaction preserved
 	// every cell, because assembly still demands zero simulations.
 	Compact bool
-	// TailBytes bounds the per-shard stderr tail kept for error
-	// reports (0 = 4096).
-	TailBytes int
 	// Progress, when non-nil, observes the live aggregate after every
 	// decoded worker event.
 	Progress func(Snapshot)
@@ -80,7 +72,15 @@ type Options struct {
 	// Stderr receives orchestrator notes, merge warnings and the
 	// assembly pass's plain stderr (nil = discard).
 	Stderr io.Writer
+
+	// assembler runs the final merge-backed assembly pass, injectable
+	// so tests can substitute an in-process worker (nil = Local; the
+	// merged store is always local to the orchestrator).
+	assembler Runner
 }
+
+// tailBytes bounds the per-shard stderr tail kept for error reports.
+const tailBytes = 4096
 
 // ShardProgress is one worker's latest decoded counters. The JSON
 // names back the -debug-addr /progress snapshot.
@@ -111,7 +111,6 @@ type Snapshot struct {
 	EtaMS int64 `json:"eta_ms,omitempty"`
 	// Steals counts duplicate shard attempts launched on idle pool
 	// hosts; Quarantined counts hosts the health checker removed.
-	// Both stay 0 outside pool mode.
 	Steals      int `json:"steals,omitempty"`
 	Quarantined int `json:"quarantined,omitempty"`
 	// Shards holds the per-shard detail, indexed by shard. With
@@ -134,7 +133,7 @@ type ShardReport struct {
 	Attempts int
 	// History details every launch — runner, attempt store, outcome —
 	// in completion order, so a failed sweep is debuggable from its
-	// logs alone. Populated by both the static and pool schedulers.
+	// logs alone.
 	History []Attempt
 	// Done, Hits and Sims are the final decoded counters.
 	Done, Hits, Sims int
@@ -153,9 +152,9 @@ type Report struct {
 	// Compact is the post-merge compaction accounting (nil unless
 	// Options.Compact was set).
 	Compact *resultstore.CompactStats
-	// Pool summarises the elastic scheduling (nil unless Options.Pool
-	// was set).
-	Pool *PoolReport
+	// Pool summarises the host scheduling: leases, steals, relaunches
+	// and quarantines.
+	Pool PoolReport
 	// Cells, Hits and Sims are the assembly pass's final counters;
 	// Sims is always 0 on success (the orchestrator fails otherwise).
 	Cells, Hits, Sims int
@@ -164,28 +163,11 @@ type Report struct {
 	Sidecars int
 }
 
-// Retried totals the extra launches that paid for failures: relaunches
-// under a pool (where Attempts also counts voluntary steal duplicates),
-// attempts beyond the first otherwise.
-func (r *Report) Retried() int {
-	if r.Pool != nil {
-		return r.Pool.Relaunches
-	}
-	n := 0
-	for i := range r.Shards {
-		if r.Shards[i].Attempts > 1 {
-			n += r.Shards[i].Attempts - 1
-		}
-	}
-	return n
-}
-
 // Run executes one orchestrated sweep: launch, supervise, retry,
 // merge, assemble. It returns the report even alongside an error when
 // the failure happened after workers produced accountable state.
 func Run(ctx context.Context, o Options) (*Report, error) {
-	strategy, runners, err := o.resolve()
-	if err != nil {
+	if err := o.resolve(); err != nil {
 		return nil, err
 	}
 	stdout, stderr := o.Stdout, o.Stderr
@@ -203,37 +185,11 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	agg := &aggregator{shards: make([]ShardProgress, o.Shards),
 		attempts: make([]map[int]ShardProgress, o.Shards), progress: o.Progress, onEvent: o.OnEvent}
 
-	// Launch the shard workers: elastically over the pool's leased
-	// hosts when one is configured, else every shard at once on its
-	// statically assigned runner. Either way the first shard to
-	// exhaust its retries cancels the rest: their stores keep whatever
-	// they finished, so a later pdsweep run resumes instead of redoing.
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var poolErr error
-	if o.Pool != nil {
-		argvFor := func(shard, attempt int) []string {
-			return append(append([]string{}, o.Argv...),
-				"-shard", campaign.Shard{Index: shard, Count: o.Shards}.String(),
-				"-shard-strategy", string(strategy),
-				"-store", o.attemptStore(shard, attempt),
-				"-progress-json")
-		}
-		poolErr = o.Pool.run(wctx, &o, argvFor, agg, stderr, rep)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < o.Shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				rep.Shards[i] = o.runShard(wctx, i, strategy, runners[i%len(runners)], agg, stderr)
-				if rep.Shards[i].Err != nil {
-					cancel()
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
+	// Launch the shard workers over the pool's leased hosts. The first
+	// shard to exhaust its retries cancels the rest: their stores keep
+	// whatever they finished, so a later pdsweep run resumes instead of
+	// redoing.
+	poolErr := o.Pool.run(ctx, &o, agg, stderr, rep)
 	for i := range rep.Shards {
 		s := agg.get(i)
 		rep.Shards[i].Done, rep.Shards[i].Hits, rep.Shards[i].Sims = s.Done, s.Hits, s.Sims
@@ -290,7 +246,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 	srcs := make([]*resultstore.Store, 0, o.Shards)
 	for i := 0; i < o.Shards; i++ {
-		src, err := resultstore.Open(o.shardDir(i))
+		src, err := resultstore.Open(o.attemptStore(i, 0))
 		if err != nil {
 			return rep, fmt.Errorf("orchestrator: shard %d store: %w", i, err)
 		}
@@ -376,11 +332,10 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	// to a single-host run, because the store only changes what is
 	// simulated, never what is printed — and its progress stream lets
 	// the orchestrator enforce that nothing was simulated.
-	assembler := o.Assembler
+	assembler := o.assembler
 	if assembler == nil {
 		assembler = Local{}
 	}
-	argv := append(append([]string{}, o.Argv...), "-store", o.mergedDir(), "-progress-json")
 	var last Event
 	sawEvent := false
 	dec := &Decoder{
@@ -397,7 +352,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		obs.Emit(obs.Entry{Event: "assemble_start", Detail: assembler.Name()})
 	}
 	asmStart := time.Now()
-	err = assembler.Run(ctx, argv, stdout, dec)
+	err = assembler.Run(ctx, o.assemblyArgv(), stdout, dec)
 	dec.Close()
 	if obs.Enabled() {
 		ent := obs.Entry{Event: "assemble_done", Detail: assembler.Name(),
@@ -414,7 +369,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		// Without events the misses=0 contract was never checked — an
 		// exit-0 command that ignores -progress-json must not pass off
 		// an unverified sweep as assembled.
-		return rep, fmt.Errorf("orchestrator: assembly (%s) emitted no progress events: does the command speak -progress-json?", assembler.Name())
+		return rep, fmt.Errorf("orchestrator: assembly (%s) emitted no progress events: does the command speak the progress protocol?", assembler.Name())
 	}
 	rep.Cells, rep.Hits, rep.Sims = last.Done, last.Hits, last.Sims
 	if rep.Sims > 0 {
@@ -423,51 +378,57 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	return rep, nil
 }
 
-// resolve validates the options and fills the defaults Run (and Plan)
-// share: the strategy and the static runner set.
-func (o *Options) resolve() (campaign.Strategy, []Runner, error) {
+// resolve validates the options and fills the default strategy, for
+// Run and Plan alike.
+func (o *Options) resolve() error {
 	if len(o.Argv) == 0 {
-		return "", nil, fmt.Errorf("orchestrator: no campaign command")
+		return fmt.Errorf("orchestrator: no campaign command")
 	}
 	if o.Shards < 1 {
-		return "", nil, fmt.Errorf("orchestrator: shards must be >= 1, got %d", o.Shards)
+		return fmt.Errorf("orchestrator: shards must be >= 1, got %d", o.Shards)
 	}
 	if o.StoreRoot == "" {
-		return "", nil, fmt.Errorf("orchestrator: no store root")
+		return fmt.Errorf("orchestrator: no store root")
 	}
-	if o.Pool != nil {
-		if len(o.Pool.Hosts) == 0 {
-			return "", nil, fmt.Errorf("orchestrator: pool has no hosts")
-		}
-		if len(o.Runners) > 0 {
-			return "", nil, fmt.Errorf("orchestrator: Pool and Runners are mutually exclusive")
-		}
+	if o.Pool == nil {
+		return fmt.Errorf("orchestrator: no pool")
 	}
-	strategy, err := campaign.ParseStrategy(string(o.Strategy))
-	if err != nil {
-		return "", nil, fmt.Errorf("orchestrator: %w", err)
+	if len(o.Pool.Hosts) == 0 {
+		return fmt.Errorf("orchestrator: pool has no hosts")
+	}
+	if _, err := campaign.ParseStrategy(string(o.Strategy)); err != nil {
+		return fmt.Errorf("orchestrator: %w", err)
 	}
 	if o.Strategy == "" {
-		strategy = campaign.StrategyWeighted
+		o.Strategy = campaign.StrategyWeighted
 	}
-	runners := o.Runners
-	if len(runners) == 0 {
-		runners = []Runner{Local{}}
-	}
-	return strategy, runners, nil
-}
-
-func (o *Options) shardDir(i int) string {
-	return filepath.Join(o.StoreRoot, fmt.Sprintf("shard%d", i))
+	return nil
 }
 
 func (o *Options) mergedDir() string { return filepath.Join(o.StoreRoot, "merged") }
+
+// attemptArgv is the worker command for one attempt of one shard.
+func (o *Options) attemptArgv(shard, attempt int) []string {
+	return append(append([]string{}, o.Argv...), WorkerFlags{
+		Shard:         campaign.Shard{Index: shard, Count: o.Shards}.String(),
+		ShardStrategy: string(o.Strategy),
+		Store:         o.attemptStore(shard, attempt),
+		ProgressJSON:  true,
+	}.Args()...)
+}
+
+// assemblyArgv is the unsharded command run against the merged store.
+func (o *Options) assemblyArgv() []string {
+	return append(append([]string{}, o.Argv...), WorkerFlags{Store: o.mergedDir(), ProgressJSON: true}.Args()...)
+}
 
 // forwardSidecars copies telemetry/*.jsonl from every source store
 // directory into dstStore/telemetry. Missing source directories are
 // normal (telemetry off, or a shard with only warm cells). Files are
 // fingerprint-named, so a name seen twice is the same deterministic
-// content and the first copy wins.
+// content and the first copy wins. Each copy is written to a temp
+// file and renamed, so an interrupted forward never leaves a
+// truncated sidecar that a resumed run would keep.
 func forwardSidecars(dstStore string, srcs []*resultstore.Store) (int, error) {
 	dstDir := filepath.Join(dstStore, telemetry.SidecarDirName)
 	copied := 0
@@ -496,7 +457,7 @@ func forwardSidecars(dstStore string, srcs []*resultstore.Store) (int, error) {
 			if err := os.MkdirAll(dstDir, 0o755); err != nil {
 				return copied, err
 			}
-			if err := os.WriteFile(dst, data, 0o644); err != nil {
+			if err := writeFileAtomic(dst, data); err != nil {
 				return copied, err
 			}
 			copied++
@@ -505,66 +466,24 @@ func forwardSidecars(dstStore string, srcs []*resultstore.Store) (int, error) {
 	return copied, nil
 }
 
-func (o *Options) tailBytes() int {
-	if o.TailBytes > 0 {
-		return o.TailBytes
+// writeFileAtomic writes data to a dot-named temp file next to path
+// (forwardSidecars skips dot-files) and renames it into place.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*.jsonl")
+	if err != nil {
+		return err
 	}
-	return 4096
-}
-
-// runShard supervises one shard worker through its retry budget. A
-// relaunched worker reuses the shard's store, so it loads finished
-// cells as hits and only simulates what the dead attempt never got to.
-func (o *Options) runShard(ctx context.Context, i int, strategy campaign.Strategy, runner Runner, agg *aggregator, stderr io.Writer) ShardReport {
-	rep := ShardReport{Shard: i, Runner: runner.Name()}
-	argv := append(append([]string{}, o.Argv...),
-		"-shard", campaign.Shard{Index: i, Count: o.Shards}.String(),
-		"-shard-strategy", string(strategy),
-		"-store", o.shardDir(i),
-		"-progress-json")
-	tail := &tailBuffer{max: o.tailBytes()}
-	for attempt := 1; ; attempt++ {
-		rep.Attempts = attempt
-		if obs.Enabled() {
-			obs.Emit(obs.Entry{Event: "shard_launch", Shard: obs.Int(i), Count: attempt, Detail: runner.Name()})
-		}
-		dec := &Decoder{
-			OnEvent: func(e Event) { agg.observe(i, e) },
-			OnLine:  tail.add,
-		}
-		err := runner.Run(ctx, argv, io.Discard, dec)
-		dec.Close()
-		if obs.Enabled() {
-			ent := obs.Entry{Event: "shard_exit", Shard: obs.Int(i), Count: attempt, Detail: runner.Name()}
-			if err != nil {
-				ent.Err = err.Error()
-			}
-			obs.Emit(ent)
-		}
-		if err == nil {
-			rep.History = append(rep.History, Attempt{N: attempt, Runner: runner.Name(), Store: storeBase(i, 0)})
-			return rep
-		}
-		rep.History = append(rep.History, Attempt{N: attempt, Runner: runner.Name(), Store: storeBase(i, 0), Err: err.Error()})
-		if ctx.Err() != nil {
-			rep.Err = fmt.Errorf("shard %d (%s): %w", i, runner.Name(), ctx.Err())
-			return rep
-		}
-		if attempt > o.Retries {
-			// The history names every attempt's runner and error, so a
-			// pool or retry run is debuggable from CI logs alone.
-			rep.Err = fmt.Errorf("shard %d (%s) failed after %d attempt(s): %w\n%s",
-				i, runner.Name(), attempt, err, historyLines(rep.History))
-			rep.Tail = tail.String()
-			return rep
-		}
-		obsRetries.Inc()
-		if obs.Enabled() {
-			obs.Emit(obs.Entry{Event: "shard_retry", Shard: obs.Int(i), Count: attempt, Detail: runner.Name(), Err: err.Error()})
-		}
-		fmt.Fprintf(stderr, "orchestrator: shard %d (%s) attempt %d failed (%v); relaunching (store resumes)\n",
-			i, runner.Name(), attempt, err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // aggregator folds per-shard (and, under a pool, per-attempt) events
@@ -572,8 +491,8 @@ func (o *Options) runShard(ctx context.Context, i int, strategy campaign.Strateg
 type aggregator struct {
 	mu sync.Mutex
 	// shards holds each shard's leading attempt; attempts the raw
-	// per-attempt progress behind it (lazily allocated — the static
-	// scheduler only ever writes attempt 0).
+	// per-attempt progress behind it (allocated on a shard's first
+	// event).
 	shards   []ShardProgress
 	attempts []map[int]ShardProgress
 	steals   int
@@ -582,8 +501,6 @@ type aggregator struct {
 	progress func(Snapshot)
 	onEvent  func(shard int, e Event)
 }
-
-func (a *aggregator) observe(i int, e Event) { a.observeAttempt(i, 0, e) }
 
 func (a *aggregator) observeAttempt(i, attempt int, e Event) {
 	a.mu.Lock()

@@ -5,16 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"paradet"
 	"paradet/internal/campaign"
+	"paradet/internal/obs/telemetry"
 	"paradet/internal/resultstore"
 )
 
@@ -79,11 +81,28 @@ func renderOutcome(t *testing.T, out *campaign.Outcome) string {
 	return string(b)
 }
 
+// parseWorkerArgv parses a worker command line (argv[0] is the
+// command) with the worker-flag table, as cmd/experiments does.
+func parseWorkerArgv(argv []string) (WorkerFlags, error) {
+	var w WorkerFlags
+	fs := flag.NewFlagSet(argv[0], flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	w.Register(fs)
+	if err := fs.Parse(argv[1:]); err != nil {
+		return w, err
+	}
+	if fs.NArg() > 0 {
+		return w, fmt.Errorf("stray worker arguments %q", fs.Args())
+	}
+	return w, nil
+}
+
 // fakeWorker implements Runner by running the campaign engine
-// in-process, speaking exactly the flags and progress protocol the
-// orchestrator appends for real cmd/experiments workers. dieShard
-// names one shard whose first attempt is killed (context-cancelled,
-// like a crashed host) after dieAfter cells.
+// in-process. It parses its argv with the worker-flag table and builds
+// its campaign options with WorkerFlags.Campaign, so every test here
+// runs the argv the orchestrator really renders. dieShard names one
+// shard whose first attempt is killed (context-cancelled, like a
+// crashed host) after dieAfter cells.
 type fakeWorker struct {
 	t        *testing.T
 	spec     campaign.Spec
@@ -96,38 +115,14 @@ type fakeWorker struct {
 func (f *fakeWorker) Name() string { return "fake" }
 
 func (f *fakeWorker) Run(ctx context.Context, argv []string, stdout, stderr io.Writer) error {
-	var shardArg, strategyArg, storeDir string
-	progressJSON := false
-	for i := 0; i < len(argv); i++ {
-		switch argv[i] {
-		case "-shard":
-			i++
-			shardArg = argv[i]
-		case "-shard-strategy":
-			i++
-			strategyArg = argv[i]
-		case "-store":
-			i++
-			storeDir = argv[i]
-		case "-progress-json":
-			progressJSON = true
-		}
+	w, err := parseWorkerArgv(argv)
+	if err != nil {
+		return err
 	}
-	var shard *campaign.Shard
-	if shardArg != "" {
-		sh, err := campaign.ParseShard(shardArg)
-		if err != nil {
-			return err
-		}
-		if sh.Strategy, err = campaign.ParseStrategy(strategyArg); err != nil {
-			return err
-		}
-		shard = &sh
+	if w.Store == "" {
+		return fmt.Errorf("fake worker: no store in %q", argv)
 	}
-	if storeDir == "" {
-		return fmt.Errorf("fake worker: no -store in %q", argv)
-	}
-	st, err := resultstore.Open(storeDir)
+	opts, err := w.Campaign(stderr)
 	if err != nil {
 		return err
 	}
@@ -135,17 +130,14 @@ func (f *fakeWorker) Run(ctx context.Context, argv []string, stdout, stderr io.W
 	runCtx := ctx
 	killAfter := 0
 	var kill context.CancelFunc
-	if shard != nil && shard.Index == f.dieShard && f.died.CompareAndSwap(false, true) {
+	if opts.Shard != nil && opts.Shard.Index == f.dieShard && f.died.CompareAndSwap(false, true) {
 		runCtx, kill = context.WithCancel(ctx)
 		defer kill()
 		killAfter = f.dieAfter
 	}
-	var emit campaign.ProgressFunc
-	if progressJSON {
-		emit = Emitter(stderr, shard, time.Now())
-	}
+	emit := opts.Progress
 	cells := 0
-	progress := func(p campaign.Progress) {
+	opts.Progress = func(p campaign.Progress) {
 		if emit != nil {
 			emit(p)
 		}
@@ -153,17 +145,27 @@ func (f *fakeWorker) Run(ctx context.Context, argv []string, stdout, stderr io.W
 			kill()
 		}
 	}
-	out, err := campaign.ExecuteContext(runCtx, f.spec, f.sim, campaign.Options{Store: st, Shard: shard, Progress: progress})
+	out, err := campaign.ExecuteContext(runCtx, f.spec, f.sim, opts)
 	if err != nil {
 		return err
 	}
 	if err := out.Err(); err != nil {
 		return err
 	}
-	if shard == nil { // assembly pass: print the final figure
+	if opts.Shard == nil { // assembly pass: print the final figure
 		fmt.Fprintln(stdout, renderOutcome(f.t, out))
 	}
 	return nil
+}
+
+// fakePool is a pool of n hosts running inner, with stealing off: the
+// pool pdsweep builds without -hosts.
+func fakePool(n int, inner Runner) *Pool {
+	hosts := make([]Runner, n)
+	for i := range hosts {
+		hosts[i] = &poolHost{name: fmt.Sprintf("fake%d", i), inner: inner}
+	}
+	return testPool(hosts, false)
 }
 
 // TestOrchestratedSweepEquivalence is the tentpole contract: three
@@ -185,8 +187,8 @@ func TestOrchestratedSweepEquivalence(t *testing.T) {
 	rep, err := Run(context.Background(), Options{
 		Argv:      []string{"campaign"},
 		Shards:    3,
-		Runners:   []Runner{worker},
-		Assembler: worker,
+		Pool:      fakePool(3, worker),
+		assembler: worker,
 		StoreRoot: t.TempDir(),
 		Progress:  func(s Snapshot) { snaps = append(snaps, s) },
 		Stdout:    &stdout,
@@ -211,8 +213,8 @@ func TestOrchestratedSweepEquivalence(t *testing.T) {
 	if rep.Merge.Copied == 0 || rep.Merge.Corrupt != 0 {
 		t.Errorf("merge stats = %+v", rep.Merge)
 	}
-	if rep.Retried() != 0 {
-		t.Errorf("retries = %d, want 0", rep.Retried())
+	if rep.Pool.Relaunches != 0 || rep.Pool.Steals != 0 {
+		t.Errorf("relaunches = %d, steals = %d, want 0", rep.Pool.Relaunches, rep.Pool.Steals)
 	}
 	if len(snaps) == 0 {
 		t.Fatal("no progress snapshots")
@@ -251,8 +253,8 @@ func TestOrchestratedCompaction(t *testing.T) {
 	rep, err := Run(context.Background(), Options{
 		Argv:      []string{"campaign"},
 		Shards:    3,
-		Runners:   []Runner{worker},
-		Assembler: worker,
+		Pool:      fakePool(3, worker),
+		assembler: worker,
 		StoreRoot: root,
 		Compact:   true,
 		Stdout:    &stdout,
@@ -292,9 +294,9 @@ func TestOrchestratedCompaction(t *testing.T) {
 }
 
 // TestShardRetryResumesFromStore kills one shard worker after its
-// first cell; the orchestrator must relaunch it, the relaunch must
-// resume from the shard store (no cell simulated twice), and the
-// final output must still be byte-identical with zero assembly sims.
+// first cell; the pool must relaunch it, the relaunch must resume from
+// the shard store (no cell simulated twice), and the final output must
+// still be byte-identical with zero assembly sims.
 func TestShardRetryResumesFromStore(t *testing.T) {
 	spec := orchSpec()
 	ref, err := campaign.Execute(spec, nil)
@@ -309,8 +311,8 @@ func TestShardRetryResumesFromStore(t *testing.T) {
 	rep, err := Run(context.Background(), Options{
 		Argv:      []string{"campaign"},
 		Shards:    3,
-		Runners:   []Runner{worker},
-		Assembler: worker,
+		Pool:      fakePool(3, worker),
+		assembler: worker,
 		StoreRoot: t.TempDir(),
 		Retries:   1,
 		Stdout:    &stdout,
@@ -337,7 +339,13 @@ func TestShardRetryResumesFromStore(t *testing.T) {
 	if rep.Sims != 0 {
 		t.Errorf("assembly sims = %d, want 0", rep.Sims)
 	}
-	if !strings.Contains(log.String(), "relaunching") {
+	if rep.Pool.Relaunches != 1 {
+		t.Errorf("relaunches = %d, want 1", rep.Pool.Relaunches)
+	}
+	if h := rep.Shards[1].History; len(h) != 2 || h[0].Store != "shard1" || h[1].Store != "shard1" {
+		t.Errorf("shard 1 history = %+v, want two attempts on store shard1", h)
+	}
+	if !strings.Contains(log.String(), "store resumes") {
 		t.Errorf("retry not surfaced on stderr:\n%s", log.String())
 	}
 }
@@ -360,7 +368,7 @@ func TestShardFailureExhaustsRetries(t *testing.T) {
 	rep, err := Run(context.Background(), Options{
 		Argv:      []string{"campaign"},
 		Shards:    2,
-		Runners:   []Runner{brokenWorker{}},
+		Pool:      fakePool(2, brokenWorker{}),
 		StoreRoot: t.TempDir(),
 		Retries:   1,
 	})
@@ -405,8 +413,8 @@ func TestAssemblyWithoutEventsFails(t *testing.T) {
 	_, err := Run(context.Background(), Options{
 		Argv:      []string{"campaign"},
 		Shards:    2,
-		Runners:   []Runner{worker},
-		Assembler: mute,
+		Pool:      fakePool(2, worker),
+		assembler: mute,
 		StoreRoot: t.TempDir(),
 	})
 	if err == nil || !strings.Contains(err.Error(), "no progress events") {
@@ -414,13 +422,73 @@ func TestAssemblyWithoutEventsFails(t *testing.T) {
 	}
 }
 
+// TestForwardSidecars forwards telemetry sidecars from a primary and a
+// duplicate-attempt store that share a fingerprint: every sidecar lands
+// once, non-.jsonl files and dot-files (in-flight temp files) stay
+// behind, an existing sidecar is kept, and no temp file is left.
+func TestForwardSidecars(t *testing.T) {
+	root := t.TempDir()
+	write := func(dir, name, body string) {
+		t.Helper()
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var srcs []*resultstore.Store
+	for _, name := range []string{"shard0", "shard0.b"} {
+		st, err := resultstore.Open(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, st)
+		dir := filepath.Join(st.Dir(), telemetry.SidecarDirName)
+		write(dir, "aa.jsonl", "shared")
+		write(dir, name+".jsonl", name)
+		write(dir, "notes.txt", "skip")
+		write(dir, ".tmp-1.jsonl", "skip")
+	}
+	dst := filepath.Join(root, "merged")
+	dstDir := filepath.Join(dst, telemetry.SidecarDirName)
+	write(dstDir, "shard0.jsonl", "kept")
+
+	n, err := forwardSidecars(dst, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Errorf("forwarded %d sidecar(s), want 2 (aa and shard0.b)", n)
+	}
+	ents, err := os.ReadDir(dstDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dstDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[e.Name()] = string(b)
+	}
+	want := map[string]string{"aa.jsonl": "shared", "shard0.jsonl": "kept", "shard0.b.jsonl": "shard0.b"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("merged sidecars = %v, want %v", got, want)
+	}
+}
+
 // TestRunValidatesOptions covers the option-level refusals.
 func TestRunValidatesOptions(t *testing.T) {
+	pool := fakePool(1, brokenWorker{})
 	cases := []Options{
-		{Shards: 2, StoreRoot: "x"},                                         // no argv
-		{Argv: []string{"c"}, Shards: 0, StoreRoot: "x"},                    // no shards
-		{Argv: []string{"c"}, Shards: 2},                                    // no store root
-		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x", Strategy: "bogus"}, // bad strategy
+		{Shards: 2, StoreRoot: "x", Pool: pool},                                         // no argv
+		{Argv: []string{"c"}, Shards: 0, StoreRoot: "x", Pool: pool},                    // no shards
+		{Argv: []string{"c"}, Shards: 2, Pool: pool},                                    // no store root
+		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x", Pool: pool, Strategy: "bogus"}, // bad strategy
+		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x"},                                // no pool
+		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x", Pool: testPool(nil, false)},    // hostless pool
 	}
 	for i, o := range cases {
 		if _, err := Run(context.Background(), o); err == nil {

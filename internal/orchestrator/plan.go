@@ -12,47 +12,36 @@ import (
 // `pdsweep -dry-run` prints, so pool configs can be sanity-checked
 // cheaply in CI and by hand.
 func Plan(o Options) (string, error) {
-	strategy, runners, err := o.resolve()
-	if err != nil {
+	if err := o.resolve(); err != nil {
 		return "", err
 	}
+	p := o.Pool
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: %d shard(s) · strategy %s · retries %d\n", o.Shards, strategy, o.Retries)
-	if p := o.Pool; p != nil {
-		steal := "off"
-		if p.Steal {
-			steal = fmt.Sprintf("on (eta >= %s, <= %d attempt store(s) per shard)", p.stealMinEta(), p.maxAttempts())
+	fmt.Fprintf(&b, "plan: %d shard(s) · strategy %s · retries %d\n", o.Shards, o.Strategy, o.Retries)
+	steal := "off"
+	if p.Steal {
+		steal = fmt.Sprintf("on (eta >= %s, <= %d attempt store(s) per shard)", p.minStealEta(), maxAttempts)
+	}
+	fmt.Fprintf(&b, "pool: %d host(s) · health probe %q x%d, timeout %s · steal %s\n",
+		len(p.Hosts), strings.Join(p.probeCommand(), " "), healthProbes, p.healthTimeout(), steal)
+	for h, r := range p.Hosts {
+		fmt.Fprintf(&b, "  host %d: %s\n", h, r.Name())
+	}
+	// The initial leases hand shard i to host i; the rest queue for the
+	// first host that frees up, so the printed assignment is the plan's
+	// starting point, not a fixed binding.
+	for i := 0; i < o.Shards; i++ {
+		if i < len(p.Hosts) {
+			fmt.Fprintf(&b, "  shard %d -> host %d (%s) · store %s\n", i, i, p.Hosts[i].Name(), o.attemptStore(i, 0))
+		} else {
+			fmt.Fprintf(&b, "  shard %d -> queued (first idle host) · store %s\n", i, o.attemptStore(i, 0))
 		}
-		fmt.Fprintf(&b, "pool: %d host(s) · health probe %q x%d, timeout %s · steal %s\n",
-			len(p.Hosts), strings.Join(p.probeArgv(), " "), p.healthProbes(), p.healthTimeout(), steal)
-		for h, r := range p.Hosts {
-			fmt.Fprintf(&b, "  host %d: %s\n", h, r.Name())
-		}
-		// The initial leases hand shard i to host i; the rest queue for
-		// the first host that frees up, so the printed assignment is
-		// the plan's starting point, not a fixed binding.
-		for i := 0; i < o.Shards; i++ {
-			if i < len(p.Hosts) {
-				fmt.Fprintf(&b, "  shard %d -> host %d (%s) · store %s\n", i, i, p.Hosts[i].Name(), o.shardDir(i))
-			} else {
-				fmt.Fprintf(&b, "  shard %d -> queued (first idle host) · store %s\n", i, o.shardDir(i))
-			}
-		}
-		if p.Steal {
-			fmt.Fprintf(&b, "  steal attempts -> %s.b, .c, ... (idle hosts duplicate the slowest shard; first finish wins, all non-empty stores merge)\n",
-				filepath.Join(o.StoreRoot, "shardN"))
-		}
-	} else {
-		for i := 0; i < o.Shards; i++ {
-			fmt.Fprintf(&b, "  shard %d -> %s · store %s\n", i, runners[i%len(runners)].Name(), o.shardDir(i))
-		}
+	}
+	if p.Steal {
+		fmt.Fprintf(&b, "  steal attempts -> %s.b, .c, ... (idle hosts duplicate the slowest shard; first finish wins, all non-empty stores merge)\n",
+			filepath.Join(o.StoreRoot, "shardN"))
 	}
 	fmt.Fprintf(&b, "merged store: %s\n", o.mergedDir())
-	asm := "local"
-	if o.Assembler != nil {
-		asm = o.Assembler.Name()
-	}
-	fmt.Fprintf(&b, "assembly (%s): %s -store %s -progress-json\n",
-		asm, strings.Join(o.Argv, " "), o.mergedDir())
+	fmt.Fprintf(&b, "assembly (local): %s\n", strings.Join(o.assemblyArgv(), " "))
 	return b.String(), nil
 }

@@ -12,52 +12,47 @@ import (
 	"paradet/internal/obs"
 )
 
-// A Pool is the elastic scheduling layer: instead of the static
-// "shard i runs on Runners[i mod len]" assignment, a pool owns a set
-// of hosts, leases them to shards one at a time, health-checks every
-// host (before its first lease and again after any worker failure),
+// A Pool is the orchestrator's scheduler: it owns a set of hosts,
+// leases them to shards one at a time, health-checks every host
+// (before its first lease and again after any worker failure),
 // quarantines hosts that keep failing probes, and moves a dead host's
 // shard to another healthy host — the shard's store makes the move a
-// resume, not a redo. When a host goes idle with no shard left to
-// start, the pool steals: it launches a duplicate attempt of the
-// slowest unfinished shard (per Snapshot.Slowest and the worker's own
-// ETA) against a fresh per-attempt store (shard3.b, shard3.c, …).
-// Whichever attempt finishes first wins and the loser is cancelled;
-// the merge folds every non-empty attempt store, and fingerprint
-// dedupe makes the duplicated cells free, so the final assembly is
-// byte-identical to a single-host run exactly as before.
+// resume, not a redo. With Steal set, a host that goes idle with no
+// shard left to start launches a duplicate attempt of the slowest
+// unfinished shard (per Snapshot.Slowest and the worker's own ETA)
+// against a fresh per-attempt store (shard3.b, shard3.c). Whichever
+// attempt finishes first wins and the loser is cancelled; the merge
+// folds every non-empty attempt store, and fingerprint dedupe makes
+// the duplicated cells free, so the final assembly is byte-identical
+// to a single-host run.
 type Pool struct {
 	// Hosts are the leasable workers. Each host runs at most one shard
-	// attempt at a time.
+	// attempt at a time; list a host twice to run two.
 	Hosts []Runner
 	// HealthTimeout bounds one liveness probe (0 = 5s).
 	HealthTimeout time.Duration
-	// HealthProbes is how many consecutive probe failures quarantine a
-	// host (0 = 2).
-	HealthProbes int
-	// HealthBackoff is the wait between failed probes of one host
-	// (0 = 500ms).
-	HealthBackoff time.Duration
-	// ProbeArgv is the cheap liveness command run through the host's
-	// runner (nil = {"true"}). It must exit 0 quickly on a healthy
-	// host and is never given the campaign argv.
-	ProbeArgv []string
 	// Steal enables duplicate attempts of the slowest shard on idle
 	// hosts.
 	Steal bool
-	// StealMinEta is the smallest worker-reported ETA worth stealing
-	// (0 = 2s): duplicating a shard that is nearly done wastes a host
-	// on work the merge will throw away.
-	StealMinEta time.Duration
-	// MaxAttempts caps concurrent-plus-finished launches per shard,
-	// bounding the number of per-attempt stores (0 = 3: the primary
-	// plus two duplicates).
-	MaxAttempts int
 
-	// sleep is the backoff clock, injectable so tests never sleep on
-	// real time (nil = timer-backed, context-aware).
-	sleep func(ctx context.Context, d time.Duration)
+	// probeArgv, stealMinEta and sleep are test seams: the liveness
+	// command (nil = {"true"}), the smallest ETA worth stealing (0 =
+	// 2s), and the backoff clock (nil = timer-backed, context-aware).
+	probeArgv   []string
+	stealMinEta time.Duration
+	sleep       func(ctx context.Context, d time.Duration)
 }
+
+const (
+	// healthProbes consecutive probe failures quarantine a host, with
+	// healthBackoff between them.
+	healthProbes  = 2
+	healthBackoff = 500 * time.Millisecond
+	// maxAttempts caps the launches per shard the steal policy may
+	// reach, bounding the per-attempt stores: the primary plus two
+	// duplicates.
+	maxAttempts = 3
+)
 
 func (p *Pool) healthTimeout() time.Duration {
 	if p.HealthTimeout > 0 {
@@ -66,39 +61,24 @@ func (p *Pool) healthTimeout() time.Duration {
 	return 5 * time.Second
 }
 
-func (p *Pool) healthProbes() int {
-	if p.HealthProbes > 0 {
-		return p.HealthProbes
-	}
-	return 2
-}
-
-func (p *Pool) healthBackoff() time.Duration {
-	if p.HealthBackoff > 0 {
-		return p.HealthBackoff
-	}
-	return 500 * time.Millisecond
-}
-
-func (p *Pool) probeArgv() []string {
-	if len(p.ProbeArgv) > 0 {
-		return p.ProbeArgv
+// probeCommand is the cheap liveness command run through a host's
+// runner. It must exit 0 quickly on a healthy host and is never given
+// the campaign argv.
+func (p *Pool) probeCommand() []string {
+	if len(p.probeArgv) > 0 {
+		return p.probeArgv
 	}
 	return []string{"true"}
 }
 
-func (p *Pool) stealMinEta() time.Duration {
-	if p.StealMinEta > 0 {
-		return p.StealMinEta
+// minStealEta is the smallest worker-reported ETA worth stealing:
+// duplicating a shard that is nearly done wastes a host on work the
+// merge will throw away.
+func (p *Pool) minStealEta() time.Duration {
+	if p.stealMinEta > 0 {
+		return p.stealMinEta
 	}
 	return 2 * time.Second
-}
-
-func (p *Pool) maxAttempts() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return 3
 }
 
 func (p *Pool) sleepFn(ctx context.Context, d time.Duration) {
@@ -114,26 +94,26 @@ func (p *Pool) sleepFn(ctx context.Context, d time.Duration) {
 	}
 }
 
-// probeHost runs the liveness command up to HealthProbes times with
+// probeHost runs the liveness command up to healthProbes times with
 // backoff. A nil return means the host answered; an error means it
 // should be quarantined.
 func (p *Pool) probeHost(ctx context.Context, r Runner) error {
 	var err error
-	for i := 0; i < p.healthProbes(); i++ {
+	for i := 0; i < healthProbes; i++ {
 		if i > 0 {
-			p.sleepFn(ctx, p.healthBackoff())
+			p.sleepFn(ctx, healthBackoff)
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		pctx, cancel := context.WithTimeout(ctx, p.healthTimeout())
-		err = r.Run(pctx, p.probeArgv(), io.Discard, io.Discard)
+		err = r.Run(pctx, p.probeCommand(), io.Discard, io.Discard)
 		cancel()
 		if err == nil {
 			return nil
 		}
 	}
-	return fmt.Errorf("health probe failed %d time(s): %w", p.healthProbes(), err)
+	return fmt.Errorf("health probe failed %d time(s): %w", healthProbes, err)
 }
 
 // Attempt is one launch of one shard: where it ran, which store it
@@ -179,7 +159,7 @@ type HostReport struct {
 	Quarantined bool
 }
 
-// PoolReport summarises the elastic scheduling of one sweep.
+// PoolReport summarises the host scheduling of one sweep.
 type PoolReport struct {
 	// Hosts holds one entry per pool host, in Pool.Hosts order.
 	Hosts []HostReport
@@ -231,7 +211,8 @@ type shardState struct {
 }
 
 // attemptStore names the store directory for one attempt of one
-// shard: the primary writes shardN, duplicates shardN.b, shardN.c, ….
+// shard: the primary and its relaunches write shardN, duplicates
+// shardN.b and shardN.c.
 func (o *Options) attemptStore(shard, attempt int) string {
 	return filepath.Join(o.StoreRoot, storeBase(shard, attempt))
 }
@@ -241,20 +222,20 @@ func (o *Options) attemptStore(shard, attempt int) string {
 // retry budget, every host quarantined) are returned after all active
 // attempts have been cancelled and drained; rep.Shards carries the
 // per-shard detail either way.
-func (p *Pool) run(ctx context.Context, o *Options, argvFor func(shard, attempt int) []string, agg *aggregator, stderr io.Writer, rep *Report) error {
+func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.Writer, rep *Report) error {
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
 	hosts := make([]hostState, len(p.Hosts))
 	shards := make([]shardState, o.Shards)
-	pool := &PoolReport{Hosts: make([]HostReport, len(p.Hosts))}
-	rep.Pool = pool
+	pool := &rep.Pool
+	pool.Hosts = make([]HostReport, len(p.Hosts))
 	for i := range p.Hosts {
 		pool.Hosts[i].Host = p.Hosts[i].Name()
 	}
 	for i := range shards {
 		shards[i].active = make(map[int]context.CancelFunc)
-		shards[i].tail = &tailBuffer{max: o.tailBytes()}
+		shards[i].tail = &tailBuffer{max: tailBytes}
 		shards[i].winner = -1
 	}
 	obsHealthyHosts.Set(float64(len(p.Hosts)))
@@ -301,7 +282,7 @@ func (p *Pool) run(ctx context.Context, o *Options, argvFor func(shard, attempt 
 			obs.Emit(obs.Entry{Event: ev, Shard: obs.Int(w.shard), Count: w.attempt + 1, Detail: name})
 		}
 		needProbe := !hosts[h].probed
-		argv := argvFor(w.shard, w.attempt)
+		argv := o.attemptArgv(w.shard, w.attempt)
 		go func() {
 			if needProbe {
 				if err := p.probeHost(actx, p.Hosts[h]); err != nil {
@@ -334,14 +315,14 @@ func (p *Pool) run(ctx context.Context, o *Options, argvFor func(shard, attempt 
 		if s < 0 || shards[s].done || len(shards[s].active) == 0 {
 			return pendingWork{}, false
 		}
-		if shards[s].launched >= p.maxAttempts() {
+		if shards[s].launched >= maxAttempts {
 			return pendingWork{}, false
 		}
-		if snap.Shards[s].EtaMS < p.stealMinEta().Milliseconds() {
+		if snap.Shards[s].EtaMS < p.minStealEta().Milliseconds() {
 			return pendingWork{}, false
 		}
-		// Duplicate attempt ids count up from 1 (store suffixes .b, .c,
-		// …); the primary and its relaunches share attempt 0.
+		// Duplicate attempt ids count up from 1 (store suffixes .b, .c);
+		// the primary and its relaunches share attempt 0.
 		return pendingWork{shard: s, attempt: shards[s].dupes + 1, lastHost: -1}, true
 	}
 
@@ -552,18 +533,12 @@ func (p *Pool) run(ctx context.Context, o *Options, argvFor func(shard, attempt 
 
 // storeBase is the attempt store's directory basename; attemptStore
 // joins it under Options.StoreRoot. Duplicate attempts get letter
-// suffixes .b through .z; a user-set MaxAttempts past that falls back
-// to a numeric .aN suffix ('a' alone is never a letter suffix, so the
-// forms cannot collide).
+// suffixes from .b; maxAttempts keeps them below .d.
 func storeBase(shard, attempt int) string {
-	switch {
-	case attempt == 0:
+	if attempt == 0 {
 		return fmt.Sprintf("shard%d", shard)
-	case attempt <= 25:
-		return fmt.Sprintf("shard%d.%c", shard, 'b'+attempt-1)
-	default:
-		return fmt.Sprintf("shard%d.a%d", shard, attempt)
 	}
+	return fmt.Sprintf("shard%d.%c", shard, 'b'+attempt-1)
 }
 
 // historyLines renders an attempt history one line per attempt, for

@@ -21,7 +21,7 @@ import (
 
 // poolHost wraps a worker Runner as a leasable pool host with
 // scriptable probe and launch failures. The pool's liveness probe is
-// the argv {"probe"} (set via Pool.ProbeArgv in every test here), so
+// the argv {"probe"} (set via Pool.probeArgv in every test here), so
 // the fake never confuses probes with shard attempts.
 type poolHost struct {
 	name  string
@@ -79,11 +79,11 @@ func (s *noSleep) count() int {
 func testPool(hosts []Runner, steal bool) *Pool {
 	p := &Pool{
 		Hosts:     hosts,
-		ProbeArgv: []string{"probe"},
+		probeArgv: []string{"probe"},
 		Steal:     steal,
 		// Any ETA is worth stealing in tests; the fakes control the
 		// clocks, so nothing here depends on real time.
-		StealMinEta: time.Millisecond,
+		stealMinEta: time.Millisecond,
 	}
 	return p
 }
@@ -112,16 +112,13 @@ func TestPoolLeaseAccounting(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    4,
 		Pool:      testPool(hosts, false),
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: t.TempDir(),
 		Stdout:    &stdout,
 		Stderr:    &log,
 	})
 	if err != nil {
 		t.Fatalf("pool run failed: %v\n%s", err, log.String())
-	}
-	if rep.Pool == nil {
-		t.Fatal("no pool report")
 	}
 	if rep.Pool.Leases != 4 {
 		t.Errorf("pool leases = %d, want 4", rep.Pool.Leases)
@@ -165,7 +162,7 @@ func TestPoolLeaseAccounting(t *testing.T) {
 }
 
 // TestPoolQuarantineAfterProbeFailures gives the pool one host that
-// never answers probes: it must be quarantined after the configured
+// never answers probes: it must be quarantined after healthProbes
 // consecutive failures (with the backoff clock consulted, not real
 // time), lease nothing, and leave the sweep to the healthy host.
 func TestPoolQuarantineAfterProbeFailures(t *testing.T) {
@@ -175,8 +172,6 @@ func TestPoolQuarantineAfterProbeFailures(t *testing.T) {
 	live := &poolHost{name: "live", inner: worker}
 	clock := &noSleep{}
 	pool := testPool([]Runner{dead, live}, false)
-	pool.HealthProbes = 3
-	pool.HealthBackoff = 250 * time.Millisecond
 	pool.sleep = clock.sleep
 
 	var log bytes.Buffer
@@ -184,7 +179,7 @@ func TestPoolQuarantineAfterProbeFailures(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    2,
 		Pool:      pool,
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: t.TempDir(),
 		Stderr:    &log,
 	})
@@ -206,12 +201,15 @@ func TestPoolQuarantineAfterProbeFailures(t *testing.T) {
 			}
 		}
 	}
-	if got := dead.probes.Load(); got != 3 {
-		t.Errorf("dead host probed %d time(s), want HealthProbes=3", got)
+	if got := dead.probes.Load(); got != healthProbes {
+		t.Errorf("dead host probed %d time(s), want %d", got, healthProbes)
 	}
-	// Two backoffs between three probes, against the injected clock.
-	if clock.count() != 2 {
-		t.Errorf("backoff clock consulted %d time(s), want 2", clock.count())
+	// One backoff between the two probes, against the injected clock.
+	clock.mu.Lock()
+	reqs := clock.reqs
+	clock.mu.Unlock()
+	if len(reqs) != healthProbes-1 || reqs[0] != healthBackoff {
+		t.Errorf("backoff clock requests = %v, want one of %s", reqs, healthBackoff)
 	}
 	if rep.Sims != 0 {
 		t.Errorf("assembly sims = %d, want 0", rep.Sims)
@@ -273,7 +271,7 @@ func TestPoolRelaunchMovesHost(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    1,
 		Pool:      pool,
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: t.TempDir(),
 		Retries:   1,
 		Stdout:    &stdout,
@@ -327,17 +325,11 @@ type hangingPrimary struct {
 func (h *hangingPrimary) Name() string { return "hanging" }
 
 func (h *hangingPrimary) Run(ctx context.Context, argv []string, stdout, stderr io.Writer) error {
-	store := ""
-	shard := "0/1"
-	for i := 0; i < len(argv)-1; i++ {
-		switch argv[i] {
-		case "-store":
-			store = argv[i+1]
-		case "-shard":
-			shard = argv[i+1]
-		}
+	w, err := parseWorkerArgv(argv)
+	if err != nil {
+		return err
 	}
-	if store != h.hangStore || !h.hung.CompareAndSwap(false, true) {
+	if w.Store != h.hangStore || !h.hung.CompareAndSwap(false, true) {
 		return h.inner.Run(ctx, argv, stdout, stderr)
 	}
 	if h.simulateFirst {
@@ -347,7 +339,7 @@ func (h *hangingPrimary) Run(ctx context.Context, argv []string, stdout, stderr 
 	}
 	// Report being one cell into a long shard, then stall. The ETA is
 	// fabricated: no real time passes in this test.
-	sh, err := campaign.ParseShard(shard)
+	sh, err := campaign.ParseShard(w.Shard)
 	if err != nil {
 		return err
 	}
@@ -389,7 +381,7 @@ func TestPoolStealWinnerCancelsLoser(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    2,
 		Pool:      testPool(hosts, true),
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: root,
 		Progress: func(s Snapshot) {
 			mu.Lock()
@@ -474,7 +466,7 @@ func TestPoolStealEmptyLoserDiscarded(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    2,
 		Pool:      testPool([]Runner{&poolHost{name: "h", inner: worker}}, false),
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: root,
 		Stdout:    &stdout,
 		Stderr:    &log,
@@ -500,7 +492,7 @@ func TestPoolStealEmptyLoserDiscarded(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    2,
 		Pool:      testPool([]Runner{&poolHost{name: "h", inner: worker}}, false),
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: root,
 		Stderr:    &log,
 	})
@@ -553,19 +545,14 @@ type etaThenFinish struct {
 func (w *etaThenFinish) Name() string { return "bait" }
 
 func (w *etaThenFinish) Run(ctx context.Context, argv []string, stdout, stderr io.Writer) error {
-	store, shard := "", "0/1"
-	for i := 0; i < len(argv)-1; i++ {
-		switch argv[i] {
-		case "-store":
-			store = argv[i+1]
-		case "-shard":
-			shard = argv[i+1]
-		}
+	flags, err := parseWorkerArgv(argv)
+	if err != nil {
+		return err
 	}
-	if store != w.baitStore || !w.baited.CompareAndSwap(false, true) {
+	if flags.Store != w.baitStore || !w.baited.CompareAndSwap(false, true) {
 		return w.inner.Run(ctx, argv, stdout, stderr)
 	}
-	sh, err := campaign.ParseShard(shard)
+	sh, err := campaign.ParseShard(flags.Shard)
 	if err != nil {
 		return err
 	}
@@ -602,7 +589,7 @@ func TestPoolCancelledProbeNotQuarantined(t *testing.T) {
 		Argv:      []string{"campaign"},
 		Shards:    1,
 		Pool:      pool,
-		Assembler: worker,
+		assembler: worker,
 		StoreRoot: root,
 		Stderr:    &log,
 	})
@@ -637,9 +624,8 @@ func TestPoolCancelledProbeNotQuarantined(t *testing.T) {
 	}
 }
 
-// TestStoreBaseSuffixes pins the attempt-store naming: letters .b–.z,
-// then an unambiguous numeric .aN form for user-set attempt budgets
-// past 26 (never punctuation).
+// TestStoreBaseSuffixes pins the attempt-store naming: the primary's
+// bare name, then letters for the duplicates maxAttempts allows.
 func TestStoreBaseSuffixes(t *testing.T) {
 	for _, tc := range []struct {
 		attempt int
@@ -648,9 +634,6 @@ func TestStoreBaseSuffixes(t *testing.T) {
 		{0, "shard3"},
 		{1, "shard3.b"},
 		{2, "shard3.c"},
-		{25, "shard3.z"},
-		{26, "shard3.a26"},
-		{40, "shard3.a40"},
 	} {
 		if got := storeBase(3, tc.attempt); got != tc.want {
 			t.Errorf("storeBase(3, %d) = %q, want %q", tc.attempt, got, tc.want)
@@ -706,29 +689,8 @@ func TestPoolExhaustionCarriesHistory(t *testing.T) {
 	}
 }
 
-// TestStaticExhaustionCarriesHistory is the same contract on the
-// static (non-pool) scheduler, which PR-satellite hardening extended
-// with the identical per-attempt history.
-func TestStaticExhaustionCarriesHistory(t *testing.T) {
-	_, err := Run(context.Background(), Options{
-		Argv:      []string{"campaign"},
-		Shards:    1,
-		Runners:   []Runner{brokenWorker{}},
-		StoreRoot: t.TempDir(),
-		Retries:   1,
-	})
-	if err == nil {
-		t.Fatal("sweep succeeded with a permanently broken runner")
-	}
-	for _, wantSub := range []string{"failed after 2 attempt(s)", "attempt history:", "attempt 1 on broken", "attempt 2 on broken"} {
-		if !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("exhaustion error missing %q:\n%v", wantSub, err)
-		}
-	}
-}
-
-// TestPlan pins the dry-run plan's load-bearing lines for both
-// schedulers without touching the filesystem.
+// TestPlan pins the dry-run plan's load-bearing lines, with and
+// without stealing, without touching the filesystem.
 func TestPlan(t *testing.T) {
 	pool := testPool([]Runner{Local{Label: "local0"}, SSH{Host: "hostb"}}, true)
 	got, err := Plan(Options{
@@ -757,17 +719,27 @@ func TestPlan(t *testing.T) {
 		}
 	}
 
-	static, err := Plan(Options{
+	noSteal, err := Plan(Options{
 		Argv:      []string{"c"},
 		Shards:    2,
-		Runners:   []Runner{SSH{Host: "a"}},
+		Pool:      testPool([]Runner{SSH{Host: "a"}}, false),
 		StoreRoot: "/s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(static, "shard 1 -> ssh:a") {
-		t.Errorf("static plan missing round-robin assignment:\n%s", static)
+	for _, wantSub := range []string{
+		"steal off",
+		fmt.Sprintf("shard 0 -> host 0 (ssh:a) · store %s", filepath.Join("/s", "shard0")),
+		"shard 1 -> queued",
+		fmt.Sprintf("assembly (local): c -store %s -progress-json", filepath.Join("/s", "merged")),
+	} {
+		if !strings.Contains(noSteal, wantSub) {
+			t.Errorf("plan missing %q:\n%s", wantSub, noSteal)
+		}
+	}
+	if strings.Contains(noSteal, "steal attempts") {
+		t.Errorf("plan without stealing names steal attempts:\n%s", noSteal)
 	}
 
 	// Plan must refuse what Run refuses.
@@ -775,8 +747,7 @@ func TestPlan(t *testing.T) {
 		Pool: testPool(nil, false)}); err == nil {
 		t.Error("plan accepted a hostless pool")
 	}
-	if _, err := Plan(Options{Argv: []string{"c"}, Shards: 2, StoreRoot: "/s",
-		Pool: testPool([]Runner{Local{}}, false), Runners: []Runner{Local{}}}); err == nil {
-		t.Error("plan accepted Pool alongside Runners")
+	if _, err := Plan(Options{Argv: []string{"c"}, Shards: 2, StoreRoot: "/s"}); err == nil {
+		t.Error("plan accepted options without a pool")
 	}
 }

@@ -23,9 +23,9 @@ type Runner interface {
 	Run(ctx context.Context, argv []string, stdout, stderr io.Writer) error
 }
 
-// Local runs worker commands as subprocesses of this process — the
-// default runner, giving single-machine sweeps N-way parallelism with
-// no setup.
+// Local runs worker commands as subprocesses of this process. The
+// pool pdsweep builds without -hosts is N of them, giving
+// single-machine sweeps N-way parallelism with no setup.
 type Local struct {
 	// Dir is the working directory ("" = inherit).
 	Dir string
