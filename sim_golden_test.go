@@ -18,6 +18,9 @@ package paradet_test
 // checkers, interrupts, the big core, null checkers): cycles, seals,
 // log-full stalls, the whole delay summary and every checker's
 // utilisation, with floats printed so that they round-trip exactly.
+// testdata/figures.golden holds the text of every experiment at 5,000
+// instructions per cell, then the CSV of all of them: every scalar row
+// field, so a figure that maps the wrong field into a row drifts too.
 
 import (
 	"encoding/json"
@@ -30,6 +33,7 @@ import (
 	"testing"
 
 	"paradet"
+	"paradet/internal/experiments"
 	"paradet/internal/obs/telemetry"
 )
 
@@ -201,4 +205,21 @@ func TestConfigMatrixGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "config_matrix.golden", b.String())
+}
+
+func TestFiguresGolden(t *testing.T) {
+	var b strings.Builder
+	var figs []*experiments.Figure
+	for _, name := range experiments.Names() {
+		fig, err := experiments.Generate(name, experiments.Options{MaxInstrs: 5_000})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&b, "%s\n", fig.Text)
+		figs = append(figs, fig)
+	}
+	if err := experiments.WriteCSV(&b, figs); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "figures.golden", b.String())
 }
