@@ -1,15 +1,14 @@
 package paradet_test
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation (one testing.B per artefact; see DESIGN.md §4).
-// Sweep-shaped benchmarks are declared as campaign specs and executed
-// through internal/campaign's parallel sweep engine — the same path
-// internal/experiments and cmd/experiments use — so the harness also
-// exercises the production fan-out machinery. Benchmarks run reduced
-// instruction samples so `go test -bench=.` is minutes, not hours;
-// cmd/experiments runs the full-size sweeps. Figures are reported
-// through b.ReportMetric, so `-benchmem`-style tooling can track the
-// reproduced numbers over time.
+// paper's evaluation. Sweep-shaped benchmarks are declared as campaign
+// specs — the figures' own, from internal/experiments — and executed
+// through internal/campaign's parallel sweep engine, the same path
+// cmd/experiments uses, so the harness also exercises the production
+// fan-out machinery. Benchmarks run reduced instruction samples so
+// `go test -bench=.` is minutes, not hours; cmd/experiments runs the
+// full-size sweeps. Figures are reported through b.ReportMetric, so
+// `-benchmem`-style tooling can track the reproduced numbers over time.
 
 import (
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"paradet"
 	"paradet/internal/bench"
 	"paradet/internal/campaign"
+	"paradet/internal/experiments"
 )
 
 const benchInstrs = 40_000
@@ -101,263 +101,50 @@ func BenchmarkTable2_Workloads(b *testing.B) {
 	}
 }
 
-// BenchmarkFig1d_SchemeComparison regenerates the lockstep / RMT /
-// paradet overhead triangle as one mixed-scheme campaign.
-func BenchmarkFig1d_SchemeComparison(b *testing.B) {
-	cfg := benchConfig()
-	spec := campaign.Spec{
-		Name:      "bench-fig1d",
-		Workloads: []string{"swaptions"},
-		Points: []campaign.Point{
-			{Label: "lockstep", Config: cfg, Scheme: campaign.SchemeLockstep},
-			{Label: "rmt", Config: cfg, Scheme: campaign.SchemeRMT},
-			{Label: "paradet", Config: cfg, Scheme: campaign.SchemeProtected},
-		},
-		WithBaseline: true,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Slowdown, "slowdown/"+r.Point.Label)
-			}
+// BenchmarkFigures regenerates every paper figure at a reduced size:
+// one sub-benchmark per distinct campaign of experiments.SpecNamed, so
+// the grids are the figures' own (fig11 shares fig9's sweep; area is
+// analytic and runs none). Two contrasting workloads — compute-bound
+// bitcount and memory-bound stream — keep the run short; fig1d always
+// compares schemes on its own workload. Each cell reports its slowdown
+// (campaigns with a baseline) and mean detection delay (cells with
+// checkers); fault campaigns report their coverage.
+func BenchmarkFigures(b *testing.B) {
+	o := experiments.Options{MaxInstrs: benchInstrs, Workloads: []string{"bitcount", "stream"}}
+	seen := map[string]bool{}
+	for _, name := range experiments.Names() {
+		spec, err := experiments.SpecNamed(name, o)
+		if err != nil || seen[spec.Name] {
+			continue // analytic, or a campaign another figure already ran
 		}
-	}
-}
-
-// BenchmarkFig7_Slowdown regenerates the per-benchmark slowdown at
-// standard settings (paper: mean 1.75%, max 3.4%), with the shared
-// unprotected baselines memoised by the campaign cache.
-func BenchmarkFig7_Slowdown(b *testing.B) {
-	spec := campaign.Spec{
-		Name:         "bench-fig7",
-		Workloads:    allWorkloads(),
-		Points:       []campaign.Point{benchPoint("tableI", nil)},
-		WithBaseline: true,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			var sum, max float64
-			for j := range out.Results {
-				s := out.Results[j].Slowdown
-				sum += s
-				if s > max {
-					max = s
+		seen[spec.Name] = true
+		b.Run(spec.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out := benchSweep(b, spec)
+				if i > 0 {
+					continue
+				}
+				if spec.Faults != nil {
+					rep, err := experiments.FaultReportFromOutcome(out)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(rep.Coverage, "coverage")
+					continue
+				}
+				for j := range out.Results {
+					r := &out.Results[j]
+					cell := r.Workload + "@" + r.Point.Label
+					if spec.WithBaseline {
+						b.ReportMetric(r.Slowdown, "slowdown/"+cell)
+					}
+					if !r.Config.DisableCheckers { // checkpoint-only cells (fig10) have no delay
+						b.ReportMetric(r.MeanDelayNS(), "meanDelayNs/"+cell)
+					}
 				}
 			}
-			b.ReportMetric(sum/float64(len(out.Results)), "meanSlowdown")
-			b.ReportMetric(max, "maxSlowdown")
-		}
+		})
 	}
-}
-
-// BenchmarkFig8_DelayDistribution regenerates the detection-delay
-// density (paper: mean 770 ns, 99.9% under 5000 ns).
-func BenchmarkFig8_DelayDistribution(b *testing.B) {
-	spec := campaign.Spec{
-		Name:      "bench-fig8",
-		Workloads: []string{"randacc", "stream", "facesim"},
-		Points:    []campaign.Point{benchPoint("tableI", nil)},
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Res.Delay.MeanNS, "meanDelayNs/"+r.Workload)
-				b.ReportMetric(r.Res.Delay.FracBelow5us*100, "pctBelow5us/"+r.Workload)
-			}
-		}
-	}
-}
-
-// BenchmarkFig9_CheckerClock regenerates slowdown vs checker frequency
-// (paper: compute-bound codes degrade sharply below 500 MHz).
-func BenchmarkFig9_CheckerClock(b *testing.B) {
-	var pts []campaign.Point
-	for _, hz := range []uint64{125_000_000, 500_000_000, 2_000_000_000} {
-		hz := hz
-		pts = append(pts, benchPoint(fmt.Sprintf("%dMHz", hz/1_000_000),
-			func(c *paradet.Config) { c.CheckerHz = hz }))
-	}
-	spec := campaign.Spec{
-		Name:         "bench-fig9",
-		Workloads:    []string{"bitcount", "randacc"},
-		Points:       pts,
-		WithBaseline: true,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Slowdown, "slowdown/"+r.Workload+"@"+r.Point.Label)
-			}
-		}
-	}
-}
-
-// BenchmarkFig10_CheckpointOnly regenerates checkpoint-only slowdown
-// across log sizes/timeouts (paper: <=2% at 36 KiB, up to 15% at 3.6 KiB).
-func BenchmarkFig10_CheckpointOnly(b *testing.B) {
-	configs := []struct {
-		label   string
-		bytes   int
-		timeout uint64
-	}{
-		{"3.6KiB-500", 3686, 500},
-		{"36KiB-5000", 36 * 1024, 5000},
-		{"360KiB-inf", 360 * 1024, paradet.NoTimeout},
-	}
-	var pts []campaign.Point
-	for _, c := range configs {
-		c := c
-		pts = append(pts, benchPoint(c.label, func(cfg *paradet.Config) {
-			cfg.LogBytes = c.bytes
-			cfg.TimeoutInstrs = c.timeout
-			cfg.DisableCheckers = true
-		}))
-	}
-	spec := campaign.Spec{
-		Name:         "bench-fig10",
-		Workloads:    []string{"fluidanimate"},
-		Points:       pts,
-		WithBaseline: true,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Slowdown, "slowdown/"+r.Point.Label)
-			}
-		}
-	}
-}
-
-// BenchmarkFig11_DelayVsClock regenerates mean/max delay vs checker
-// frequency (paper: mean halves per clock doubling).
-func BenchmarkFig11_DelayVsClock(b *testing.B) {
-	var pts []campaign.Point
-	for _, hz := range []uint64{250_000_000, 1_000_000_000} {
-		hz := hz
-		pts = append(pts, benchPoint(fmt.Sprintf("%dMHz", hz/1_000_000),
-			func(c *paradet.Config) { c.CheckerHz = hz }))
-	}
-	spec := campaign.Spec{
-		Name:      "bench-fig11",
-		Workloads: []string{"stream"},
-		Points:    pts,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Res.Delay.MeanNS, "meanDelayNs/"+r.Point.Label)
-				b.ReportMetric(r.Res.Delay.MaxNS, "maxDelayNs/"+r.Point.Label)
-			}
-		}
-	}
-}
-
-// BenchmarkFig12_DelayVsLogSize regenerates mean/max delay vs log size
-// and timeout (paper: mean scales linearly with log size).
-func BenchmarkFig12_DelayVsLogSize(b *testing.B) {
-	configs := []struct {
-		label   string
-		bytes   int
-		timeout uint64
-	}{
-		{"3.6KiB-500", 3686, 500},
-		{"36KiB-5000", 36 * 1024, 5000},
-		{"360KiB-50000", 360 * 1024, 50000},
-	}
-	var pts []campaign.Point
-	for _, c := range configs {
-		c := c
-		pts = append(pts, benchPoint(c.label, func(cfg *paradet.Config) {
-			cfg.LogBytes = c.bytes
-			cfg.TimeoutInstrs = c.timeout
-		}))
-	}
-	spec := campaign.Spec{
-		Name:      "bench-fig12",
-		Workloads: []string{"freqmine"},
-		Points:    pts,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Res.Delay.MeanNS, "meanDelayNs/"+r.Point.Label)
-				b.ReportMetric(r.Res.Delay.MaxNS, "maxDelayNs/"+r.Point.Label)
-			}
-		}
-	}
-}
-
-// BenchmarkFig13_CoreScaling regenerates slowdown vs checker core count
-// (paper: N cores @ M MHz ~ 2N @ M/2).
-func BenchmarkFig13_CoreScaling(b *testing.B) {
-	configs := []struct {
-		label    string
-		checkers int
-		hz       uint64
-	}{
-		{"3c-1GHz", 3, 1_000_000_000},
-		{"6c-1GHz", 6, 1_000_000_000},
-		{"12c-500MHz", 12, 500_000_000},
-		{"12c-1GHz", 12, 1_000_000_000},
-	}
-	var pts []campaign.Point
-	for _, c := range configs {
-		c := c
-		pts = append(pts, benchPoint(c.label, func(cfg *paradet.Config) {
-			cfg.NumCheckers = c.checkers
-			cfg.CheckerHz = c.hz
-			cfg.LogBytes = c.checkers * 3 * 1024
-		}))
-	}
-	spec := campaign.Spec{
-		Name:         "bench-fig13",
-		Workloads:    []string{"swaptions"},
-		Points:       pts,
-		WithBaseline: true,
-	}
-	for i := 0; i < b.N; i++ {
-		out := benchSweep(b, spec)
-		if i == 0 {
-			for j := range out.Results {
-				r := &out.Results[j]
-				b.ReportMetric(r.Slowdown, "slowdown/"+r.Point.Label)
-			}
-		}
-	}
-}
-
-// BenchmarkSec6B_Area and BenchmarkSec6C_Power regenerate the analytic
-// overhead numbers (paper: ~24% area, ~16% with L2, ~16% power).
-func BenchmarkSec6B_Area(b *testing.B) {
-	cfg := paradet.DefaultConfig()
-	var r paradet.AreaPowerReport
-	for i := 0; i < b.N; i++ {
-		r = paradet.AreaPower(cfg)
-	}
-	b.ReportMetric(r.AreaOverhead*100, "areaPct")
-	b.ReportMetric(r.AreaOverheadWithL2*100, "areaPctWithL2")
-}
-
-func BenchmarkSec6C_Power(b *testing.B) {
-	cfg := paradet.DefaultConfig()
-	var r paradet.AreaPowerReport
-	for i := 0; i < b.N; i++ {
-		r = paradet.AreaPower(cfg)
-	}
-	b.ReportMetric(r.PowerOverhead*100, "powerPct")
 }
 
 // benchFaultKernel mirrors the store-chain kernel of the fault tests:
@@ -438,7 +225,7 @@ func BenchmarkCampaignScaling(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design-choice sensitivity, DESIGN.md §4) ----
+// ---- Ablations (design-choice sensitivity) ----
 
 // BenchmarkAblation_CheckpointCost sweeps the register-checkpoint commit
 // pause, the design parameter behind the paper's 16-cycle assumption.

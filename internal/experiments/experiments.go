@@ -1,16 +1,20 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§VI). Each FigNN function declares its sweep as a
-// campaign spec — workloads × config points × scheme — and executes it
-// through internal/campaign's parallel sweep engine, which fans runs
-// across a worker pool and memoises the unprotected baselines. Render
-// helpers print the rows as text tables. The cmd/experiments binary and
-// the repository's bench harness are thin wrappers over this package.
+// evaluation (§VI). One table lists the experiments: each entry names
+// an experiment, builds its sweep as a campaign spec — workloads ×
+// config points × scheme — and turns the campaign's outcome into rows
+// and a text rendering. Generate executes a spec through
+// internal/campaign's parallel sweep engine, which fans runs across a
+// worker pool and memoises the unprotected baselines; SpecNamed hands
+// the same spec to consumers that resolve cells themselves (the serving
+// layer, the root figure benchmarks), so no two of them can disagree
+// about a grid. The cmd/experiments binary is a thin wrapper over this
+// package.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"paradet"
@@ -77,52 +81,6 @@ func (o Options) spec(name string, points []campaign.Point, withBaseline bool) c
 	}
 }
 
-// sweep executes a spec through the store-aware engine and surfaces
-// the first per-run failure, keeping the historical "figN workload:
-// cause" error shape. Cells another shard owns are dropped: they carry
-// no payload, and figure rows must only reflect cells this execution
-// actually produced.
-func (o Options) sweep(spec campaign.Spec) ([]campaign.Run, error) {
-	out, err := o.execute(spec)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]campaign.Run, 0, len(out.Results))
-	for i := range out.Results {
-		r := &out.Results[i]
-		if r.Skipped {
-			continue
-		}
-		if r.Err != nil {
-			return nil, fmt.Errorf("%s %s %s: %w", spec.Name, r.Workload, r.Point.Label, r.Err)
-		}
-		runs = append(runs, *r)
-	}
-	return runs, nil
-}
-
-// execute runs one spec, threading the options' context, store and
-// progress callback, and accumulating stats.
-func (o Options) execute(spec campaign.Spec) (*campaign.Outcome, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out, err := campaign.ExecuteContext(ctx, spec, o.Sim, campaign.Options{
-		Store:     o.Store,
-		Progress:  o.Progress,
-		Shard:     o.Shard,
-		Telemetry: o.Telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if o.Stats != nil {
-		o.Stats.Add(out.Stats)
-	}
-	return out, nil
-}
-
 // point wraps a config tweak into a single campaign point.
 func point(label string, mutate func(*paradet.Config)) campaign.Point {
 	cfg := paradet.DefaultConfig()
@@ -130,6 +88,68 @@ func point(label string, mutate func(*paradet.Config)) campaign.Point {
 		mutate(&cfg)
 	}
 	return campaign.Point{Label: label, Config: cfg}
+}
+
+// tableI is the single point at the paper's Table I defaults.
+func tableI() []campaign.Point { return []campaign.Point{point("tableI", nil)} }
+
+// perRun builds a figure from one row per run and a rendering of those
+// rows. Cells another shard owns are dropped: they carry no payload,
+// and figure rows must only reflect cells this execution actually
+// produced. The first failed cell fails the figure with the historical
+// "figN workload point: cause" error shape.
+func perRun[R any](row func(*campaign.Run) R, text func([]R) string) func(*campaign.Outcome) (any, string, error) {
+	return func(out *campaign.Outcome) (any, string, error) {
+		rows := make([]R, 0, len(out.Results))
+		for i := range out.Results {
+			r := &out.Results[i]
+			if r.Skipped {
+				continue
+			}
+			if r.Err != nil {
+				return nil, "", fmt.Errorf("%s %s %s: %w", out.Spec.Name, r.Workload, r.Point.Label, r.Err)
+			}
+			rows = append(rows, row(r))
+		}
+		return rows, text(rows), nil
+	}
+}
+
+// pivot renders rows as a workload × column table under title: one line
+// per workload, in the order the rows first name it, and one cell per
+// column, w characters wide with prec decimals. cols fixes the columns;
+// nil takes them in the order the rows first name them. A cell no row
+// fills (another shard owns it) prints as zero.
+func pivot[R any](title string, rows []R, cols []string, w, prec int, cell func(R) (workload, col string, v float64)) string {
+	fixed := cols != nil
+	byWl := map[string]map[string]float64{}
+	var names []string
+	for _, r := range rows {
+		wl, col, v := cell(r)
+		if !fixed && !slices.Contains(cols, col) {
+			cols = append(cols, col)
+		}
+		if byWl[wl] == nil {
+			byWl[wl] = map[string]float64{}
+			names = append(names, wl)
+		}
+		byWl[wl][col] = v
+	}
+	var b strings.Builder
+	b.WriteString(title + "\n")
+	fmt.Fprintf(&b, "  %-14s", "workload")
+	for _, c := range cols {
+		fmt.Fprintf(&b, "%*s", w, c)
+	}
+	b.WriteString("\n")
+	for _, name := range names {
+		fmt.Fprintf(&b, "  %-14s", name)
+		for _, c := range cols {
+			fmt.Fprintf(&b, "%*.*f", w, prec, byWl[name][c])
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // ---- Fig. 7: normalised slowdown at default settings ----
@@ -140,22 +160,12 @@ type Fig7Row struct {
 	Slowdown float64
 }
 
-// Fig7 reproduces "Normalised slowdown for each benchmark, at standard
-// settings". Paper result: mean 1.75%, max 3.4%.
-func Fig7(o Options) ([]Fig7Row, error) {
-	runs, err := o.sweep(o.spec("fig7", []campaign.Point{point("tableI", nil)}, true))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig7Row, 0, len(runs))
-	for i := range runs {
-		rows = append(rows, Fig7Row{Workload: runs[i].Workload, Slowdown: runs[i].Slowdown})
-	}
-	return rows, nil
-}
-
-// RenderFig7 prints the figure as a table plus the headline statistics.
-func RenderFig7(rows []Fig7Row) string {
+// fig7 reproduces "Normalised slowdown for each benchmark, at standard
+// settings". Paper result: mean 1.75%, max 3.4%. The table prints the
+// slowdowns plus the headline statistics.
+var fig7 = perRun(func(r *campaign.Run) Fig7Row {
+	return Fig7Row{Workload: r.Workload, Slowdown: r.Slowdown}
+}, func(rows []Fig7Row) string {
 	var b strings.Builder
 	b.WriteString("Fig. 7: normalised slowdown at standard settings (Table I)\n")
 	b.WriteString("paper: mean 1.0175, max 1.034\n\n")
@@ -171,7 +181,7 @@ func RenderFig7(rows []Fig7Row) string {
 		fmt.Fprintf(&b, "  %-14s %.4f (max %.4f)\n", "MEAN", sum/float64(len(rows)), max)
 	}
 	return b.String()
-}
+})
 
 // ---- Fig. 8: detection-delay density ----
 
@@ -184,30 +194,19 @@ type Fig8Row struct {
 	Density      []paradet.DensityPoint
 }
 
-// Fig8 reproduces the "distribution of error detection delays" density
-// plot. Paper: near-normal distributions, mean across benchmarks 770 ns,
-// 99.9% of loads and stores within 5000 ns, max ~21.5 us average.
-func Fig8(o Options) ([]Fig8Row, error) {
-	runs, err := o.sweep(o.spec("fig8", []campaign.Point{point("tableI", nil)}, false))
-	if err != nil {
-		return nil, err
+// fig8 reproduces the "distribution of error detection delays" density
+// plot as per-benchmark delay summaries. Paper: near-normal
+// distributions, mean across benchmarks 770 ns, 99.9% of loads and
+// stores within 5000 ns, max ~21.5 us average.
+var fig8 = perRun(func(r *campaign.Run) Fig8Row {
+	return Fig8Row{
+		Workload:     r.Workload,
+		MeanNS:       r.Res.Delay.MeanNS,
+		MaxNS:        r.Res.Delay.MaxNS,
+		FracBelow5us: r.Res.Delay.FracBelow5us,
+		Density:      r.Res.DelayDensity,
 	}
-	rows := make([]Fig8Row, 0, len(runs))
-	for i := range runs {
-		res := runs[i].Res
-		rows = append(rows, Fig8Row{
-			Workload:     runs[i].Workload,
-			MeanNS:       res.Delay.MeanNS,
-			MaxNS:        res.Delay.MaxNS,
-			FracBelow5us: res.Delay.FracBelow5us,
-			Density:      res.DelayDensity,
-		})
-	}
-	return rows, nil
-}
-
-// RenderFig8 prints per-benchmark delay summaries.
-func RenderFig8(rows []Fig8Row) string {
+}, func(rows []Fig8Row) string {
 	var b strings.Builder
 	b.WriteString("Fig. 8: detection delay distribution at standard settings\n")
 	b.WriteString("paper: mean 770 ns across benchmarks; >=99.9% within 5000 ns\n\n")
@@ -222,7 +221,7 @@ func RenderFig8(rows []Fig8Row) string {
 		fmt.Fprintf(&b, "  %-14s %10.0f\n", "MEAN", meanSum/float64(len(rows)))
 	}
 	return b.String()
-}
+})
 
 // ---- Fig. 9 / Fig. 11: checker-frequency sweeps ----
 
@@ -240,82 +239,40 @@ type FreqRow struct {
 	MaxNS    float64
 }
 
-// freqPoints builds one campaign point per swept checker clock.
-func freqPoints() []campaign.Point {
-	pts := make([]campaign.Point, 0, len(CheckerFreqsHz))
-	for _, hz := range CheckerFreqsHz {
-		hz := hz
-		pts = append(pts, point(freqLabel(hz), func(c *paradet.Config) { c.CheckerHz = hz }))
-	}
-	return pts
-}
-
-// Fig9And11 sweeps checker frequency, producing both Fig. 9 (slowdown)
-// and Fig. 11 (mean and max detection delay) in one pass.
+// freqSpec sweeps checker frequency once for both Fig. 9 (slowdown) and
+// Fig. 11 (mean and max detection delay), so the campaign is named
+// fig9 whichever figure runs it.
 // Paper: memory-bound benchmarks tolerate low clocks; compute-bound ones
 // degrade sharply below 500 MHz; mean delay halves per clock doubling
 // until the segment-fill time dominates.
-func Fig9And11(o Options) ([]FreqRow, error) {
-	runs, err := o.sweep(o.spec("fig9", freqPoints(), true))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FreqRow, 0, len(runs))
-	for i := range runs {
-		r := &runs[i]
-		rows = append(rows, FreqRow{
-			Workload: r.Workload,
-			FreqHz:   r.Config.CheckerHz,
-			Slowdown: r.Slowdown,
-			MeanNS:   r.Res.Delay.MeanNS,
-			MaxNS:    r.Res.Delay.MaxNS,
-		})
-	}
-	return rows, nil
-}
-
-// RenderFig9 prints the slowdown-vs-frequency table.
-func RenderFig9(rows []FreqRow) string {
-	return renderFreqTable(rows, "Fig. 9: slowdown vs checker clock\n"+
-		"paper: compute-bound benchmarks degrade sharply below 500 MHz\n",
-		func(r FreqRow) float64 { return r.Slowdown }, "%8.3f")
-}
-
-// RenderFig11 prints the delay-vs-frequency tables (mean and max).
-func RenderFig11(rows []FreqRow) string {
-	out := renderFreqTable(rows, "Fig. 11(a): mean detection delay (ns) vs checker clock\n"+
-		"paper: doubling the clock roughly halves the mean delay\n",
-		func(r FreqRow) float64 { return r.MeanNS }, "%8.0f")
-	out += "\n" + renderFreqTable(rows, "Fig. 11(b): max detection delay (ns) vs checker clock\n",
-		func(r FreqRow) float64 { return r.MaxNS }, "%8.0f")
-	return out
-}
-
-func renderFreqTable(rows []FreqRow, title string, val func(FreqRow) float64, cellFmt string) string {
-	byWl := map[string]map[uint64]float64{}
-	var names []string
-	for _, r := range rows {
-		if byWl[r.Workload] == nil {
-			byWl[r.Workload] = map[uint64]float64{}
-			names = append(names, r.Workload)
-		}
-		byWl[r.Workload][r.FreqHz] = val(r)
-	}
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "  %-14s", "workload")
+func freqSpec(o Options) campaign.Spec {
+	pts := make([]campaign.Point, 0, len(CheckerFreqsHz))
 	for _, hz := range CheckerFreqsHz {
-		fmt.Fprintf(&b, "%8s", freqLabel(hz))
+		pts = append(pts, point(freqLabel(hz), func(c *paradet.Config) { c.CheckerHz = hz }))
 	}
-	b.WriteString("\n")
-	for _, name := range names {
-		fmt.Fprintf(&b, "  %-14s", name)
-		for _, hz := range CheckerFreqsHz {
-			fmt.Fprintf(&b, cellFmt, byWl[name][hz])
-		}
-		b.WriteString("\n")
+	return o.spec("fig9", pts, true)
+}
+
+func freqRow(r *campaign.Run) FreqRow {
+	return FreqRow{
+		Workload: r.Workload,
+		FreqHz:   r.Config.CheckerHz,
+		Slowdown: r.Slowdown,
+		MeanNS:   r.Res.Delay.MeanNS,
+		MaxNS:    r.Res.Delay.MaxNS,
 	}
-	return b.String()
+}
+
+// freqTable prints one value of each (workload, frequency) sample
+// against the swept clocks.
+func freqTable(title string, rows []FreqRow, prec int, val func(FreqRow) float64) string {
+	cols := make([]string, 0, len(CheckerFreqsHz))
+	for _, hz := range CheckerFreqsHz {
+		cols = append(cols, freqLabel(hz))
+	}
+	return pivot(title, rows, cols, 8, prec, func(r FreqRow) (string, string, float64) {
+		return r.Workload, freqLabel(r.FreqHz), val(r)
+	})
 }
 
 func freqLabel(hz uint64) string {
@@ -324,6 +281,22 @@ func freqLabel(hz uint64) string {
 	}
 	return fmt.Sprintf("%dMHz", hz/1_000_000)
 }
+
+// fig9 prints the slowdown-vs-frequency table.
+var fig9 = perRun(freqRow, func(rows []FreqRow) string {
+	return freqTable("Fig. 9: slowdown vs checker clock\n"+
+		"paper: compute-bound benchmarks degrade sharply below 500 MHz\n",
+		rows, 3, func(r FreqRow) float64 { return r.Slowdown })
+})
+
+// fig11 prints the delay-vs-frequency tables (mean and max).
+var fig11 = perRun(freqRow, func(rows []FreqRow) string {
+	return freqTable("Fig. 11(a): mean detection delay (ns) vs checker clock\n"+
+		"paper: doubling the clock roughly halves the mean delay\n",
+		rows, 0, func(r FreqRow) float64 { return r.MeanNS }) + "\n" +
+		freqTable("Fig. 11(b): max detection delay (ns) vs checker clock\n",
+			rows, 0, func(r FreqRow) float64 { return r.MaxNS })
+})
 
 // ---- Fig. 10 / Fig. 12: log-size and timeout sweeps ----
 
@@ -349,7 +322,6 @@ var LogConfigs = []LogConfig{
 func logPoints(configs []LogConfig, disableCheckers bool) []campaign.Point {
 	pts := make([]campaign.Point, 0, len(configs))
 	for _, lc := range configs {
-		lc := lc
 		pts = append(pts, point(lc.Label, func(c *paradet.Config) {
 			c.LogBytes = lc.LogBytes
 			c.TimeoutInstrs = lc.Timeout
@@ -368,78 +340,50 @@ type LogRow struct {
 	MaxNS    float64
 }
 
-// Fig10 reproduces "slowdown to the system from just checkpointing,
-// without any checker core execution" across log sizes and timeouts.
-// Paper: <=2% at the default 36 KiB, up to 15% at 3.6 KiB/500.
-func Fig10(o Options) ([]LogRow, error) {
-	// Fig. 10 uses the first four log configurations.
-	runs, err := o.sweep(o.spec("fig10", logPoints(LogConfigs[:4], true), true))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LogRow, 0, len(runs))
-	for i := range runs {
-		rows = append(rows, LogRow{
-			Workload: runs[i].Workload, Config: runs[i].Point.Label,
-			Slowdown: runs[i].Slowdown,
-		})
-	}
-	return rows, nil
+// logTable prints one value of each (workload, log config) sample.
+func logTable(title string, rows []LogRow, prec int, val func(LogRow) float64) string {
+	return pivot(title, rows, nil, 14, prec, func(r LogRow) (string, string, float64) {
+		return r.Workload, r.Config, val(r)
+	})
 }
 
-// Fig12 reproduces mean/max detection delay across log sizes and
+// fig10Spec reproduces "slowdown to the system from just checkpointing,
+// without any checker core execution" across log sizes and timeouts.
+// Paper: <=2% at the default 36 KiB, up to 15% at 3.6 KiB/500.
+// Fig. 10 uses the first four log configurations.
+func fig10Spec(o Options) campaign.Spec {
+	return o.spec("fig10", logPoints(LogConfigs[:4], true), true)
+}
+
+var fig10 = perRun(func(r *campaign.Run) LogRow {
+	return LogRow{Workload: r.Workload, Config: r.Point.Label, Slowdown: r.Slowdown}
+}, func(rows []LogRow) string {
+	return logTable("Fig. 10: checkpoint-only slowdown vs log size/timeout\n"+
+		"paper: <=2% at 36KiB default, up to 15% at 3.6KiB/500",
+		rows, 3, func(r LogRow) float64 { return r.Slowdown })
+})
+
+// fig12Spec reproduces mean/max detection delay across log sizes and
 // timeouts at the default checker clock.
 // Paper: mean delay scales linearly with log size; without a timeout,
 // sparse-memory code (bitcount) suffers huge maxima (250x reduction from
 // a 50k timeout).
-func Fig12(o Options) ([]LogRow, error) {
-	runs, err := o.sweep(o.spec("fig12", logPoints(LogConfigs, false), false))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LogRow, 0, len(runs))
-	for i := range runs {
-		rows = append(rows, LogRow{
-			Workload: runs[i].Workload, Config: runs[i].Point.Label,
-			MeanNS: runs[i].Res.Delay.MeanNS, MaxNS: runs[i].Res.Delay.MaxNS,
-		})
-	}
-	return rows, nil
+func fig12Spec(o Options) campaign.Spec {
+	return o.spec("fig12", logPoints(LogConfigs, false), false)
 }
 
-// RenderLogRows prints a log-config sweep as a table.
-func RenderLogRows(rows []LogRow, title string, val func(LogRow) float64, cellFmt string) string {
-	configs := []string{}
-	seen := map[string]bool{}
-	byWl := map[string]map[string]float64{}
-	var names []string
-	for _, r := range rows {
-		if !seen[r.Config] {
-			seen[r.Config] = true
-			configs = append(configs, r.Config)
-		}
-		if byWl[r.Workload] == nil {
-			byWl[r.Workload] = map[string]float64{}
-			names = append(names, r.Workload)
-		}
-		byWl[r.Workload][r.Config] = val(r)
+var fig12 = perRun(func(r *campaign.Run) LogRow {
+	return LogRow{
+		Workload: r.Workload, Config: r.Point.Label,
+		MeanNS: r.Res.Delay.MeanNS, MaxNS: r.Res.Delay.MaxNS,
 	}
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "  %-14s", "workload")
-	for _, c := range configs {
-		fmt.Fprintf(&b, "%14s", c)
-	}
-	b.WriteString("\n")
-	for _, name := range names {
-		fmt.Fprintf(&b, "  %-14s", name)
-		for _, c := range configs {
-			fmt.Fprintf(&b, cellFmt, byWl[name][c])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
+}, func(rows []LogRow) string {
+	return logTable("Fig. 12(a): mean detection delay (ns) vs log size/timeout\n"+
+		"paper: mean scales ~linearly with log size",
+		rows, 0, func(r LogRow) float64 { return r.MeanNS }) + "\n" +
+		logTable("Fig. 12(b): max detection delay (ns) vs log size/timeout",
+			rows, 0, func(r LogRow) float64 { return r.MaxNS })
+})
 
 // ---- Fig. 13: core-count scaling ----
 
@@ -460,38 +404,22 @@ var CoreConfigs = []CoreConfig{
 	{"12c@1GHz", 12, 1_000_000_000},
 }
 
-// corePoints builds the Fig. 13 campaign points from CoreConfigs.
-func corePoints() []campaign.Point {
+// fig13Spec reproduces "slowdown with varying core counts at 1GHz,
+// compared with values for 12 cores at varying frequencies". The
+// per-core log share is held at 3 KiB, as in the paper (total log
+// scales with cores).
+// Paper: N cores at M MHz ≈ 2N cores at M/2; more slower cores win
+// slightly because only n-1 checkers are ever active (§VI-A).
+func fig13Spec(o Options) campaign.Spec {
 	pts := make([]campaign.Point, 0, len(CoreConfigs))
 	for _, cc := range CoreConfigs {
-		cc := cc
 		pts = append(pts, point(cc.Label, func(c *paradet.Config) {
 			c.NumCheckers = cc.Checkers
 			c.CheckerHz = cc.FreqHz
 			c.LogBytes = cc.Checkers * 3 * 1024
 		}))
 	}
-	return pts
-}
-
-// Fig13 reproduces "slowdown with varying core counts at 1GHz, compared
-// with values for 12 cores at varying frequencies". The per-core log
-// share is held at 3 KiB, as in the paper (total log scales with cores).
-// Paper: N cores at M MHz ≈ 2N cores at M/2; more slower cores win
-// slightly because only n-1 checkers are ever active (§VI-A).
-func Fig13(o Options) ([]CoreRow, error) {
-	runs, err := o.sweep(o.spec("fig13", corePoints(), true))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]CoreRow, 0, len(runs))
-	for i := range runs {
-		rows = append(rows, CoreRow{
-			Workload: runs[i].Workload, Config: runs[i].Point.Label,
-			Slowdown: runs[i].Slowdown,
-		})
-	}
-	return rows, nil
+	return o.spec("fig13", pts, true)
 }
 
 // CoreRow is one (workload, core config) sample.
@@ -501,40 +429,15 @@ type CoreRow struct {
 	Slowdown float64
 }
 
-// RenderFig13 prints the core-count sweep.
-func RenderFig13(rows []CoreRow) string {
-	var configs []string
-	seen := map[string]bool{}
-	byWl := map[string]map[string]float64{}
-	var names []string
-	for _, r := range rows {
-		if !seen[r.Config] {
-			seen[r.Config] = true
-			configs = append(configs, r.Config)
-		}
-		if byWl[r.Workload] == nil {
-			byWl[r.Workload] = map[string]float64{}
-			names = append(names, r.Workload)
-		}
-		byWl[r.Workload][r.Config] = r.Slowdown
-	}
-	var b strings.Builder
-	b.WriteString("Fig. 13: slowdown vs checker core count and clock\n")
-	b.WriteString("paper: N cores @ M MHz ~ 2N cores @ M/2 MHz\n\n")
-	fmt.Fprintf(&b, "  %-14s", "workload")
-	for _, c := range configs {
-		fmt.Fprintf(&b, "%12s", c)
-	}
-	b.WriteString("\n")
-	for _, name := range names {
-		fmt.Fprintf(&b, "  %-14s", name)
-		for _, c := range configs {
-			fmt.Fprintf(&b, "%12.3f", byWl[name][c])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
+var fig13 = perRun(func(r *campaign.Run) CoreRow {
+	return CoreRow{Workload: r.Workload, Config: r.Point.Label, Slowdown: r.Slowdown}
+}, func(rows []CoreRow) string {
+	return pivot("Fig. 13: slowdown vs checker core count and clock\n"+
+		"paper: N cores @ M MHz ~ 2N cores @ M/2 MHz\n",
+		rows, nil, 12, 3, func(r CoreRow) (string, string, float64) {
+			return r.Workload, r.Config, r.Slowdown
+		})
+})
 
 // ---- Fig. 1(d) / §VI-B / §VI-C: scheme comparison ----
 
@@ -547,13 +450,18 @@ type SchemeRow struct {
 	MeanDelayNS   float64
 }
 
-// fig1dSpec is the one-workload campaign whose points differ by
-// scheme; the default config is shared so only the scheme varies.
-func fig1dSpec(o Options, workload string) campaign.Spec {
+// fig1dWorkload is the one representative workload of Fig. 1(d).
+const fig1dWorkload = "swaptions"
+
+// fig1dSpec reproduces the overhead-comparison table with measured
+// performance on one representative workload: a single campaign whose
+// points differ by scheme; the default config is shared so only the
+// scheme varies.
+func fig1dSpec(o Options) campaign.Spec {
 	cfg := paradet.DefaultConfig()
 	return campaign.Spec{
 		Name:      "fig1d",
-		Workloads: []string{workload},
+		Workloads: []string{fig1dWorkload},
 		Points: []campaign.Point{
 			{Label: "lockstep", Config: cfg, Scheme: campaign.SchemeLockstep},
 			{Label: "rmt", Config: cfg, Scheme: campaign.SchemeRMT},
@@ -565,43 +473,26 @@ func fig1dSpec(o Options, workload string) campaign.Spec {
 	}
 }
 
-// Fig1d reproduces the overhead-comparison table with measured
-// performance and the analytic area/power model, on one representative
-// workload: a single campaign whose points differ by scheme. Paper:
-// lockstep = large area+energy; RMT = large energy + performance;
-// desired (this scheme) = small everything.
-func Fig1d(o Options, workload string) ([]SchemeRow, error) {
-	runs, err := o.sweep(fig1dSpec(o, workload))
-	if err != nil {
-		return nil, err
-	}
-
+// fig1d adds the analytic area/power model to each scheme's measured
+// performance. Paper: lockstep = large area+energy; RMT = large energy
+// + performance; desired (this scheme) = small everything.
+var fig1d = perRun(func(r *campaign.Run) SchemeRow {
 	cfg := paradet.DefaultConfig()
-	ap := paradet.AreaPower(cfg)
-	apLS := paradet.AreaPowerLockstep(cfg)
-	apRMT := paradet.AreaPowerRMT(cfg, 2.0)
-	area := map[string]paradet.AreaPowerReport{
-		"lockstep": apLS, "rmt": apRMT, "paradet": ap,
+	ap := map[string]paradet.AreaPowerReport{
+		"lockstep": paradet.AreaPowerLockstep(cfg),
+		"rmt":      paradet.AreaPowerRMT(cfg, 2.0),
+		"paradet":  paradet.AreaPower(cfg),
+	}[r.Point.Label]
+	return SchemeRow{
+		Scheme:        r.Point.Label,
+		Slowdown:      r.Slowdown,
+		AreaOverhead:  ap.AreaOverhead,
+		PowerOverhead: ap.PowerOverhead,
+		MeanDelayNS:   r.MeanDelayNS(),
 	}
-
-	rows := make([]SchemeRow, 0, len(runs))
-	for i := range runs {
-		r := &runs[i]
-		rows = append(rows, SchemeRow{
-			Scheme:        r.Point.Label,
-			Slowdown:      r.Slowdown,
-			AreaOverhead:  area[r.Point.Label].AreaOverhead,
-			PowerOverhead: area[r.Point.Label].PowerOverhead,
-			MeanDelayNS:   r.MeanDelayNS(),
-		})
-	}
-	return rows, nil
-}
-
-// RenderFig1d prints the scheme comparison.
-func RenderFig1d(rows []SchemeRow, workload string) string {
+}, func(rows []SchemeRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 1(d): scheme comparison on %q\n", workload)
+	fmt.Fprintf(&b, "Fig. 1(d): scheme comparison on %q\n", fig1dWorkload)
 	b.WriteString("paper: lockstep large area+energy; RMT large energy+perf; desired small all\n\n")
 	fmt.Fprintf(&b, "  %-10s %10s %8s %8s %12s\n", "scheme", "slowdown", "area", "power", "delay ns")
 	for _, r := range rows {
@@ -609,11 +500,11 @@ func RenderFig1d(rows []SchemeRow, workload string) string {
 			r.Scheme, r.Slowdown, r.AreaOverhead*100, r.PowerOverhead*100, r.MeanDelayNS)
 	}
 	return b.String()
-}
+})
 
-// RenderAreaPower prints the §VI-B/§VI-C analytic reports.
-func RenderAreaPower(cfg paradet.Config) string {
-	ap := paradet.AreaPower(cfg)
+// area prints the §VI-B/§VI-C analytic reports; it runs no campaign.
+func area(*campaign.Outcome) (any, string, error) {
+	ap := paradet.AreaPower(paradet.DefaultConfig())
 	var b strings.Builder
 	b.WriteString("§VI-B area / §VI-C power overheads (analytic, paper's method)\n")
 	b.WriteString("paper: ~24% area (16% with L2 in base), ~16% power\n\n")
@@ -621,7 +512,7 @@ func RenderAreaPower(cfg paradet.Config) string {
 		ap.AddedAreaMM2, ap.AreaOverhead*100, ap.AreaOverheadWithL2*100)
 	fmt.Fprintf(&b, "  added power: %.0f mW -> %.1f%% of main core\n",
 		ap.AddedPowerMW, ap.PowerOverhead*100)
-	return b.String()
+	return ap, b.String(), nil
 }
 
 // Sec6DRow compares the Table I core against the aggressive §VI-D core.
@@ -633,10 +524,17 @@ type Sec6DRow struct {
 	CheckerCores int
 }
 
-// sec6dPoints are the §VI-D campaign points: the Table I core against
-// the aggressive big core with a linearly scaled checker pool.
-func sec6dPoints() []campaign.Point {
-	return []campaign.Point{
+// sec6dSpec reproduces §VI-D's "bigger cores" argument: a 6-wide 4 GHz
+// main core gains sublinear single-thread performance, so a linearly
+// scaled checker pool (18 cores here) still contains the slowdown while
+// its relative area/power overhead versus the (much larger) big core
+// falls. The points are the Table I core against the aggressive big
+// core with the scaled checker pool.
+func sec6dSpec(o Options) campaign.Spec {
+	if len(o.Workloads) == 0 {
+		o.Workloads = []string{"bitcount", "stream", "bodytrack"}
+	}
+	return o.spec("sec6d", []campaign.Point{
 		point("tableI-3w-3.2GHz", nil),
 		point("big-6w-4GHz", func(c *paradet.Config) {
 			c.BigCore = true
@@ -644,34 +542,19 @@ func sec6dPoints() []campaign.Point {
 			c.LogBytes = 18 * 3 * 1024
 			c.CheckerHz = 1_250_000_000
 		}),
-	}
+	}, true)
 }
 
-// Sec6D reproduces §VI-D's "bigger cores" argument: a 6-wide 4 GHz main
-// core gains sublinear single-thread performance, so a linearly scaled
-// checker pool (18 cores here) still contains the slowdown while its
-// relative area/power overhead versus the (much larger) big core falls.
-func Sec6D(o Options) ([]Sec6DRow, error) {
-	runs, err := o.sweep(o.spec("sec6d", sec6dPoints(), true))
-	if err != nil {
-		return nil, err
+// sec6d prints the big-core comparison.
+var sec6d = perRun(func(r *campaign.Run) Sec6DRow {
+	return Sec6DRow{
+		Workload:     r.Workload,
+		Core:         r.Point.Label,
+		BaseIPS:      float64(r.Baseline.Instructions) / r.Baseline.TimeNS,
+		Slowdown:     r.Slowdown,
+		CheckerCores: r.Config.NumCheckers,
 	}
-	rows := make([]Sec6DRow, 0, len(runs))
-	for i := range runs {
-		r := &runs[i]
-		rows = append(rows, Sec6DRow{
-			Workload:     r.Workload,
-			Core:         r.Point.Label,
-			BaseIPS:      float64(r.Baseline.Instructions) / r.Baseline.TimeNS,
-			Slowdown:     r.Slowdown,
-			CheckerCores: r.Config.NumCheckers,
-		})
-	}
-	return rows, nil
-}
-
-// RenderSec6D prints the big-core comparison.
-func RenderSec6D(rows []Sec6DRow) string {
+}, func(rows []Sec6DRow) string {
 	var b strings.Builder
 	b.WriteString("§VI-D: bigger main cores (sublinear speedup, linear checker scaling)\n")
 	b.WriteString("paper: relative overheads diminish on more aggressive cores\n\n")
@@ -682,7 +565,7 @@ func RenderSec6D(rows []Sec6DRow) string {
 			r.Workload, r.Core, r.BaseIPS, r.Slowdown, r.CheckerCores)
 	}
 	return b.String()
-}
+})
 
 // ---- Fault-injection coverage campaign ----
 
@@ -795,29 +678,28 @@ func DefaultFaultGrid() campaign.FaultGrid {
 	}
 }
 
-// faultcovSpec is the fault-injection campaign: one Table I point per
-// workload crossed with every fault in the grid.
-func faultcovSpec(o Options, grid campaign.FaultGrid) campaign.Spec {
-	return campaign.Spec{
-		Name:      "faultcov",
-		Workloads: o.workloads(),
-		Points:    []campaign.Point{point("tableI", nil)},
-		MaxInstrs: o.MaxInstrs,
-		Parallel:  o.Parallel,
-		Faults:    &grid,
+// faultcovSpec runs a deterministic fault-injection grid as a
+// first-class campaign: one Table I point per workload crossed with
+// every fault in DefaultFaultGrid. Paper §VI-E: every in-sphere fault
+// that corrupts architectural state is detected; pre-LFU load faults
+// are in the ECC domain and may escape.
+func faultcovSpec(o Options) campaign.Spec {
+	if len(o.Workloads) == 0 {
+		// One representative workload: the grid multiplies cells.
+		o.Workloads = []string{"bitcount"}
 	}
+	spec := o.spec("faultcov", tableI(), false)
+	grid := DefaultFaultGrid()
+	spec.Faults = &grid
+	return spec
 }
 
-// FaultCov runs a deterministic fault-injection grid as a first-class
-// campaign. Paper §VI-E: every in-sphere fault that corrupts
-// architectural state is detected; pre-LFU load faults are in the ECC
-// domain and may escape.
-func FaultCov(o Options, grid campaign.FaultGrid) (*FaultCampaignReport, error) {
-	out, err := o.execute(faultcovSpec(o, grid))
+func faultcov(out *campaign.Outcome) (any, string, error) {
+	rep, err := FaultReportFromOutcome(out)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return FaultReportFromOutcome(out)
+	return rep, RenderFaultCov(rep), nil
 }
 
 // RenderFaultCov prints the coverage summary plus per-target counts.
@@ -864,50 +746,69 @@ func RenderFaultCov(rep *FaultCampaignReport) string {
 	return b.String()
 }
 
-// Names lists the experiment identifiers understood by RunByName.
+// ---- The table ----
+
+// experiment is one entry of the table.
+type experiment struct {
+	name string
+	// spec builds the campaign the experiment executes under o; nil for
+	// an analytic experiment that runs none.
+	spec func(o Options) campaign.Spec
+	// figure turns the executed campaign's outcome (nil when spec is
+	// nil) into the figure's rows and text.
+	figure func(out *campaign.Outcome) (rows any, text string, err error)
+}
+
+// table lists every experiment once, in the order Names reports them.
+var table = []experiment{
+	{"fig1d", fig1dSpec, fig1d},
+	{"fig7", func(o Options) campaign.Spec { return o.spec("fig7", tableI(), true) }, fig7},
+	{"fig8", func(o Options) campaign.Spec { return o.spec("fig8", tableI(), false) }, fig8},
+	{"fig9", freqSpec, fig9},
+	{"fig10", fig10Spec, fig10},
+	{"fig11", freqSpec, fig11},
+	{"fig12", fig12Spec, fig12},
+	{"fig13", fig13Spec, fig13},
+	{"area", nil, area},
+	{"sec6d", sec6dSpec, sec6d},
+	{"faultcov", faultcovSpec, faultcov},
+}
+
+// Names lists the experiment identifiers understood by Generate.
 func Names() []string {
-	return []string{"fig1d", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "area", "sec6d", "faultcov"}
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	return names
+}
+
+func lookup(name string) (*experiment, error) {
+	for i := range table {
+		if table[i].name == name {
+			return &table[i], nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)",
+		name, strings.Join(Names(), ", "))
 }
 
 // SpecNamed returns the campaign spec the named experiment executes
-// under o, built by the same constructors Generate uses — including
-// sec6d's and faultcov's default workload subsets — so a consumer
-// that resolves cells from a spec (the serving layer) can never
-// disagree with an executed figure about grid order or fingerprints.
-// "area" is analytic (it runs no campaign) and unknown names are
-// errors; both are client mistakes, not reasons to simulate.
+// under o — the one Generate runs, including sec6d's and faultcov's
+// default workload subsets — so a consumer that resolves cells from a
+// spec (the serving layer) can never disagree with an executed figure
+// about grid order or fingerprints. "area" is analytic (it runs no
+// campaign) and unknown names are errors; both are client mistakes,
+// not reasons to simulate.
 func SpecNamed(name string, o Options) (campaign.Spec, error) {
-	switch name {
-	case "fig1d":
-		return fig1dSpec(o, "swaptions"), nil
-	case "fig7":
-		return o.spec("fig7", []campaign.Point{point("tableI", nil)}, true), nil
-	case "fig8":
-		return o.spec("fig8", []campaign.Point{point("tableI", nil)}, false), nil
-	case "fig9", "fig11":
-		return o.spec("fig9", freqPoints(), true), nil
-	case "fig10":
-		return o.spec("fig10", logPoints(LogConfigs[:4], true), true), nil
-	case "fig12":
-		return o.spec("fig12", logPoints(LogConfigs, false), false), nil
-	case "fig13":
-		return o.spec("fig13", corePoints(), true), nil
-	case "sec6d":
-		if len(o.Workloads) == 0 {
-			o.Workloads = []string{"bitcount", "stream", "bodytrack"}
-		}
-		return o.spec("sec6d", sec6dPoints(), true), nil
-	case "faultcov":
-		if len(o.Workloads) == 0 {
-			o.Workloads = []string{"bitcount"}
-		}
-		return faultcovSpec(o, DefaultFaultGrid()), nil
-	case "area":
-		return campaign.Spec{}, fmt.Errorf("experiments: %q is analytic and runs no campaign", name)
-	default:
-		return campaign.Spec{}, fmt.Errorf("experiments: unknown experiment %q (have %s)",
-			name, strings.Join(Names(), ", "))
+	e, err := lookup(name)
+	if err != nil {
+		return campaign.Spec{}, err
 	}
+	if e.spec == nil {
+		return campaign.Spec{}, fmt.Errorf("experiments: %q is analytic and runs no campaign", name)
+	}
+	return e.spec(o), nil
 }
 
 // Figure bundles one experiment's structured rows with its rendered
@@ -919,105 +820,36 @@ type Figure struct {
 }
 
 // Generate executes one named experiment and returns both its rows and
-// rendering.
+// rendering. The campaign runs with the options' context, store,
+// progress callback, shard and telemetry, and its stats accumulate
+// into o.Stats.
 func Generate(name string, o Options) (*Figure, error) {
-	switch name {
-	case "fig1d":
-		rows, err := Fig1d(o, "swaptions")
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderFig1d(rows, "swaptions")}, nil
-	case "fig7":
-		rows, err := Fig7(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderFig7(rows)}, nil
-	case "fig8":
-		rows, err := Fig8(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderFig8(rows)}, nil
-	case "fig9":
-		rows, err := Fig9And11(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderFig9(rows)}, nil
-	case "fig10":
-		rows, err := Fig10(o)
-		if err != nil {
-			return nil, err
-		}
-		text := RenderLogRows(rows, "Fig. 10: checkpoint-only slowdown vs log size/timeout\n"+
-			"paper: <=2% at 36KiB default, up to 15% at 3.6KiB/500",
-			func(r LogRow) float64 { return r.Slowdown }, "%14.3f")
-		return &Figure{Name: name, Rows: rows, Text: text}, nil
-	case "fig11":
-		rows, err := Fig9And11(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderFig11(rows)}, nil
-	case "fig12":
-		rows, err := Fig12(o)
-		if err != nil {
-			return nil, err
-		}
-		text := RenderLogRows(rows, "Fig. 12(a): mean detection delay (ns) vs log size/timeout\n"+
-			"paper: mean scales ~linearly with log size",
-			func(r LogRow) float64 { return r.MeanNS }, "%14.0f")
-		text += "\n" + RenderLogRows(rows, "Fig. 12(b): max detection delay (ns) vs log size/timeout",
-			func(r LogRow) float64 { return r.MaxNS }, "%14.0f")
-		return &Figure{Name: name, Rows: rows, Text: text}, nil
-	case "fig13":
-		rows, err := Fig13(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderFig13(rows)}, nil
-	case "area":
-		cfg := paradet.DefaultConfig()
-		return &Figure{Name: name, Rows: paradet.AreaPower(cfg), Text: RenderAreaPower(cfg)}, nil
-	case "sec6d":
-		o2 := o
-		if len(o2.Workloads) == 0 {
-			o2.Workloads = []string{"bitcount", "stream", "bodytrack"}
-		}
-		rows, err := Sec6D(o2)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rows, Text: RenderSec6D(rows)}, nil
-	case "faultcov":
-		o2 := o
-		if len(o2.Workloads) == 0 {
-			// One representative workload: the grid multiplies cells.
-			o2.Workloads = []string{"bitcount"}
-		}
-		rep, err := FaultCov(o2, DefaultFaultGrid())
-		if err != nil {
-			return nil, err
-		}
-		return &Figure{Name: name, Rows: rep, Text: RenderFaultCov(rep)}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)",
-			name, strings.Join(Names(), ", "))
-	}
-}
-
-// RunByName executes one named experiment and returns its rendering.
-func RunByName(name string, o Options) (string, error) {
-	f, err := Generate(name, o)
+	e, err := lookup(name)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return f.Text, nil
-}
-
-// SortRowsByWorkload orders rows deterministically for golden outputs.
-func SortRowsByWorkload(rows []Fig7Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Workload < rows[j].Workload })
+	var out *campaign.Outcome
+	if e.spec != nil {
+		ctx := o.Context
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		out, err = campaign.ExecuteContext(ctx, e.spec(o), o.Sim, campaign.Options{
+			Store:     o.Store,
+			Progress:  o.Progress,
+			Shard:     o.Shard,
+			Telemetry: o.Telemetry,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if o.Stats != nil {
+			o.Stats.Add(out.Stats)
+		}
+	}
+	rows, text, err := e.figure(out)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{Name: name, Rows: rows, Text: text}, nil
 }

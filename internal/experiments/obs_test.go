@@ -17,7 +17,7 @@ import (
 // run must leave the rendered figure byte-identical, while the ledger
 // records one start/done pair per grid cell.
 func TestObsDoesNotPerturbFigures(t *testing.T) {
-	plain, err := RunByName("fig7", fastOpts())
+	plain, err := Generate("fig7", fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestObsDoesNotPerturbFigures(t *testing.T) {
 		obs.SetLedger(nil)
 		t.Fatal(err)
 	}
-	observed, runErr := RunByName("fig7", fastOpts())
+	observed, runErr := Generate("fig7", fastOpts())
 	obs.SetLedger(nil)
 	led.Close()
 
@@ -48,7 +48,7 @@ func TestObsDoesNotPerturbFigures(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if observed != plain {
+	if observed.Text != plain.Text {
 		t.Error("figure text differs when observed — obs leaked into the output path")
 	}
 	if !strings.Contains(string(metrics), "paradet_campaign_cell_seconds") {
