@@ -62,10 +62,6 @@ type Outcome struct {
 	Shard   *Shard
 	Results []Run
 	Stats   Stats
-	// BaselineSims mirrors Stats.BaselineSims: distinct reference
-	// simulations actually performed (cache misses); with memoisation
-	// this is the number of unique reference keys, not the run count.
-	BaselineSims int
 }
 
 // Err joins every per-run error (nil if the whole sweep succeeded).
@@ -429,7 +425,6 @@ func ExecuteContext(ctx context.Context, spec Spec, sim Simulator, opts Options)
 	out.Stats = eng.ctrs.stats(len(out.Results))
 	out.Stats.ShardCells = len(owned)
 	out.Stats.ShardSkipped = len(out.Results) - len(owned)
-	out.BaselineSims = out.Stats.BaselineSims
 	return out, ctx.Err()
 }
 

@@ -120,8 +120,8 @@ func TestBaselineSimulatedOncePerWorkload(t *testing.T) {
 	if got, want := int(sim.unprotected.Load()), len(spec.Workloads); got != want {
 		t.Errorf("baseline simulations = %d, want exactly %d (one per workload)", got, want)
 	}
-	if out.BaselineSims != len(spec.Workloads) {
-		t.Errorf("BaselineSims = %d, want %d", out.BaselineSims, len(spec.Workloads))
+	if out.Stats.BaselineSims != len(spec.Workloads) {
+		t.Errorf("BaselineSims = %d, want %d", out.Stats.BaselineSims, len(spec.Workloads))
 	}
 	for i := range out.Results {
 		if out.Results[i].Baseline == nil || out.Results[i].Slowdown <= 0 {

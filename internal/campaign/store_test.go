@@ -189,8 +189,8 @@ func TestReferenceMemoisation(t *testing.T) {
 	if got := sim.rmt.Load(); got != 1 {
 		t.Errorf("rmt simulations = %d, want 1 (memoised)", got)
 	}
-	if out.BaselineSims != 2 {
-		t.Errorf("BaselineSims = %d, want 2 (one lockstep + one rmt)", out.BaselineSims)
+	if out.Stats.BaselineSims != 2 {
+		t.Errorf("BaselineSims = %d, want 2 (one lockstep + one rmt)", out.Stats.BaselineSims)
 	}
 	if out.Results[0].Aux != out.Results[1].Aux {
 		t.Error("duplicate lockstep points must share the memoised result")

@@ -121,9 +121,6 @@ func New(id int, cfg Config, prog *isa.Program, icache *mem.Cache, sink core.Res
 	return c
 }
 
-// ID reports the checker index.
-func (c *Checker) ID() int { return c.id }
-
 // Stats returns a copy of the counters.
 func (c *Checker) Stats() Stats { return c.stats }
 

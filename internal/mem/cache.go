@@ -36,14 +36,6 @@ type CacheStats struct {
 	MSHRStall  sim.Time // cumulative time requests waited for a free MSHR
 }
 
-// HitRate reports hits/accesses, or 0 when idle.
-func (s CacheStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 type cacheLine struct {
 	tag     uint64
 	valid   bool

@@ -1,14 +1,12 @@
 // Package stats provides the streaming statistics used by the evaluation
 // harness: fixed-bin histograms for the detection-delay density plot
-// (paper Fig. 8) and scalar summaries (mean, max, high percentiles) for
-// the delay and slowdown figures (Figs. 7, 9-13).
+// (paper Fig. 8) and their scalar summaries (mean, max, high
+// percentiles) for the delay figures (Figs. 8, 11 and 12).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"paradet/internal/sim"
 )
@@ -188,91 +186,4 @@ func (h *Hist) Summarize() Summary {
 		P999:      h.Quantile(0.999),
 		Below5000: h.FractionBelow(5000),
 	}
-}
-
-// Merge adds all samples of other into h. Bin geometry must match.
-func (h *Hist) Merge(other *Hist) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if other.binWidth != h.binWidth || len(other.bins) != len(h.bins) {
-		panic("stats: merging histograms with different geometry")
-	}
-	for i, n := range other.bins {
-		h.bins[i] += n
-	}
-	h.overflow += other.overflow
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	if other.min < h.min {
-		h.min = other.min
-	}
-	h.tail = append(h.tail, other.tail...)
-}
-
-// Sketch renders a coarse ASCII sketch of the density, used by the
-// experiments CLI to make Fig. 8 legible in a terminal.
-func (h *Hist) Sketch(width int) string {
-	pts := h.Density()
-	var peak float64
-	for _, p := range pts {
-		if p.Density > peak {
-			peak = p.Density
-		}
-	}
-	if peak == 0 {
-		return "(no samples)"
-	}
-	var b strings.Builder
-	step := len(pts) / 16
-	if step == 0 {
-		step = 1
-	}
-	for i := 0; i < len(pts); i += step {
-		p := pts[i]
-		n := int(p.Density / peak * float64(width))
-		fmt.Fprintf(&b, "%8.0f |%s\n", p.X, strings.Repeat("#", n))
-	}
-	return b.String()
-}
-
-// Mean of a float slice; 0 when empty. Shared by the figure emitters.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// GeoMean reports the geometric mean; 0 when empty or any x <= 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// MaxOf reports the maximum of a float slice; 0 when empty.
-func MaxOf(xs []float64) float64 {
-	var m float64
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -98,26 +98,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewHist(1, 100)
-	b := NewHist(1, 100)
-	a.Add(ns(10))
-	b.Add(ns(20))
-	b.Add(ns(150)) // overflow
-	a.Merge(b)
-	if a.Count() != 3 || a.Max() != 150 {
-		t.Errorf("merged: count=%d max=%v", a.Count(), a.Max())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched geometry must panic")
-		}
-	}()
-	bad := NewHist(2, 100)
-	bad.Add(ns(1))
-	a.Merge(bad)
-}
-
 // TestHistMeanMatchesDirectMean is a property test against a straight
 // recomputation.
 func TestHistMeanMatchesDirectMean(t *testing.T) {
@@ -137,37 +117,6 @@ func TestHistMeanMatchesDirectMean(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScalarHelpers(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean nil")
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GeoMean with zero")
-	}
-	if MaxOf([]float64{3, 1, 2}) != 3 {
-		t.Error("MaxOf")
-	}
-}
-
-func TestSketchDoesNotPanic(t *testing.T) {
-	h := NewHist(1, 64)
-	if s := h.Sketch(40); s != "(no samples)" {
-		t.Errorf("empty sketch = %q", s)
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(ns(float64(i % 64)))
-	}
-	if s := h.Sketch(40); len(s) == 0 {
-		t.Error("sketch must render")
 	}
 }
 
