@@ -5,7 +5,6 @@ import (
 
 	"paradet/internal/areapower"
 	"paradet/internal/branch"
-	"paradet/internal/fault"
 	"paradet/internal/lockstep"
 	"paradet/internal/mem"
 	"paradet/internal/ooo"
@@ -45,21 +44,20 @@ func RunLockstep(cfg Config, p *Program, faults []Fault) (*BaselineResult, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	fp, err := planFaults(faults)
+	if err != nil {
+		return nil, err
+	}
 	mainClk := sim.NewClock(cfg.MainCoreHz)
 	eng := sim.NewEngine()
 	l1i, l1d := buildMainHierarchy(mainClk)
 
 	img := mem.NewSparse()
 	oracle := trace.NewOracle(p.prog, img, cfg.MaxInstrs)
-	if len(faults) > 0 {
-		inj := &fault.Injector{}
-		for _, f := range faults {
-			inj.Faults = append(inj.Faults, f.internal())
-		}
-		// Faults strike the primary only: the whole point of lockstep is
-		// that the shadow core is physically separate hardware.
-		oracle.M.Hooks.PostExec = inj.MainHook()
-	}
+	// Faults strike the primary only: the whole point of lockstep is
+	// that the shadow core is physically separate hardware. The hook is
+	// nil when no fault targets the main core.
+	oracle.M.Hooks.PostExec = fp.main
 
 	cmp := lockstep.NewComparator(p.prog, trace.InitialRegs(p.prog), mainClk.Duration(2))
 	ocfg := ooo.NewTableIConfig()

@@ -25,7 +25,6 @@ type SystemBuilder struct {
 	cfg       Config
 	prog      *Program
 	protected bool
-	fp        *faultPlan
 	faults    []Fault
 	probe     *telemetry.Probe
 }
@@ -50,12 +49,6 @@ func (b *SystemBuilder) WithFaults(faults ...Fault) *SystemBuilder {
 	return b
 }
 
-// withPlan installs a pre-built fault plan (internal injector path).
-func (b *SystemBuilder) withPlan(fp *faultPlan) *SystemBuilder {
-	b.fp = fp
-	return b
-}
-
 // WithTelemetry attaches an interval telemetry probe: the main core
 // records a sample every probe interval of committed instructions,
 // and the builder extends each sample with detector and checker-
@@ -76,8 +69,8 @@ func (b *SystemBuilder) Build() (*System, error) {
 	if b.prog == nil || b.prog.prog == nil {
 		return nil, fmt.Errorf("paradet: nil program")
 	}
-	fp := b.fp
-	if fp == nil && len(b.faults) > 0 {
+	var fp *faultPlan
+	if len(b.faults) > 0 {
 		var err error
 		if fp, err = planFaults(b.faults); err != nil {
 			return nil, err

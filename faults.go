@@ -90,11 +90,7 @@ func planFaults(faults []Fault) (*faultPlan, error) {
 // RunWithFaults simulates the protected system with the given faults
 // injected.
 func RunWithFaults(cfg Config, p *Program, faults []Fault) (*Result, error) {
-	fp, err := planFaults(faults)
-	if err != nil {
-		return nil, err
-	}
-	return NewSystemBuilder(cfg, p).withPlan(fp).Run()
+	return NewSystemBuilder(cfg, p).WithFaults(faults...).Run()
 }
 
 // Outcome classifies one fault-injection run.
@@ -156,11 +152,6 @@ func RunCampaign(cfg Config, p *Program, n int, seed int64) (*CampaignResult, er
 	if golden.Instructions == 0 {
 		return nil, fmt.Errorf("paradet: golden run retired no instructions")
 	}
-	// Bound runaway wrong-path execution from control faults.
-	fcfg := cfg
-	if fcfg.MaxInstrs == 0 || fcfg.MaxInstrs > 2*golden.Instructions+10000 {
-		fcfg.MaxInstrs = 2*golden.Instructions + 10000
-	}
 
 	r := rand.New(rand.NewSource(seed))
 	out := &CampaignResult{
@@ -173,7 +164,7 @@ func RunCampaign(cfg Config, p *Program, n int, seed int64) (*CampaignResult, er
 			Target: FaultTarget(inf.Target.String()), Seq: inf.Seq,
 			Bit: inf.Bit, Sticky: inf.Sticky, CheckerID: inf.CheckerID,
 		}
-		rec, err := ClassifyFault(fcfg, p, f, golden)
+		rec, err := ClassifyFault(cfg, p, f, golden)
 		if err != nil {
 			return nil, fmt.Errorf("paradet: fault %d (%v): %w", i, f, err)
 		}
@@ -185,12 +176,17 @@ func RunCampaign(cfg Config, p *Program, n int, seed int64) (*CampaignResult, er
 
 // ClassifyFault runs one fault and classifies its outcome against a
 // golden (fault-free, unprotected) result for the same program and
-// configuration.
+// configuration. The faulty run stops after twice the golden run's
+// instructions plus 10,000, or cfg.MaxInstrs if that is lower, which
+// bounds runaway wrong-path execution from control faults.
 func ClassifyFault(cfg Config, p *Program, f Fault, golden *Result) (FaultRecord, error) {
 	if golden.finalMem == nil {
 		// Classification diffs committed memory, which only a run in this
 		// process carries (it is deliberately not serialized).
 		return FaultRecord{}, fmt.Errorf("paradet: golden result has no final memory image; use a freshly simulated unprotected run")
+	}
+	if bound := 2*golden.Instructions + 10000; cfg.MaxInstrs == 0 || cfg.MaxInstrs > bound {
+		cfg.MaxInstrs = bound
 	}
 	res, err := RunWithFaults(cfg, p, []Fault{f})
 	if err != nil {

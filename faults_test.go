@@ -25,6 +25,21 @@ func TestFaultTargetsMatchesRegistry(t *testing.T) {
 	}
 }
 
+// TestInvalidFaultsAreRejected asserts that every scheme that injects
+// faults rejects an unknown target and a zero strike point with an
+// error, not a panic or a silently ignored fault.
+func TestInvalidFaultsAreRejected(t *testing.T) {
+	p := MustAssemble(faultKernel)
+	for _, f := range []Fault{{Target: "bogus", Seq: 5}, {Target: FaultDestReg, Seq: 0}} {
+		if _, err := RunWithFaults(faultConfig(), p, []Fault{f}); err == nil {
+			t.Errorf("RunWithFaults accepted %+v", f)
+		}
+		if _, err := RunLockstep(faultConfig(), p, []Fault{f}); err == nil {
+			t.Errorf("RunLockstep accepted %+v", f)
+		}
+	}
+}
+
 // faultConfig bounds runs: injected faults can corrupt loop counters and
 // make the program run forever, which the instruction budget must cap.
 func faultConfig() Config {

@@ -587,15 +587,11 @@ func (e *engine) runFault(ctx context.Context, r *Run, prog *paradet.Program) {
 		r.Err = fmt.Errorf("golden run: %w", err)
 		return
 	}
-	// Bound runaway wrong-path execution from control faults, as
-	// paradet.RunCampaign does. The fingerprint keys the unbounded
-	// config: the bound is a deterministic function of it.
-	fcfg := r.Config
-	if fcfg.MaxInstrs == 0 || fcfg.MaxInstrs > 2*golden.Instructions+10000 {
-		fcfg.MaxInstrs = 2*golden.Instructions + 10000
-	}
+	// ClassifyFault bounds runaway wrong-path execution from control
+	// faults. The fingerprint keys the unbounded config: the bound is a
+	// deterministic function of it.
 	e.ctrs.cellSims.Add(1)
-	rec, err := e.sim.ClassifyFault(ctx, fcfg, prog, *r.Fault, golden)
+	rec, err := e.sim.ClassifyFault(ctx, r.Config, prog, *r.Fault, golden)
 	if err != nil {
 		r.Err = err
 		return
