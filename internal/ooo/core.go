@@ -10,8 +10,7 @@
 // lists, ROB/IQ/LQ/SQ occupancy), oldest-first issue with functional-unit
 // and memory-port contention, load/store timing through the D-cache with
 // exact store-to-load forwarding, and in-order commit. Wrong-path
-// instructions are not executed (their cache pollution is not modelled;
-// see DESIGN.md §6).
+// instructions are not executed (their cache pollution is not modelled).
 //
 // The detection hardware attaches at the two points the paper specifies:
 // loads are duplicated into the load forwarding unit when their value
