@@ -6,6 +6,7 @@ import (
 	"paradet/internal/branch"
 	detect "paradet/internal/core"
 	"paradet/internal/inorder"
+	"paradet/internal/isa"
 	"paradet/internal/mem"
 	"paradet/internal/obs/telemetry"
 	"paradet/internal/ooo"
@@ -63,19 +64,30 @@ func (b *SystemBuilder) WithTelemetry(p *telemetry.Probe) *SystemBuilder {
 // Build validates the configuration and assembles the system. The
 // returned System is single-use: Run executes it to completion.
 func (b *SystemBuilder) Build() (*System, error) {
+	fp, err := b.validate()
+	if err != nil {
+		return nil, err
+	}
+	return b.assemble(fp), nil
+}
+
+// validate checks the configuration and the program, and compiles the
+// faults, if any, into the plan assemble installs.
+func (b *SystemBuilder) validate() (*faultPlan, error) {
 	if err := b.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if b.prog == nil || b.prog.prog == nil {
 		return nil, fmt.Errorf("paradet: nil program")
 	}
-	var fp *faultPlan
-	if len(b.faults) > 0 {
-		var err error
-		if fp, err = planFaults(b.faults); err != nil {
-			return nil, err
-		}
+	if len(b.faults) == 0 {
+		return nil, nil
 	}
+	return planFaults(b.faults)
+}
+
+// assemble builds the validated system.
+func (b *SystemBuilder) assemble(fp *faultPlan) *System {
 	s := &System{cfg: b.cfg, prog: b.prog, protected: b.protected, fp: fp}
 	s.buildCores()
 	s.buildMemoryHierarchy()
@@ -88,7 +100,7 @@ func (b *SystemBuilder) Build() (*System, error) {
 	if b.probe != nil {
 		s.attachTelemetry(b.probe)
 	}
-	return s, nil
+	return s
 }
 
 // Run is Build followed by System.Run.
@@ -146,6 +158,11 @@ type System struct {
 	checkers []*inorder.Checker
 	mainCore *ooo.Core
 	ran      bool
+
+	// untilVerdict stops timing at the first confirmed error (see
+	// finishUntimed). Only ClassifyFault sets it: the Result it leaves
+	// carries the run's outcome, not its full statistics.
+	untilVerdict bool
 }
 
 // buildCores resolves the main-core microarchitecture (Table I or the
@@ -217,8 +234,8 @@ func (s *System) buildCheckerCluster() {
 				Ways: 2, LineBytes: 64, HitLat: 0, MSHRs: 1,
 			}, sharedL1I)
 			ck := inorder.New(i, ccfg, s.prog.prog, l0, s.det, s.eng)
-			if s.fp != nil && s.fp.checker != nil {
-				if h := s.fp.checker(i); h != nil {
+			if s.fp != nil {
+				if h := s.fp.inj.CheckerHook(i); h != nil {
 					ck.Hooks().PostExec = h
 				}
 			}
@@ -267,14 +284,21 @@ func (s *System) attachTelemetry(p *telemetry.Probe) {
 
 // Run executes the system to completion: the main core drains, then
 // §IV-H holds back termination until every outstanding segment is
-// checked. A System is single-use.
+// checked. An untilVerdict run stops timing at its first confirmed
+// error instead (see finishUntimed). A System is single-use.
 func (s *System) Run() (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("paradet: system already run (build a new one)")
 	}
 	s.ran = true
+	if s.untilVerdict {
+		s.det.OnFirstError = s.eng.Stop
+	}
 
 	s.eng.Run(sim.MaxTime - 1)
+	if s.stoppedAtVerdict() {
+		return s.finishUntimed(), nil
+	}
 	if !s.mainCore.Done() {
 		return nil, fmt.Errorf("paradet: main core failed to drain (deadlock)")
 	}
@@ -282,11 +306,36 @@ func (s *System) Run() (*Result, error) {
 	if s.protected {
 		s.det.Finish(finish)
 		s.eng.Run(sim.MaxTime - 1)
+		if s.stoppedAtVerdict() {
+			return s.finishUntimed(), nil
+		}
 		if !s.det.AllChecked() {
 			return nil, fmt.Errorf("paradet: checks did not complete after program end")
 		}
 	}
 	return s.assembleResult(s.eng.Now()), nil
+}
+
+// stoppedAtVerdict reports whether the engine stopped at the first
+// confirmed error of an untilVerdict run.
+func (s *System) stoppedAtVerdict() bool {
+	return s.untilVerdict && s.det.FirstError() != nil
+}
+
+// finishUntimed ends a run stopped at its first confirmed error, which
+// strong induction never revises. The oracle alone runs the program to
+// its end, with the fault hook still installed so sticky faults keep
+// firing. Final memory, output and program fault cannot depend on
+// timing: RDTIME is count-based and the oracle never runs a wrong path.
+// The instruction count comes from the oracle too; in a full run the
+// core commits every instruction the oracle emits.
+func (s *System) finishUntimed() *Result {
+	var di isa.DynInst
+	for s.oracle.Next(&di) {
+	}
+	res := s.assembleResult(s.eng.Now())
+	res.Instructions = s.oracle.M.InstCount
+	return res
 }
 
 // assembleResult collects statistics from every component into the

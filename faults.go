@@ -5,6 +5,9 @@ import (
 	"math/rand"
 
 	"paradet/internal/fault"
+	"paradet/internal/isa"
+	"paradet/internal/mem"
+	"paradet/internal/trace"
 )
 
 // FaultTarget selects a fault-injection path; see internal/fault for the
@@ -45,7 +48,15 @@ type Fault struct {
 	CheckerID int
 }
 
-func (f Fault) String() string { return f.internal().String() }
+// String describes the fault from its public fields, so a fault with
+// an unknown target prints too.
+func (f Fault) String() string {
+	kind := "soft"
+	if f.Sticky {
+		kind = "hard"
+	}
+	return fmt.Sprintf("%s fault: %s bit %d at dyn-inst %d", kind, f.Target, f.Bit, f.Seq)
+}
 
 // Valid reports whether the target names a known injection path.
 func (t FaultTarget) Valid() bool {
@@ -61,30 +72,35 @@ func FaultTargets() []FaultTarget {
 	}
 }
 
-func (f Fault) internal() fault.Fault {
-	t, ok := targetByName[f.Target]
-	if !ok {
-		panic(fmt.Sprintf("paradet: unknown fault target %q", f.Target))
-	}
-	return fault.Fault{
-		Target: t, Seq: f.Seq, Bit: f.Bit, Sticky: f.Sticky, CheckerID: f.CheckerID,
-	}
-}
-
 // planFaults validates the fault list and compiles it into the hook
 // plan the SystemBuilder installs on the oracle, detector and checkers.
 func planFaults(faults []Fault) (*faultPlan, error) {
 	inj := &fault.Injector{}
 	for _, f := range faults {
-		if _, ok := targetByName[f.Target]; !ok {
+		t, ok := targetByName[f.Target]
+		if !ok {
 			return nil, fmt.Errorf("paradet: unknown fault target %q", f.Target)
 		}
 		if f.Seq == 0 {
 			return nil, fmt.Errorf("paradet: fault Seq must be >= 1")
 		}
-		inj.Faults = append(inj.Faults, f.internal())
+		inj.Faults = append(inj.Faults, fault.Fault{
+			Target: t, Seq: f.Seq, Bit: f.Bit, Sticky: f.Sticky, CheckerID: f.CheckerID,
+		})
 	}
-	return &faultPlan{main: inj.MainHook(), checker: inj.CheckerHook}, nil
+	return &faultPlan{inj: inj, main: inj.MainHook()}, nil
+}
+
+// strikes reports whether the plan's main-core hook changes any state
+// by dyn-inst seq, stepping the oracle alone over a fresh memory image
+// under the run's instruction bound.
+func (fp *faultPlan) strikes(p *Program, maxInstrs, seq uint64) bool {
+	o := trace.NewOracle(p.prog, mem.NewSparse(), maxInstrs)
+	o.M.Hooks.PostExec = fp.main
+	var di isa.DynInst
+	for o.M.InstCount < seq && o.Next(&di) {
+	}
+	return fp.inj.Struck > 0
 }
 
 // RunWithFaults simulates the protected system with the given faults
@@ -145,7 +161,7 @@ func (c *CampaignResult) Coverage() float64 {
 // into separate runs of the program and classifies each outcome against a
 // fault-free golden run.
 func RunCampaign(cfg Config, p *Program, n int, seed int64) (*CampaignResult, error) {
-	golden, err := RunUnprotected(cfg, p)
+	golden, err := Run(cfg, p)
 	if err != nil {
 		return nil, fmt.Errorf("paradet: golden run: %w", err)
 	}
@@ -175,23 +191,48 @@ func RunCampaign(cfg Config, p *Program, n int, seed int64) (*CampaignResult, er
 }
 
 // ClassifyFault runs one fault and classifies its outcome against a
-// golden (fault-free, unprotected) result for the same program and
+// golden (fault-free, protected) result of Run for the same program and
 // configuration. The faulty run stops after twice the golden run's
 // instructions plus 10,000, or cfg.MaxInstrs if that is lower, which
 // bounds runaway wrong-path execution from control faults.
+//
+// The faulty run is timed only until its record is decided. A one-shot
+// main-core fault whose instruction lacks what its target corrupts
+// strikes nothing, which the oracle alone finds out: that run is the
+// golden run. Any other run stops timing at its first confirmed error,
+// which is final, and runs the program to its end on the oracle alone.
 func ClassifyFault(cfg Config, p *Program, f Fault, golden *Result) (FaultRecord, error) {
 	if golden.finalMem == nil {
 		// Classification diffs committed memory, which only a run in this
 		// process carries (it is deliberately not serialized).
-		return FaultRecord{}, fmt.Errorf("paradet: golden result has no final memory image; use a freshly simulated unprotected run")
+		return FaultRecord{}, fmt.Errorf("paradet: golden result has no final memory image; use a freshly simulated protected run")
+	}
+	if !golden.Protected {
+		// The golden run also carries the fault-free verdict.
+		return FaultRecord{}, fmt.Errorf("paradet: golden result is unprotected; use a protected run")
 	}
 	if bound := 2*golden.Instructions + 10000; cfg.MaxInstrs == 0 || cfg.MaxInstrs > bound {
 		cfg.MaxInstrs = bound
 	}
-	res, err := RunWithFaults(cfg, p, []Fault{f})
+	b := NewSystemBuilder(cfg, p).WithFaults(f)
+	fp, err := b.validate()
 	if err != nil {
 		return FaultRecord{}, err
 	}
+	if !f.Sticky && f.Target != FaultCheckerReg && !fp.strikes(p, cfg.MaxInstrs, f.Seq) {
+		return classify(f, golden, golden), nil
+	}
+	s := b.assemble(fp)
+	s.untilVerdict = true
+	res, err := s.Run()
+	if err != nil {
+		return FaultRecord{}, err
+	}
+	return classify(f, golden, res), nil
+}
+
+// classify compares a faulted run with the golden run.
+func classify(f Fault, golden, res *Result) FaultRecord {
 	corrupted := golden.finalMem.FirstDiff(res.finalMem) != "" ||
 		!outputsEqual(golden.Output, res.Output) ||
 		res.ProgFault != golden.ProgFault ||
@@ -213,7 +254,7 @@ func ClassifyFault(cfg Config, p *Program, f Fault, golden *Result) (FaultRecord
 		rec.ErrorKind = res.FirstError.Kind
 		rec.DetectNS = res.FirstError.DetectedNS
 	}
-	return rec, nil
+	return rec
 }
 
 func outputsEqual(a, b []uint64) bool {

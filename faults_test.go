@@ -1,6 +1,9 @@
 package paradet
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -31,6 +34,9 @@ func TestFaultTargetsMatchesRegistry(t *testing.T) {
 func TestInvalidFaultsAreRejected(t *testing.T) {
 	p := MustAssemble(faultKernel)
 	for _, f := range []Fault{{Target: "bogus", Seq: 5}, {Target: FaultDestReg, Seq: 0}} {
+		if s := fmt.Sprint(f); strings.Contains(s, "PANIC") {
+			t.Errorf("printing %+v panicked: %s", f, s)
+		}
 		if _, err := RunWithFaults(faultConfig(), p, []Fault{f}); err == nil {
 			t.Errorf("RunWithFaults accepted %+v", f)
 		}
@@ -152,7 +158,7 @@ func TestLoadPreLFUFaultIsOutsideSphere(t *testing.T) {
 	// flag it — and memory is corrupted. This is the paper's motivation
 	// for duplicating loads early (§IV-C).
 	p := MustAssemble(sumLoop)
-	golden, err := RunUnprotected(faultConfig(), p)
+	golden, err := Run(faultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestHardFaultDetected(t *testing.T) {
 
 func TestCheckerFaultIsOverDetection(t *testing.T) {
 	p := MustAssemble(faultKernel)
-	golden, err := RunUnprotected(faultConfig(), p)
+	golden, err := Run(faultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,4 +294,117 @@ func TestCampaignIsDeterministic(t *testing.T) {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a.Records[i], b.Records[i])
 		}
 	}
+}
+
+// TestClassifyMatchesFullRun checks ClassifyFault's shortcuts (a fault
+// that strikes nothing is not timed; a run stops timing at its first
+// confirmed error) against the reference: a full timed run of the fault
+// under the same bound, compared with the unprotected golden. The
+// configs make seals and verdict times depend on timing; the faults
+// mix every target, hard faults and sites past the run's end.
+func TestClassifyMatchesFullRun(t *testing.T) {
+	configs := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"tableI", func(*Config) {}},
+		{"chk125MHz", func(c *Config) { c.CheckerHz = 125_000_000 }},
+		{"irq2000ns", func(c *Config) { c.InterruptIntervalNS = 2000 }},
+		{"chk3", func(c *Config) { c.NumCheckers = 3 }},
+		{"bigcore", func(c *Config) { c.BigCore = true }},
+		{"nullchk", func(c *Config) { c.DisableCheckers = true }},
+	}
+	r := rand.New(rand.NewSource(17))
+	targets := FaultTargets()
+	var untouched, detected, full int
+	for _, w := range Workloads() {
+		p, _, err := LoadWorkload(w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range configs {
+			cfg := DefaultConfig()
+			cfg.MaxInstrs = 4_000
+			c.set(&cfg)
+			golden, err := Run(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := RunUnprotected(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				f := Fault{
+					Target: targets[r.Intn(len(targets))],
+					// About one site in six lies past the run's end.
+					Seq:    1 + uint64(r.Int63n(int64(golden.Instructions*6/5))),
+					Bit:    uint8(r.Intn(64)),
+					Sticky: r.Intn(5) == 0,
+				}
+				if f.Target == FaultCheckerReg {
+					f.Seq, f.CheckerID = 1+uint64(r.Intn(1000)), r.Intn(2)
+				}
+				got, err := ClassifyFault(cfg, p, f, golden)
+				if err != nil {
+					t.Fatalf("%s %s %v: %v", w.Name, c.name, f, err)
+				}
+				want, res := fullRunRecord(t, cfg, p, f, base)
+				if got != want {
+					t.Errorf("%s %s: classified %+v, full run %+v", w.Name, c.name, got, want)
+				}
+				switch {
+				case res.FirstError != nil:
+					detected++
+				case f.Sticky || f.Target == FaultCheckerReg:
+					full++
+				default:
+					fp, _ := planFaults([]Fault{f})
+					if fp.strikes(p, cfg.MaxInstrs, f.Seq) {
+						full++
+					} else {
+						untouched++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d faults struck nothing, %d stopped at a confirmed error, %d ran in full", untouched, detected, full)
+	if untouched == 0 || detected == 0 || full == 0 {
+		t.Errorf("every path must be exercised: %d struck nothing, %d detected, %d ran in full", untouched, detected, full)
+	}
+}
+
+// fullRunRecord is the reference classification of f: a full timed
+// run under ClassifyFault's bound, compared with the unprotected golden
+// base field by field.
+func fullRunRecord(t *testing.T, cfg Config, p *Program, f Fault, base *Result) (FaultRecord, *Result) {
+	t.Helper()
+	if bound := 2*base.Instructions + 10000; cfg.MaxInstrs > bound {
+		cfg.MaxInstrs = bound
+	}
+	res, err := RunWithFaults(cfg, p, []Fault{f})
+	if err != nil {
+		t.Fatalf("full run of %v: %v", f, err)
+	}
+	corrupted := base.finalMem.FirstDiff(res.finalMem) != "" ||
+		!outputsEqual(base.Output, res.Output) ||
+		res.ProgFault != base.ProgFault ||
+		res.Instructions != base.Instructions
+	rec := FaultRecord{Fault: f}
+	switch detected := res.FirstError != nil; {
+	case detected && corrupted:
+		rec.Outcome = OutcomeDetected
+	case detected:
+		rec.Outcome = OutcomeOverDetected
+	case corrupted:
+		rec.Outcome = OutcomeSilent
+	default:
+		rec.Outcome = OutcomeMasked
+	}
+	if res.FirstError != nil {
+		rec.ErrorKind = res.FirstError.Kind
+		rec.DetectNS = res.FirstError.DetectedNS
+	}
+	return rec, res
 }

@@ -159,56 +159,50 @@ func (c *counters) stats(cells int) Stats {
 	}
 }
 
-// baseKey identifies one memoisable reference simulation. An
-// unprotected run depends only on the program, the sample length and
-// the main-core microarchitecture; checker-side knobs are irrelevant,
-// so sweep points share one baseline. BigCore overrides MainCoreHz, so
-// the clock is normalised to zero when it is set. Lockstep and RMT
-// reference runs are keyed the same way, distinguished by scheme.
+// baseKey identifies one memoisable reference simulation by workload,
+// scheme and the resolved config with every knob the scheme ignores
+// normalised to zero. An unprotected run depends only on the program,
+// the sample length and the main-core microarchitecture; checker-side
+// knobs are irrelevant, so sweep points share one baseline. BigCore
+// overrides MainCoreHz, so the clock is normalised to zero when it is
+// set. Lockstep and RMT reference runs are keyed the same way,
+// distinguished by scheme. A fault golden is a protected run, which
+// every knob can change, so its key keeps the full config.
 type baseKey struct {
-	workload  string
-	scheme    Scheme
-	maxInstrs uint64
-	bigCore   bool
-	mainHz    uint64
+	workload string
+	scheme   Scheme
+	cfg      paradet.Config
 }
 
 func newBaseKey(cfg paradet.Config, workload string, scheme Scheme) baseKey {
-	key := baseKey{workload: workload, scheme: scheme, maxInstrs: cfg.MaxInstrs, bigCore: cfg.BigCore, mainHz: cfg.MainCoreHz}
-	if scheme == SchemeUnprotected && key.bigCore {
-		key.mainHz = 0 // BigCore ignores MainCoreHz
+	norm := paradet.Config{MaxInstrs: cfg.MaxInstrs, BigCore: cfg.BigCore, MainCoreHz: cfg.MainCoreHz}
+	if scheme == SchemeUnprotected && norm.BigCore {
+		norm.MainCoreHz = 0 // BigCore ignores MainCoreHz
 	}
-	return key
+	return baseKey{workload: workload, scheme: scheme, cfg: norm}
 }
 
-// storeKey is the persistent fingerprint identity of a reference run:
-// the resolved config with every knob the scheme ignores normalised to
-// zero, so equivalent runs share one cell across sweeps.
+// storeKey is the persistent fingerprint identity of a reference run,
+// so equivalent runs share one cell across sweeps. A fault golden's is
+// its protected cell key.
 func (k baseKey) storeKey() resultstore.Key {
-	cfg := paradet.Config{
-		MaxInstrs:  k.maxInstrs,
-		BigCore:    k.bigCore,
-		MainCoreHz: k.mainHz,
-	}
-	return resultstore.Key{Workload: k.workload, Scheme: string(k.scheme), Config: cfg}
+	return resultstore.Key{Workload: k.workload, Scheme: string(k.scheme), Config: k.cfg}
 }
 
 type baseEntry struct {
-	mu  sync.Mutex
-	res *paradet.Result
-	aux *paradet.BaselineResult
-	err error
-	// simulated marks in-process results, which (unlike store-loaded
-	// ones) carry the final memory image fault classification needs.
-	simulated bool
+	mu        sync.Mutex
+	res       *paradet.Result
+	aux       *paradet.BaselineResult
+	err       error
 	fromStore bool
 }
 
-// refCache memoises reference runs — unprotected baselines/cells plus
-// lockstep and RMT reference runs — so each unique key simulates at
-// most once per campaign, whichever worker gets there first, and is
-// additionally served from the persistent store when one is attached.
-// Concurrent requesters of one key block on the same entry.
+// refCache memoises reference runs — unprotected baselines/cells,
+// lockstep and RMT reference runs, and fault goldens — so each unique
+// key simulates at most once per campaign, whichever worker gets there
+// first, and is additionally served from the persistent store when one
+// is attached. Concurrent requesters of one key block on the same
+// entry.
 type refCache struct {
 	sim     Simulator
 	store   *resultstore.Store
@@ -232,11 +226,8 @@ func (c *refCache) entry(key baseKey) *baseEntry {
 	return e
 }
 
-// unprotected returns the memoised unprotected run for cfg. needMem
-// demands an in-process simulation (fault classification diffs final
-// memory, which store-loaded results do not carry); a store-loaded
-// entry is upgraded by re-simulating once.
-func (c *refCache) unprotected(ctx context.Context, cfg paradet.Config, workload string, p *paradet.Program, needMem bool) (*paradet.Result, bool, error) {
+// unprotected returns the memoised unprotected run for cfg.
+func (c *refCache) unprotected(ctx context.Context, cfg paradet.Config, workload string, p *paradet.Program) (*paradet.Result, bool, error) {
 	key := newBaseKey(cfg, workload, SchemeUnprotected)
 	e := c.entry(key)
 	e.mu.Lock()
@@ -244,10 +235,10 @@ func (c *refCache) unprotected(ctx context.Context, cfg paradet.Config, workload
 	if e.err != nil {
 		return nil, false, e.err
 	}
-	if e.res != nil && (e.simulated || !needMem) {
+	if e.res != nil {
 		return e.res, e.fromStore, nil
 	}
-	if !needMem && c.store != nil {
+	if c.store != nil {
 		if cell, ok := c.store.Get(key.storeKey()); ok && cell.Result != nil {
 			c.ctrs.baseHits.Add(1)
 			obsRefHit.Inc()
@@ -268,11 +259,42 @@ func (c *refCache) unprotected(ctx context.Context, cfg paradet.Config, workload
 		e.err = err
 		return nil, false, err
 	}
-	e.res, e.simulated, e.fromStore = res, true, false
+	e.res = res
 	if c.store != nil {
 		c.store.Put(key.storeKey(), &resultstore.Cell{Result: res}) // best-effort
 	}
 	return e.res, false, nil
+}
+
+// golden returns the fault-free protected run that the fault cells of
+// cfg are classified against. Classification diffs its final memory
+// image, which the store does not carry, so it is simulated in-process,
+// once per campaign and only when a fault cell misses the store. It is
+// written best-effort under its protected cell key, which then serves a
+// protected cell of the same config.
+func (c *refCache) golden(ctx context.Context, cfg paradet.Config, workload string, p *paradet.Program) (*paradet.Result, error) {
+	key := baseKey{workload: workload, scheme: SchemeProtected, cfg: cfg}
+	e := c.entry(key)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.err != nil || e.res != nil {
+		return e.res, e.err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c.ctrs.baseSims.Add(1)
+	obsRefSim.Inc()
+	res, err := c.sim.Run(ctx, cfg, p)
+	if err != nil {
+		e.err = err
+		return nil, err
+	}
+	e.res = res
+	if c.store != nil {
+		c.store.Put(key.storeKey(), &resultstore.Cell{Result: res}) // best-effort
+	}
+	return res, nil
 }
 
 // reference returns the memoised lockstep or RMT reference run.
@@ -503,7 +525,7 @@ func (e *engine) run(ctx context.Context, r *Run, prog *paradet.Program, withBas
 	switch {
 	case r.Fault != nil:
 		e.runFault(ctx, r, prog)
-		return // golden run doubles as the baseline; slowdown is meaningless
+		return // a fault cell has no slowdown
 	case r.Scheme == SchemeProtected:
 		key := CellKey(r)
 		if e.store != nil {
@@ -527,14 +549,14 @@ func (e *engine) run(ctx context.Context, r *Run, prog *paradet.Program, withBas
 			e.store.Put(key, &resultstore.Cell{Result: r.Res}) // best-effort
 		}
 	case r.Scheme == SchemeUnprotected:
-		r.Res, r.Cached, r.Err = e.cache.unprotected(ctx, r.Config, r.Workload, prog, false)
+		r.Res, r.Cached, r.Err = e.cache.unprotected(ctx, r.Config, r.Workload, prog)
 	case r.Scheme == SchemeLockstep, r.Scheme == SchemeRMT:
 		r.Aux, r.Cached, r.Err = e.cache.reference(ctx, r.Config, r.Workload, r.Scheme, prog)
 	}
 	if r.Err != nil || !withBaseline {
 		return
 	}
-	base, _, err := e.cache.unprotected(ctx, r.Config, r.Workload, prog, false)
+	base, _, err := e.cache.unprotected(ctx, r.Config, r.Workload, prog)
 	if err != nil {
 		r.Err = fmt.Errorf("baseline: %w", err)
 		return
@@ -582,7 +604,7 @@ func (e *engine) runFault(ctx context.Context, r *Run, prog *paradet.Program) {
 			return
 		}
 	}
-	golden, _, err := e.cache.unprotected(ctx, r.Config, r.Workload, prog, true)
+	golden, err := e.cache.golden(ctx, r.Config, r.Workload, prog)
 	if err != nil {
 		r.Err = fmt.Errorf("golden run: %w", err)
 		return

@@ -26,7 +26,7 @@ type Simulator interface {
 	RunRMT(ctx context.Context, cfg paradet.Config, p *paradet.Program) (*paradet.BaselineResult, error)
 	// ClassifyFault injects one fault into a protected run and
 	// classifies the outcome against the golden (fault-free,
-	// unprotected) result for the same program and configuration.
+	// protected) result for the same program and configuration.
 	ClassifyFault(ctx context.Context, cfg paradet.Config, p *paradet.Program, f paradet.Fault, golden *paradet.Result) (paradet.FaultRecord, error)
 }
 

@@ -128,7 +128,7 @@ type Spec struct {
 	MaxInstrs uint64
 	// WithBaseline additionally computes the memoised unprotected
 	// baseline for each run and fills Run.Baseline and Run.Slowdown
-	// (ignored for fault cells, where the golden run plays that role).
+	// (ignored for fault cells, which have no slowdown).
 	WithBaseline bool
 	// Parallel bounds the worker pool (0 = GOMAXPROCS).
 	Parallel int

@@ -242,8 +242,8 @@ func TestFaultGridCampaign(t *testing.T) {
 	if out1.Results[0].Fault.Target != paradet.FaultDestReg || out1.Results[0].Fault.Seq != 40 {
 		t.Errorf("expansion order wrong: first fault %+v", out1.Results[0].Fault)
 	}
-	if got := sim1.unprotected.Load(); got != 1 {
-		t.Errorf("golden runs = %d, want 1 (memoised per workload)", got)
+	if got := sim1.runs.Load(); got != 1 {
+		t.Errorf("golden runs = %d, want 1 (memoised per workload and config)", got)
 	}
 
 	st2, _ := resultstore.Open(dir)

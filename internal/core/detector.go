@@ -100,6 +100,11 @@ type Detector struct {
 
 	Delay *stats.Hist // detection delay per load/store, in nanoseconds
 
+	// OnFirstError, when set, is called once, as the first error is
+	// confirmed. Confirmation runs in segment order, so that error, its
+	// kind and its time are final from then on.
+	OnFirstError func()
+
 	stats Stats
 }
 
@@ -377,6 +382,9 @@ func (d *Detector) SegmentChecked(seg *Segment, res CheckResult) {
 		if next.Err != nil && d.firstError == nil {
 			next.Err.Confirmed = true
 			d.firstError = next.Err
+			if d.OnFirstError != nil {
+				d.OnFirstError()
+			}
 		}
 		delete(d.results, d.nextConfirm)
 		d.resultPool = append(d.resultPool, next)

@@ -279,19 +279,24 @@ func TestStrongInductionConfirmationOrder(t *testing.T) {
 	s1, s2, s3 := mk(1), mk(2), mk(3)
 	errRep := &ErrorReport{Kind: ErrStoreValue, SegSeqNo: 3}
 	d.segSeq = 3
+	calls := 0
+	d.OnFirstError = func() { calls++ }
 
 	d.SegmentChecked(s3, CheckResult{OK: false, Err: errRep})
-	if d.FirstError() != nil {
+	if d.FirstError() != nil || calls != 0 {
 		t.Fatal("error must not confirm before earlier segments complete")
 	}
 	d.SegmentChecked(s1, CheckResult{OK: true})
-	if d.FirstError() != nil {
+	if d.FirstError() != nil || calls != 0 {
 		t.Fatal("segment 2 still outstanding")
 	}
 	d.SegmentChecked(s2, CheckResult{OK: true})
 	fe := d.FirstError()
 	if fe == nil || !fe.Confirmed || fe.SegSeqNo != 3 {
 		t.Fatalf("first error = %+v, want confirmed segment 3", fe)
+	}
+	if calls != 1 {
+		t.Fatalf("OnFirstError called %d times at confirmation, want 1", calls)
 	}
 }
 
@@ -300,12 +305,17 @@ func TestEarlierErrorWinsConfirmation(t *testing.T) {
 	d, _, _ := buildDetector(t, tinyLoop, cfg, false)
 	mk := func(no uint64) *Segment { return &Segment{SeqNo: no, State: SegChecking} }
 	d.segSeq = 3
+	calls := 0
+	d.OnFirstError = func() { calls++ }
 	d.SegmentChecked(mk(3), CheckResult{OK: false, Err: &ErrorReport{Kind: ErrStoreValue, SegSeqNo: 3}})
 	d.SegmentChecked(mk(2), CheckResult{OK: false, Err: &ErrorReport{Kind: ErrStoreAddr, SegSeqNo: 2}})
 	d.SegmentChecked(mk(1), CheckResult{OK: true})
 	fe := d.FirstError()
 	if fe == nil || fe.SegSeqNo != 2 {
 		t.Fatalf("first error = %+v, want segment 2 (the earliest failure)", fe)
+	}
+	if calls != 1 {
+		t.Fatalf("OnFirstError called %d times for two confirmed errors, want 1", calls)
 	}
 	if len(d.Errors()) != 2 {
 		t.Fatalf("all errors must be retained: %d", len(d.Errors()))

@@ -111,6 +111,11 @@ func (f Fault) applies(seq uint64) bool {
 // Injector applies a set of faults through isa.Machine hooks.
 type Injector struct {
 	Faults []Fault
+	// Struck counts the main-core fault applications that changed
+	// state. A fault strikes nothing when its instruction lacks what
+	// the target corrupts (a load, a store, a destination register);
+	// the run is then exactly the fault-free run.
+	Struck uint64
 }
 
 // MainHook returns the PostExec hook for the main core's trace oracle.
@@ -129,8 +134,8 @@ func (inj *Injector) MainHook() func(*isa.Machine, *isa.DynInst) {
 	}
 	return func(m *isa.Machine, di *isa.DynInst) {
 		for _, f := range faults {
-			if f.applies(di.Seq) {
-				applyMain(f, m, di)
+			if f.applies(di.Seq) && applyMain(f, m, di) {
+				inj.Struck++
 			}
 		}
 	}
@@ -161,48 +166,54 @@ func (inj *Injector) CheckerHook(id int) func(*isa.Machine, *isa.DynInst) {
 	}
 }
 
-// applyMain performs the architectural corruption for main-core targets.
-func applyMain(f Fault, m *isa.Machine, di *isa.DynInst) {
+// applyMain performs the architectural corruption for main-core targets
+// and reports whether it changed any state.
+func applyMain(f Fault, m *isa.Machine, di *isa.DynInst) bool {
 	switch f.Target {
 	case DestReg:
-		flipDest(m, di, f.Bit)
+		return flipDest(m, di, f.Bit)
 
 	case LoadPostLFU:
 		if !di.Inst.Op.IsLoad() {
-			return // strikes a non-load: no effect through this path
+			return false // strikes a non-load: no effect through this path
 		}
 		// Register copy corrupted; di.Mem (the LFU/log copy) keeps the
 		// correct value.
-		flipDest(m, di, f.Bit)
+		return flipDest(m, di, f.Bit)
 
 	case LoadPreLFU:
 		if !di.Inst.Op.IsLoad() || di.NMem == 0 {
-			return
+			return false
 		}
 		// Corrupt both copies: the value was wrong when duplicated.
 		di.Mem[0].Val ^= 1 << (uint64(f.Bit) % (8 * uint64b(di.Mem[0].Size)))
 		flipDestTo(m, di, di.Mem[0].Val)
+		return true
 
 	case StoreValue:
 		if !di.Inst.Op.IsStore() || di.NMem == 0 {
-			return
+			return false
 		}
 		mo := &di.Mem[0]
 		mo.Val ^= 1 << (uint64(f.Bit) % (8 * uint64b(mo.Size)))
 		// The corrupted store escaped to memory (§IV-F).
 		m.Env.Store(mo.Addr, mo.Size, mo.Val)
+		return true
 
 	case StoreAddr:
 		if !di.Inst.Op.IsStore() || di.NMem == 0 {
-			return
+			return false
 		}
 		mo := &di.Mem[0]
 		mo.Addr ^= 1 << (f.Bit % 32) // keep the address mappable
 		m.Env.Store(mo.Addr, mo.Size, mo.Val)
+		return true
 
 	case Control:
 		di.NextPC ^= 1 << (f.Bit % 24)
+		return true
 	}
+	return false
 }
 
 func uint64b(size uint8) uint64 {
@@ -213,13 +224,14 @@ func uint64b(size uint8) uint64 {
 }
 
 // flipDest flips Bit in the first destination register written by di,
-// updating the machine's architectural state. Instructions without a
-// destination are unaffected (the strike lands in unused hardware).
-func flipDest(m *isa.Machine, di *isa.DynInst, bit uint8) {
+// updating the machine's architectural state, and reports whether di
+// has one. Instructions without a destination are unaffected (the
+// strike lands in unused hardware).
+func flipDest(m *isa.Machine, di *isa.DynInst, bit uint8) bool {
 	var buf [2]isa.RegRef
 	dsts := di.Inst.Dsts(buf[:0])
 	if len(dsts) == 0 {
-		return
+		return false
 	}
 	d := dsts[0]
 	if d.FP {
@@ -227,6 +239,7 @@ func flipDest(m *isa.Machine, di *isa.DynInst, bit uint8) {
 	} else {
 		m.X[d.Idx] ^= 1 << bit
 	}
+	return true
 }
 
 // flipDestTo overwrites the first destination register with v (used when

@@ -106,6 +106,54 @@ func TestControlFaultCorruptsNextPC(t *testing.T) {
 	}
 }
 
+// TestStruckCountsOnlyChanges: the main-core hook counts a strike
+// exactly when it changed the machine or the instruction's record, so
+// a fault that strikes nothing leaves the run as it was.
+func TestStruckCountsOnlyChanges(t *testing.T) {
+	add := isa.Inst{Op: isa.OpADD, Rd: 7}
+	toZero := isa.Inst{Op: isa.OpADD, Rd: isa.ZeroReg}
+	load := isa.Inst{Op: isa.OpLDRD, Rd: 4}
+	store := isa.Inst{Op: isa.OpSTRD, Rd: 2}
+	cases := []struct {
+		target Target
+		inst   isa.Inst
+		seq    uint64
+		struck bool
+	}{
+		{DestReg, add, 1, true},
+		{DestReg, store, 1, false},
+		{DestReg, toZero, 1, false},
+		{DestReg, add, 2, false},
+		{LoadPostLFU, load, 1, true},
+		{LoadPostLFU, add, 1, false},
+		{LoadPreLFU, load, 1, true},
+		{LoadPreLFU, store, 1, false},
+		{StoreValue, store, 1, true},
+		{StoreValue, load, 1, false},
+		{StoreAddr, store, 1, true},
+		{StoreAddr, add, 1, false},
+		{Control, add, 1, true},
+	}
+	for _, c := range cases {
+		inj := &Injector{Faults: []Fault{{Target: c.target, Seq: 1, Bit: 3}}}
+		hook := inj.MainHook()
+		env := &execEnv{}
+		m := &isa.Machine{Env: env}
+		di := &isa.DynInst{Seq: c.seq, NextPC: 0x1000, Inst: c.inst}
+		if c.inst.Op.IsLoad() || c.inst.Op.IsStore() {
+			di.NMem = 1
+			di.Mem[0] = isa.MemOp{Addr: 0x100, Val: 0xAA, Size: 8, IsStore: c.inst.Op.IsStore()}
+		}
+		m0, di0 := *m, *di
+		hook(m, di)
+		changed := m.X != m0.X || m.F != m0.F || *di != di0 || len(env.stores) > 0
+		if got := inj.Struck == 1; got != c.struck || changed != c.struck {
+			t.Errorf("%v on %v at seq %d: struck %d, changed %t; want %t",
+				c.target, c.inst.Op, c.seq, inj.Struck, changed, c.struck)
+		}
+	}
+}
+
 func TestCheckerHookSelectsCore(t *testing.T) {
 	inj := &Injector{Faults: []Fault{{Target: CheckerReg, Seq: 2, Bit: 1, CheckerID: 3}}}
 	if inj.CheckerHook(0) != nil {

@@ -30,6 +30,7 @@ type Engine struct {
 	items []engineItem // every registered ticker, in registration order
 	armed []uint64     // bit i set: items[i] is armed
 	now   Time
+	stop  bool
 }
 
 type engineItem struct {
@@ -75,9 +76,14 @@ func (e *Engine) Wake(t Ticker, at Time) {
 	}
 }
 
-// Run executes tickers in time order until no ticker is armed or the
-// time limit (MaxTime for none) is exceeded. It returns the final
-// simulation time.
+// Stop makes Run return once the activation in progress finishes, at
+// that activation's time. Every ticker keeps its schedule, so a later
+// Run continues where this one stopped.
+func (e *Engine) Stop() { e.stop = true }
+
+// Run executes tickers in time order until no ticker is armed, the
+// time limit (MaxTime for none) is exceeded or a ticker calls Stop. It
+// returns the final simulation time.
 func (e *Engine) Run(limit Time) Time {
 	for {
 		// Earliest activation, first-registered wins ties.
@@ -112,6 +118,10 @@ func (e *Engine) Run(limit Time) Time {
 				next = e.now + 1
 			}
 			it.at = next
+		}
+		if e.stop {
+			e.stop = false
+			return e.now
 		}
 	}
 }

@@ -273,3 +273,50 @@ func TestEngineTimeMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEngineStop: Run returns right after the activation that calls
+// Stop, at that activation's time, and the next Run continues the same
+// schedule: the activations of the stopped runs, concatenated, are
+// those of one uninterrupted run.
+func TestEngineStop(t *testing.T) {
+	type run struct {
+		end  Time
+		last string // the run's final activation
+	}
+	activations := func(stopAt map[Time]bool) (log []string, runs []run) {
+		e := NewEngine()
+		for _, c := range []struct {
+			name   string
+			period Time
+		}{{"a", 3}, {"b", 5}} {
+			c, left := c, 6
+			e.Add(tickFunc(func(now Time) (Time, bool) {
+				log = append(log, fmt.Sprintf("%s@%d", c.name, now))
+				if c.name == "b" && stopAt[now] {
+					e.Stop()
+				}
+				left--
+				return now + c.period, left == 0
+			}), 0)
+		}
+		for {
+			n := len(log)
+			end := e.Run(MaxTime)
+			if len(log) == n {
+				return log, runs
+			}
+			runs = append(runs, run{end, log[len(log)-1]})
+		}
+	}
+	want, _ := activations(nil)
+	got, runs := activations(map[Time]bool{5: true, 15: true})
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("stopped runs activated %v, want %v", got, want)
+	}
+	// At 15, a (registered first) runs before b, so b's activation is
+	// the last of the second run.
+	wantRuns := []run{{5, "b@5"}, {15, "b@15"}, {25, "b@25"}}
+	if fmt.Sprint(runs) != fmt.Sprint(wantRuns) {
+		t.Errorf("runs ended %v, want %v", runs, wantRuns)
+	}
+}

@@ -133,7 +133,7 @@ func TestFaultRecordsGolden(t *testing.T) {
 		// Checker-core faults (over-detection, §IV-I) are not drawn by
 		// RunCampaign; the first two checkers see a segment on every
 		// kernel.
-		golden, err := paradet.RunUnprotected(cfg, p)
+		golden, err := paradet.Run(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}

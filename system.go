@@ -4,18 +4,20 @@ import (
 	"fmt"
 
 	detect "paradet/internal/core"
+	"paradet/internal/fault"
 	"paradet/internal/isa"
 	"paradet/internal/sim"
 )
 
-// faultPlan carries the injector's hook functions into a run; it is
-// produced by the fault API in faults.go.
+// faultPlan carries the injector and its main-core hook into a run; it
+// is produced by the fault API in faults.go.
 type faultPlan struct {
+	// inj produces the per-checker-core hooks and counts the strikes
+	// of main.
+	inj *fault.Injector
 	// main is installed on the trace oracle; the detector commits what
 	// the oracle recorded after it ran.
 	main func(*isa.Machine, *isa.DynInst)
-	// checker produces the per-checker-core hook (nil for none).
-	checker func(id int) func(*isa.Machine, *isa.DynInst)
 }
 
 // Run simulates the program on the protected system (main core + parallel
