@@ -34,6 +34,15 @@ import (
 	"paradet/internal/serve"
 )
 
+// HTTP server timeouts. A client must finish its request headers within
+// readHeaderTimeout, and an idle keep-alive connection closes after
+// idleTimeout. There is no read or write timeout: POST /v1/campaigns
+// streams progress for as long as its campaign runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 to pick a free port; the chosen address is announced on stderr)")
 	storeDir := flag.String("store", "", "result store directory to serve (required; created if absent)")
@@ -74,7 +83,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "pdserve: serving %s on http://%s (/v1, /metrics)\n",
 		store.Dir(), net.JoinHostPort(host, port))
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
