@@ -380,7 +380,7 @@ func TestClassifyMatchesFullRun(t *testing.T) {
 // base field by field.
 func fullRunRecord(t *testing.T, cfg Config, p *Program, f Fault, base *Result) (FaultRecord, *Result) {
 	t.Helper()
-	if bound := 2*base.Instructions + 10000; cfg.MaxInstrs > bound {
+	if bound := 2*base.Instructions + 10000; cfg.MaxInstrs == 0 || cfg.MaxInstrs > bound {
 		cfg.MaxInstrs = bound
 	}
 	res, err := RunWithFaults(cfg, p, []Fault{f})
