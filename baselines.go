@@ -1,17 +1,6 @@
 package paradet
 
-import (
-	"fmt"
-
-	"paradet/internal/areapower"
-	"paradet/internal/branch"
-	"paradet/internal/lockstep"
-	"paradet/internal/mem"
-	"paradet/internal/ooo"
-	"paradet/internal/rmt"
-	"paradet/internal/sim"
-	"paradet/internal/trace"
-)
+import "paradet/internal/areapower"
 
 // BaselineResult reports a lockstep or RMT baseline run.
 type BaselineResult struct {
@@ -30,107 +19,57 @@ type BaselineResult struct {
 	DetectInfo string
 }
 
-// buildMainHierarchy assembles the Table I memory system for a single
-// main core, reusing the SystemBuilder's memory construction step (the
-// baseline runners and the protected system share one hierarchy shape).
-func buildMainHierarchy(mainClk sim.Clock) (l1i, l1d *mem.Cache) {
-	m := newMainMemory(mainClk)
-	return m.l1i, m.l1d
-}
-
 // RunLockstep simulates the program under dual-core lockstep with
-// optional fault injection into the primary core.
+// optional fault injection into the primary core. Faults strike the
+// primary only: the whole point of lockstep is that the shadow core is
+// physically separate hardware.
 func RunLockstep(cfg Config, p *Program, faults []Fault) (*BaselineResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	fp, err := planFaults(faults)
-	if err != nil {
-		return nil, err
-	}
-	mainClk := sim.NewClock(cfg.MainCoreHz)
-	eng := sim.NewEngine()
-	l1i, l1d := buildMainHierarchy(mainClk)
-
-	img := mem.NewSparse()
-	oracle := trace.NewOracle(p.prog, img, cfg.MaxInstrs)
-	// Faults strike the primary only: the whole point of lockstep is
-	// that the shadow core is physically separate hardware. The hook is
-	// nil when no fault targets the main core.
-	oracle.M.Hooks.PostExec = fp.main
-
-	cmp := lockstep.NewComparator(p.prog, trace.InitialRegs(p.prog), mainClk.Duration(2))
-	ocfg := ooo.NewTableIConfig()
-	ocfg.Clock = mainClk
-	core := ooo.New(ocfg, oracle, l1i, l1d, branch.New(branch.Config{}), cmp)
-	eng.Add(core, 0)
-	eng.Run(sim.MaxTime - 1)
-	if !core.Done() {
-		return nil, fmt.Errorf("paradet: lockstep core failed to drain")
-	}
-
-	cs := core.Stats()
-	res := &BaselineResult{
-		Scheme:       "lockstep",
-		Workload:     p.name,
-		Cycles:       cs.Cycles,
-		Instructions: cs.Instructions,
-		IPC:          cs.IPC(),
-		TimeNS:       cs.FinishTime.Nanoseconds(),
-		MeanDelayNS:  cmp.Delay.Mean(),
-		MaxDelayNS:   cmp.Delay.Max(),
-	}
-	if d := cmp.FirstDivergence(); d != nil {
-		res.Detected = true
-		res.DetectNS = d.DetectedAt.Nanoseconds()
-		res.DetectInfo = d.String()
-	}
-	return res, nil
+	return runBaseline(&SystemBuilder{cfg: cfg, prog: p, scheme: schemeLockstep, faults: faults})
 }
 
 // RunRMT simulates the program under SMT redundant multithreading: every
 // instruction flows through the core twice, contending for the same
 // resources.
 func RunRMT(cfg Config, p *Program) (*BaselineResult, error) {
-	if err := cfg.Validate(); err != nil {
+	return runBaseline(&SystemBuilder{cfg: cfg, prog: p, scheme: schemeRMT})
+}
+
+// runBaseline runs a lockstep or RMT system and reports its main core
+// with its comparator's delays and first divergence.
+func runBaseline(b *SystemBuilder) (*BaselineResult, error) {
+	s, err := b.Build()
+	if err != nil {
 		return nil, err
 	}
-	mainClk := sim.NewClock(cfg.MainCoreHz)
-	eng := sim.NewEngine()
-	l1i, l1d := buildMainHierarchy(mainClk)
-
-	img := mem.NewSparse()
-	oracle := trace.NewOracle(p.prog, img, cfg.MaxInstrs)
-	dup := &rmt.DupSource{Inner: oracle}
-	cmp := rmt.NewComparator()
-
-	ocfg := ooo.NewTableIConfig()
-	ocfg.Clock = mainClk
-	core := ooo.New(ocfg, dup, l1i, l1d, branch.New(branch.Config{}), cmp)
-	eng.Add(core, 0)
-	eng.Run(sim.MaxTime - 1)
-	if !core.Done() {
-		return nil, fmt.Errorf("paradet: rmt core failed to drain")
+	res, err := s.Run()
+	if err != nil {
+		return nil, err
 	}
-
-	cs := core.Stats()
-	res := &BaselineResult{
-		Scheme:   "rmt",
-		Workload: p.name,
-		Cycles:   cs.Cycles,
+	out := &BaselineResult{
+		Workload:     res.Workload,
+		Cycles:       res.Cycles,
+		Instructions: res.Instructions,
+		IPC:          res.IPC,
+		TimeNS:       res.TimeNS,
+	}
+	switch b.scheme {
+	case schemeLockstep:
+		out.Scheme = "lockstep"
+		out.MeanDelayNS, out.MaxDelayNS = s.lockstep.Delay.Mean(), s.lockstep.Delay.Max()
+		if d := s.lockstep.FirstDivergence(); d != nil {
+			out.Detected, out.DetectNS, out.DetectInfo = true, d.DetectedAt.Nanoseconds(), d.String()
+		}
+	case schemeRMT:
 		// Report program instructions, not duplicated micro-work.
-		Instructions: cs.Instructions / 2,
-		IPC:          cs.IPC() / 2,
-		TimeNS:       cs.FinishTime.Nanoseconds(),
-		MeanDelayNS:  cmp.Delay.Mean(),
-		MaxDelayNS:   cmp.Delay.Max(),
+		out.Scheme = "rmt"
+		out.Instructions /= 2
+		out.IPC /= 2
+		out.MeanDelayNS, out.MaxDelayNS = s.rmt.Delay.Mean(), s.rmt.Delay.Max()
+		if d := s.rmt.FirstDivergence(); d != nil {
+			out.Detected, out.DetectNS, out.DetectInfo = true, d.DetectedAt.Nanoseconds(), d.String()
+		}
 	}
-	if d := cmp.FirstDivergence(); d != nil {
-		res.Detected = true
-		res.DetectNS = d.DetectedAt.Nanoseconds()
-		res.DetectInfo = d.String()
-	}
-	return res, nil
+	return out, nil
 }
 
 // AreaPowerReport is the public mirror of the analytic §VI-B/§VI-C model.

@@ -7,40 +7,59 @@ import (
 	detect "paradet/internal/core"
 	"paradet/internal/inorder"
 	"paradet/internal/isa"
+	"paradet/internal/lockstep"
 	"paradet/internal/mem"
 	"paradet/internal/obs/telemetry"
 	"paradet/internal/ooo"
+	"paradet/internal/rmt"
 	"paradet/internal/sim"
 	"paradet/internal/trace"
 )
 
 // SystemBuilder assembles a simulated system from composable steps:
 // memory hierarchy, functional oracle, detection hardware, checker
-// cluster and main core. It replaces the old monolithic runSystem so
-// higher layers (the campaign sweep engine, future multi-core
-// topologies) can construct systems piecewise instead of going through
-// a single entry point.
+// cluster and main core. Every scheme the paper compares is built
+// here, so they all share one main core and memory hierarchy.
 //
 //	res, err := paradet.NewSystemBuilder(cfg, prog).Protected(false).Run()
 type SystemBuilder struct {
-	cfg       Config
-	prog      *Program
-	protected bool
-	faults    []Fault
-	probe     *telemetry.Probe
+	cfg    Config
+	prog   *Program
+	scheme scheme
+	faults []Fault
+	probe  *telemetry.Probe
 }
+
+// scheme selects what a System builds around its main core.
+type scheme uint8
+
+const (
+	// schemeProtected adds parallel error detection: the detector gates
+	// commit and checker cores re-execute each segment.
+	schemeProtected scheme = iota
+	// schemeUnprotected is the bare main core.
+	schemeUnprotected
+	// schemeLockstep gates commit on a dual-core lockstep comparator.
+	schemeLockstep
+	// schemeRMT runs every instruction twice through the one core and
+	// gates commit on the RMT comparator.
+	schemeRMT
+)
 
 // NewSystemBuilder starts a builder for the protected system (main core
 // plus parallel error detection). Use Protected(false) for the bare
 // main core.
 func NewSystemBuilder(cfg Config, p *Program) *SystemBuilder {
-	return &SystemBuilder{cfg: cfg, prog: p, protected: true}
+	return &SystemBuilder{cfg: cfg, prog: p, scheme: schemeProtected}
 }
 
 // Protected selects between the protected system and the bare main
 // core used as the paper's normalisation baseline.
 func (b *SystemBuilder) Protected(on bool) *SystemBuilder {
-	b.protected = on
+	b.scheme = schemeUnprotected
+	if on {
+		b.scheme = schemeProtected
+	}
 	return b
 }
 
@@ -88,11 +107,11 @@ func (b *SystemBuilder) validate() (*faultPlan, error) {
 
 // assemble builds the validated system.
 func (b *SystemBuilder) assemble(fp *faultPlan) *System {
-	s := &System{cfg: b.cfg, prog: b.prog, protected: b.protected, fp: fp}
+	s := &System{cfg: b.cfg, prog: b.prog, scheme: b.scheme, fp: fp}
 	s.buildCores()
 	s.buildMemoryHierarchy()
 	s.buildOracle()
-	if s.protected {
+	if s.scheme == schemeProtected {
 		s.buildDetector()
 		s.buildCheckerCluster()
 	}
@@ -112,9 +131,7 @@ func (b *SystemBuilder) Run() (*Result, error) {
 	return s.Run()
 }
 
-// mainMemory is the Table I memory system of one main core. It is a
-// reusable construction step: the protected system, the bare baseline
-// core and the lockstep/RMT baselines all build the same hierarchy.
+// mainMemory is the Table I memory system of one main core.
 type mainMemory struct {
 	dram *mem.DRAM
 	l2   *mem.Cache
@@ -122,30 +139,13 @@ type mainMemory struct {
 	l1d  *mem.Cache
 }
 
-func newMainMemory(mainClk sim.Clock) *mainMemory {
-	dram := mem.NewDDR3()
-	l2 := mem.NewCache(mem.CacheConfig{
-		Name: "L2", SizeBytes: 1 << 20, Ways: 16, LineBytes: 64,
-		HitLat: mainClk.Duration(12), MSHRs: 16, Prefetch: true,
-	}, dram)
-	l1i := mem.NewCache(mem.CacheConfig{
-		Name: "L1I", SizeBytes: 32 << 10, Ways: 2, LineBytes: 64,
-		HitLat: mainClk.Duration(2), MSHRs: 6,
-	}, l2)
-	l1d := mem.NewCache(mem.CacheConfig{
-		Name: "L1D", SizeBytes: 32 << 10, Ways: 2, LineBytes: 64,
-		HitLat: mainClk.Duration(2), MSHRs: 6,
-	}, l2)
-	return &mainMemory{dram: dram, l2: l2, l1i: l1i, l1d: l1d}
-}
-
 // System is one fully assembled simulation, produced by SystemBuilder.
 // Run drives it to completion and reports the Result.
 type System struct {
-	cfg       Config
-	prog      *Program
-	protected bool
-	fp        *faultPlan
+	cfg    Config
+	prog   *Program
+	scheme scheme
+	fp     *faultPlan
 
 	eng      *sim.Engine
 	mainClk  sim.Clock
@@ -156,6 +156,8 @@ type System struct {
 	oracle   *trace.Oracle
 	det      *detect.Detector
 	checkers []*inorder.Checker
+	lockstep *lockstep.Comparator
+	rmt      *rmt.Comparator
 	mainCore *ooo.Core
 	ran      bool
 
@@ -180,7 +182,20 @@ func (s *System) buildCores() {
 
 // buildMemoryHierarchy assembles the Table I caches and DRAM.
 func (s *System) buildMemoryHierarchy() {
-	s.memory = newMainMemory(s.mainClk)
+	dram := mem.NewDDR3()
+	l2 := mem.NewCache(mem.CacheConfig{
+		Name: "L2", SizeBytes: 1 << 20, Ways: 16, LineBytes: 64,
+		HitLat: s.mainClk.Duration(12), MSHRs: 16, Prefetch: true,
+	}, dram)
+	l1i := mem.NewCache(mem.CacheConfig{
+		Name: "L1I", SizeBytes: 32 << 10, Ways: 2, LineBytes: 64,
+		HitLat: s.mainClk.Duration(2), MSHRs: 6,
+	}, l2)
+	l1d := mem.NewCache(mem.CacheConfig{
+		Name: "L1D", SizeBytes: 32 << 10, Ways: 2, LineBytes: 64,
+		HitLat: s.mainClk.Duration(2), MSHRs: 6,
+	}, l2)
+	s.memory = &mainMemory{dram: dram, l2: l2, l1i: l1i, l1d: l1d}
 }
 
 // buildOracle creates the functional model that feeds the out-of-order
@@ -246,16 +261,26 @@ func (s *System) buildCheckerCluster() {
 	s.det.AttachCheckers(pool)
 }
 
-// buildMainCore creates the out-of-order main core, gated on the
-// detector's commit interface when protection is enabled.
+// buildMainCore creates the out-of-order main core. Its commit gate is
+// the scheme's checking hardware: the detector, a lockstep comparator
+// two cycles behind commit, or the RMT comparator, whose core takes
+// every instruction from the oracle twice. The bare core has none.
 func (s *System) buildMainCore() {
+	var src ooo.TraceSource = s.oracle
 	var gate ooo.CommitGate
-	if s.det != nil {
+	switch s.scheme {
+	case schemeProtected:
 		gate = s.det
+	case schemeLockstep:
+		s.lockstep = lockstep.NewComparator(s.prog.prog, trace.InitialRegs(s.prog.prog), s.mainClk.Duration(2))
+		gate = s.lockstep
+	case schemeRMT:
+		s.rmt = rmt.NewComparator()
+		src, gate = &rmt.DupSource{Inner: s.oracle}, s.rmt
 	}
 	s.ocfg.Clock = s.mainClk
 	bp := branch.New(branch.Config{})
-	s.mainCore = ooo.New(s.ocfg, s.oracle, s.memory.l1i, s.memory.l1d, bp, gate)
+	s.mainCore = ooo.New(s.ocfg, src, s.memory.l1i, s.memory.l1d, bp, gate)
 	s.eng.Add(s.mainCore, 0)
 }
 
@@ -303,7 +328,7 @@ func (s *System) Run() (*Result, error) {
 		return nil, fmt.Errorf("paradet: main core failed to drain (deadlock)")
 	}
 	finish := s.eng.Now()
-	if s.protected {
+	if s.scheme == schemeProtected {
 		s.det.Finish(finish)
 		s.eng.Run(sim.MaxTime - 1)
 		if s.stoppedAtVerdict() {
@@ -344,7 +369,7 @@ func (s *System) assembleResult(wall sim.Time) *Result {
 	cs := s.mainCore.Stats()
 	res := &Result{
 		Workload:     s.prog.name,
-		Protected:    s.protected,
+		Protected:    s.scheme == schemeProtected,
 		Cycles:       cs.Cycles,
 		Instructions: cs.Instructions,
 		IPC:          cs.IPC(),
@@ -359,7 +384,7 @@ func (s *System) assembleResult(wall sim.Time) *Result {
 	if s.oracle.Err != nil {
 		res.ProgFault = s.oracle.Err.Error()
 	}
-	if !s.protected {
+	if !res.Protected {
 		return res
 	}
 	ds := s.det.Stats()

@@ -142,7 +142,7 @@ func main() {
 	var probe *telemetry.Probe
 	b := paradet.NewSystemBuilder(cfg, prog).WithFaults(faults...)
 	if telemOpts != nil {
-		probe = telemetry.New(telemOpts.Interval, telemOpts.Cap)
+		probe = telemetry.New(telemOpts.Interval, telemetry.DefaultCap)
 		b.WithTelemetry(probe)
 	}
 	res, err := b.Run()

@@ -84,6 +84,9 @@ func planFaults(faults []Fault) (*faultPlan, error) {
 		if f.Seq == 0 {
 			return nil, fmt.Errorf("paradet: fault Seq must be >= 1")
 		}
+		if f.Bit > 63 {
+			return nil, fmt.Errorf("paradet: fault bit %d out of range (0-63)", f.Bit)
+		}
 		inj.Faults = append(inj.Faults, fault.Fault{
 			Target: t, Seq: f.Seq, Bit: f.Bit, Sticky: f.Sticky, CheckerID: f.CheckerID,
 		})

@@ -29,11 +29,19 @@ func TestFaultTargetsMatchesRegistry(t *testing.T) {
 }
 
 // TestInvalidFaultsAreRejected asserts that every scheme that injects
-// faults rejects an unknown target and a zero strike point with an
-// error, not a panic or a silently ignored fault.
+// faults rejects an unknown target, a zero strike point and a bit past
+// 63 with an error, not a panic or a silently ignored fault.
 func TestInvalidFaultsAreRejected(t *testing.T) {
 	p := MustAssemble(faultKernel)
-	for _, f := range []Fault{{Target: "bogus", Seq: 5}, {Target: FaultDestReg, Seq: 0}} {
+	golden, err := Run(faultConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Fault{
+		{Target: "bogus", Seq: 5},
+		{Target: FaultDestReg, Seq: 0},
+		{Target: FaultDestReg, Seq: 5, Bit: 64},
+	} {
 		if s := fmt.Sprint(f); strings.Contains(s, "PANIC") {
 			t.Errorf("printing %+v panicked: %s", f, s)
 		}
@@ -42,6 +50,9 @@ func TestInvalidFaultsAreRejected(t *testing.T) {
 		}
 		if _, err := RunLockstep(faultConfig(), p, []Fault{f}); err == nil {
 			t.Errorf("RunLockstep accepted %+v", f)
+		}
+		if _, err := ClassifyFault(faultConfig(), p, f, golden); err == nil {
+			t.Errorf("ClassifyFault accepted %+v", f)
 		}
 	}
 }

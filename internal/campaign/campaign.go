@@ -136,12 +136,10 @@ type TelemetryOptions struct {
 	// protected cell; conventionally <store dir>/telemetry. Required.
 	Dir string
 	// Interval is the committed-instruction sampling interval
-	// (0 = telemetry.DefaultInterval).
-	Interval uint64
-	// Cap bounds retained samples per cell (0 = telemetry.DefaultCap);
-	// older samples are overwritten, whole-run totals survive in the
+	// (0 = telemetry.DefaultInterval). Each cell keeps its last
+	// telemetry.DefaultCap samples; whole-run totals survive in the
 	// sidecar header.
-	Cap int
+	Interval uint64
 }
 
 // counters aggregates engine statistics across workers.
@@ -159,185 +157,104 @@ func (c *counters) stats(cells int) Stats {
 	}
 }
 
-// baseKey identifies one memoisable reference simulation by workload,
-// scheme and the resolved config with every knob the scheme ignores
-// normalised to zero. An unprotected run depends only on the program,
-// the sample length and the main-core microarchitecture; checker-side
-// knobs are irrelevant, so sweep points share one baseline. BigCore
-// overrides MainCoreHz, so the clock is normalised to zero when it is
-// set. Lockstep and RMT reference runs are keyed the same way,
-// distinguished by scheme. A fault golden is a protected run, which
-// every knob can change, so its key keeps the full config.
-type baseKey struct {
-	workload string
-	scheme   Scheme
-	cfg      paradet.Config
+// work says how a memo lookup is counted and whether the store may
+// serve it.
+type work uint8
+
+const (
+	// cellWork is a grid cell's own run: a protected run or a fault
+	// classification (CellHits, CellSims).
+	cellWork work = iota
+	// refWork is a reference run: an unprotected, lockstep or RMT run
+	// (BaselineHits, BaselineSims).
+	refWork
+	// goldenWork is the fault-free protected run fault cells are
+	// classified against. Classification diffs its final memory image,
+	// which the store does not carry, so the store never serves it.
+	goldenWork
+)
+
+// memo holds one entry per store key, so each cell and reference run
+// is computed at most once per campaign, whichever worker gets there
+// first. Concurrent requesters of one key block on the same entry and
+// share its payload.
+type memo struct {
+	store   *resultstore.Store
+	ctrs    *counters
+	mu      sync.Mutex
+	entries map[string]*memoEntry // by key fingerprint
 }
 
-func newBaseKey(cfg paradet.Config, workload string, scheme Scheme) baseKey {
-	norm := paradet.Config{MaxInstrs: cfg.MaxInstrs, BigCore: cfg.BigCore, MainCoreHz: cfg.MainCoreHz}
-	if scheme == SchemeUnprotected && norm.BigCore {
-		norm.MainCoreHz = 0 // BigCore ignores MainCoreHz
-	}
-	return baseKey{workload: workload, scheme: scheme, cfg: norm}
-}
-
-// storeKey is the persistent fingerprint identity of a reference run,
-// so equivalent runs share one cell across sweeps. A fault golden's is
-// its protected cell key.
-func (k baseKey) storeKey() resultstore.Key {
-	return resultstore.Key{Workload: k.workload, Scheme: string(k.scheme), Config: k.cfg}
-}
-
-type baseEntry struct {
+type memoEntry struct {
 	mu        sync.Mutex
-	res       *paradet.Result
-	aux       *paradet.BaselineResult
+	cell      *resultstore.Cell
 	err       error
 	fromStore bool
 }
 
-// refCache memoises reference runs — unprotected baselines/cells,
-// lockstep and RMT reference runs, and fault goldens — so each unique
-// key simulates at most once per campaign, whichever worker gets there
-// first, and is additionally served from the persistent store when one
-// is attached. Concurrent requesters of one key block on the same
-// entry.
-type refCache struct {
-	sim     Simulator
-	store   *resultstore.Store
-	ctrs    *counters
-	mu      sync.Mutex
-	entries map[baseKey]*baseEntry
-}
-
-func newRefCache(sim Simulator, store *resultstore.Store, ctrs *counters) *refCache {
-	return &refCache{sim: sim, store: store, ctrs: ctrs, entries: make(map[baseKey]*baseEntry)}
-}
-
-func (c *refCache) entry(key baseKey) *baseEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
+// get returns key's payload and whether the store served it: from the
+// memo entry, else from the store, else from simulate, whose payload
+// is then put back best-effort. A golden is put back too, under its
+// protected cell key, which then serves a protected cell of its config.
+func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate func() (*resultstore.Cell, error)) (*resultstore.Cell, bool, error) {
+	fp := key.Fingerprint()
+	m.mu.Lock()
+	e := m.entries[fp]
 	if e == nil {
-		e = &baseEntry{}
-		c.entries[key] = e
+		e = &memoEntry{}
+		m.entries[fp] = e
 	}
-	return e
-}
+	m.mu.Unlock()
 
-// unprotected returns the memoised unprotected run for cfg.
-func (c *refCache) unprotected(ctx context.Context, cfg paradet.Config, workload string, p *paradet.Program) (*paradet.Result, bool, error) {
-	key := newBaseKey(cfg, workload, SchemeUnprotected)
-	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.err != nil {
-		return nil, false, e.err
+	if e.cell != nil || e.err != nil {
+		return e.cell, e.fromStore, e.err
 	}
-	if e.res != nil {
-		return e.res, e.fromStore, nil
+	ref := w != cellWork
+	hits, sims := &m.ctrs.cellHits, &m.ctrs.cellSims
+	if ref {
+		hits, sims = &m.ctrs.baseHits, &m.ctrs.baseSims
 	}
-	if c.store != nil {
-		if cell, ok := c.store.Get(key.storeKey()); ok && cell.Result != nil {
-			c.ctrs.baseHits.Add(1)
-			obsRefHit.Inc()
-			e.res, e.fromStore = cell.Result, true
-			return e.res, true, nil
+	if m.store != nil && w != goldenWork {
+		if c, ok := m.store.Get(key); ok && holds(key, c) {
+			hits.Add(1)
+			if ref {
+				obsRefHit.Inc()
+			}
+			e.cell, e.fromStore = c, true
+			return c, true, nil
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	c.ctrs.baseSims.Add(1)
-	obsRefSim.Inc()
-	res, err := c.sim.RunUnprotected(ctx, cfg, p)
-	if err == nil && res.TimeNS == 0 {
-		err = fmt.Errorf("zero-length baseline run")
+	sims.Add(1)
+	if ref {
+		obsRefSim.Inc()
 	}
+	c, err := simulate()
 	if err != nil {
 		e.err = err
 		return nil, false, err
 	}
-	e.res = res
-	if c.store != nil {
-		c.store.Put(key.storeKey(), &resultstore.Cell{Result: res}) // best-effort
+	e.cell = c
+	if m.store != nil {
+		m.store.Put(key, c) // best-effort
 	}
-	return e.res, false, nil
+	return c, false, nil
 }
 
-// golden returns the fault-free protected run that the fault cells of
-// cfg are classified against. Classification diffs its final memory
-// image, which the store does not carry, so it is simulated in-process,
-// once per campaign and only when a fault cell misses the store. It is
-// written best-effort under its protected cell key, which then serves a
-// protected cell of the same config.
-func (c *refCache) golden(ctx context.Context, cfg paradet.Config, workload string, p *paradet.Program) (*paradet.Result, error) {
-	key := baseKey{workload: workload, scheme: SchemeProtected, cfg: cfg}
-	e := c.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil || e.res != nil {
-		return e.res, e.err
+// holds reports whether a stored cell carries the payload its key's
+// cell produces.
+func holds(k resultstore.Key, c *resultstore.Cell) bool {
+	switch {
+	case k.Fault != nil:
+		return c.FaultRecord != nil
+	case k.Scheme == string(SchemeLockstep), k.Scheme == string(SchemeRMT):
+		return c.Baseline != nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.ctrs.baseSims.Add(1)
-	obsRefSim.Inc()
-	res, err := c.sim.Run(ctx, cfg, p)
-	if err != nil {
-		e.err = err
-		return nil, err
-	}
-	e.res = res
-	if c.store != nil {
-		c.store.Put(key.storeKey(), &resultstore.Cell{Result: res}) // best-effort
-	}
-	return res, nil
-}
-
-// reference returns the memoised lockstep or RMT reference run.
-func (c *refCache) reference(ctx context.Context, cfg paradet.Config, workload string, scheme Scheme, p *paradet.Program) (*paradet.BaselineResult, bool, error) {
-	key := newBaseKey(cfg, workload, scheme)
-	e := c.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return nil, false, e.err
-	}
-	if e.aux != nil {
-		return e.aux, e.fromStore, nil
-	}
-	if c.store != nil {
-		if cell, ok := c.store.Get(key.storeKey()); ok && cell.Baseline != nil {
-			c.ctrs.baseHits.Add(1)
-			obsRefHit.Inc()
-			e.aux, e.fromStore = cell.Baseline, true
-			return e.aux, true, nil
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	c.ctrs.baseSims.Add(1)
-	obsRefSim.Inc()
-	var aux *paradet.BaselineResult
-	var err error
-	if scheme == SchemeLockstep {
-		aux, err = c.sim.RunLockstep(ctx, cfg, p)
-	} else {
-		aux, err = c.sim.RunRMT(ctx, cfg, p)
-	}
-	if err != nil {
-		e.err = err
-		return nil, false, err
-	}
-	e.aux = aux
-	if c.store != nil {
-		c.store.Put(key.storeKey(), &resultstore.Cell{Baseline: aux}) // best-effort
-	}
-	return e.aux, false, nil
+	return c.Result != nil
 }
 
 // Execute runs the campaign with a background context and no store.
@@ -411,15 +328,15 @@ func ExecuteContext(ctx context.Context, spec Spec, sim Simulator, opts Options)
 	if opts.Telemetry != nil && opts.Telemetry.Dir == "" {
 		return nil, fmt.Errorf("campaign %q: telemetry needs a sidecar directory", spec.Name)
 	}
+	ctrs := &counters{}
 	eng := &engine{
 		sim:      sim,
-		store:    opts.Store,
-		ctrs:     &counters{},
+		memo:     &memo{store: opts.Store, ctrs: ctrs, entries: make(map[string]*memoEntry)},
+		ctrs:     ctrs,
 		progress: opts.Progress,
 		total:    len(owned),
 		telem:    opts.Telemetry,
 	}
-	eng.cache = newRefCache(sim, opts.Store, eng.ctrs)
 	if obs.Enabled() {
 		obs.Emit(obs.Entry{Event: "sweep_start", Phase: "campaign", Detail: spec.Name, Count: len(owned)})
 	}
@@ -453,8 +370,7 @@ func ExecuteContext(ctx context.Context, spec Spec, sim Simulator, opts Options)
 // engine bundles the per-execution state the cell workers share.
 type engine struct {
 	sim      Simulator
-	store    *resultstore.Store
-	cache    *refCache
+	memo     *memo
 	ctrs     *counters
 	total    int
 	mu       sync.Mutex // serializes progress callbacks
@@ -519,50 +435,68 @@ func (e *engine) observe(cell int, r *Run, elapsed time.Duration) {
 	obs.Emit(ent)
 }
 
-// run simulates (or loads) one cell and, when requested, its shared
+// run computes (or loads) one cell and, when requested, its shared
 // baseline and slowdown.
 func (e *engine) run(ctx context.Context, r *Run, prog *paradet.Program, withBaseline bool) {
+	e.lookup(ctx, r, prog)
+	if r.Err != nil || r.Fault != nil || !withBaseline {
+		return // a fault cell has no slowdown
+	}
+	base := Run{Workload: r.Workload, Scheme: SchemeUnprotected, Config: r.Config}
+	if e.lookup(ctx, &base, prog); base.Err != nil {
+		r.Err = fmt.Errorf("baseline: %w", base.Err)
+		return
+	}
+	r.Baseline = base.Res
+	r.Slowdown = r.TimeNS() / base.Res.TimeNS
+}
+
+// lookup fills r's payload through the memo, keyed by CellKey(r), so a
+// warm store performs no simulation at all.
+func (e *engine) lookup(ctx context.Context, r *Run, prog *paradet.Program) {
+	w := refWork
+	if r.Fault != nil || r.Scheme == SchemeProtected {
+		w = cellWork
+	}
+	key := CellKey(r)
+	c, cached, err := e.memo.get(ctx, key, w, func() (*resultstore.Cell, error) {
+		return e.simulate(ctx, r, key, prog)
+	})
+	r.Cached, r.Err = cached, err
+	if err == nil {
+		r.Res, r.Aux, r.FaultRec = c.Result, c.Baseline, c.FaultRecord
+	}
+}
+
+// simulate runs one cell on the simulator. A protected cell carries
+// telemetry when it is asked for.
+func (e *engine) simulate(ctx context.Context, r *Run, key resultstore.Key, prog *paradet.Program) (*resultstore.Cell, error) {
+	c := &resultstore.Cell{}
+	var err error
 	switch {
 	case r.Fault != nil:
-		e.runFault(ctx, r, prog)
-		return // a fault cell has no slowdown
+		c.FaultRecord, err = e.classify(ctx, r, prog)
 	case r.Scheme == SchemeProtected:
-		key := CellKey(r)
-		if e.store != nil {
-			if cell, ok := e.store.Get(key); ok && cell.Result != nil {
-				e.ctrs.cellHits.Add(1)
-				r.Res, r.Cached = cell.Result, true
-				break
-			}
+		ts, ok := e.sim.(TelemetrySimulator)
+		if !ok || e.telem == nil {
+			c.Result, err = e.sim.Run(ctx, r.Config, prog)
+			break
 		}
-		e.ctrs.cellSims.Add(1)
-		if ts, ok := e.sim.(TelemetrySimulator); ok && e.telem != nil {
-			probe := telemetry.New(e.telem.Interval, e.telem.Cap)
-			r.Res, r.Err = ts.RunTelemetry(ctx, r.Config, prog, probe)
-			if r.Err == nil {
-				e.writeTelemetry(key, r, probe)
-			}
-		} else {
-			r.Res, r.Err = e.sim.Run(ctx, r.Config, prog)
-		}
-		if r.Err == nil && e.store != nil {
-			e.store.Put(key, &resultstore.Cell{Result: r.Res}) // best-effort
+		probe := telemetry.New(e.telem.Interval, telemetry.DefaultCap)
+		if c.Result, err = ts.RunTelemetry(ctx, r.Config, prog, probe); err == nil {
+			e.writeTelemetry(key, r, probe)
 		}
 	case r.Scheme == SchemeUnprotected:
-		r.Res, r.Cached, r.Err = e.cache.unprotected(ctx, r.Config, r.Workload, prog)
-	case r.Scheme == SchemeLockstep, r.Scheme == SchemeRMT:
-		r.Aux, r.Cached, r.Err = e.cache.reference(ctx, r.Config, r.Workload, r.Scheme, prog)
+		c.Result, err = e.sim.RunUnprotected(ctx, r.Config, prog)
+		if err == nil && c.Result.TimeNS == 0 {
+			err = fmt.Errorf("zero-length baseline run")
+		}
+	case r.Scheme == SchemeLockstep:
+		c.Baseline, err = e.sim.RunLockstep(ctx, r.Config, prog)
+	case r.Scheme == SchemeRMT:
+		c.Baseline, err = e.sim.RunRMT(ctx, r.Config, prog)
 	}
-	if r.Err != nil || !withBaseline {
-		return
-	}
-	base, _, err := e.cache.unprotected(ctx, r.Config, r.Workload, prog)
-	if err != nil {
-		r.Err = fmt.Errorf("baseline: %w", err)
-		return
-	}
-	r.Baseline = base
-	r.Slowdown = r.TimeNS() / base.TimeNS
+	return c, err
 }
 
 // writeTelemetry drops the cell's telemetry series as a sidecar named
@@ -592,36 +526,24 @@ func (e *engine) writeTelemetry(key resultstore.Key, r *Run, probe *telemetry.Pr
 	}
 }
 
-// runFault classifies one fault-injection cell against the memoised
-// golden run. The golden run is only simulated on a store miss, so a
-// fully warm store performs zero simulations.
-func (e *engine) runFault(ctx context.Context, r *Run, prog *paradet.Program) {
-	key := CellKey(r)
-	if e.store != nil {
-		if cell, ok := e.store.Get(key); ok && cell.FaultRecord != nil {
-			e.ctrs.cellHits.Add(1)
-			r.FaultRec, r.Cached = cell.FaultRecord, true
-			return
-		}
-	}
-	golden, err := e.cache.golden(ctx, r.Config, r.Workload, prog)
+// classify classifies one fault cell against its golden: the
+// fault-free protected run of the same workload and config, simulated
+// at most once per campaign and only when a fault cell misses the
+// store, so a fully warm store performs zero simulations.
+func (e *engine) classify(ctx context.Context, r *Run, prog *paradet.Program) (*paradet.FaultRecord, error) {
+	gkey := resultstore.Key{Workload: r.Workload, Scheme: string(SchemeProtected), Config: r.Config}
+	g, _, err := e.memo.get(ctx, gkey, goldenWork, func() (*resultstore.Cell, error) {
+		res, err := e.sim.Run(ctx, r.Config, prog)
+		return &resultstore.Cell{Result: res}, err
+	})
 	if err != nil {
-		r.Err = fmt.Errorf("golden run: %w", err)
-		return
+		return nil, fmt.Errorf("golden run: %w", err)
 	}
 	// ClassifyFault bounds runaway wrong-path execution from control
 	// faults. The fingerprint keys the unbounded config: the bound is a
 	// deterministic function of it.
-	e.ctrs.cellSims.Add(1)
-	rec, err := e.sim.ClassifyFault(ctx, r.Config, prog, *r.Fault, golden)
-	if err != nil {
-		r.Err = err
-		return
-	}
-	r.FaultRec = &rec
-	if e.store != nil {
-		e.store.Put(key, &resultstore.Cell{FaultRecord: &rec}) // best-effort
-	}
+	rec, err := e.sim.ClassifyFault(ctx, r.Config, prog, *r.Fault, g.Result)
+	return &rec, err
 }
 
 // resolveConfig fills the committed-instruction sample: point config,

@@ -107,18 +107,21 @@ func expandGrid(spec Spec, info func(string) paradet.WorkloadInfo) []Run {
 	return runs
 }
 
-// CellKey is the persistent store identity of one expanded cell.
-// Protected and fault cells fingerprint the full resolved config;
-// unprotected, lockstep and RMT cells share the reference-run
-// normalisation (checker-side knobs zeroed) so they alias the
-// memoised baselines whichever campaign produced them.
+// CellKey is the persistent store identity of one expanded cell, and
+// the key the campaign engine memoises it under. Protected and fault
+// cells fingerprint the full resolved config. Unprotected, lockstep and
+// RMT runs depend only on the program, the sample length and the main
+// core, so their keys keep MaxInstrs, BigCore and MainCoreHz and zero
+// every checker-side knob: sweep points share one reference run,
+// whichever campaign produced it. BigCore overrides MainCoreHz, so the
+// clock is zeroed too when it is set.
 func CellKey(r *Run) resultstore.Key {
-	switch {
-	case r.Fault != nil:
-		return resultstore.Key{Workload: r.Workload, Scheme: string(r.Scheme), Config: r.Config, Fault: r.Fault}
-	case r.Scheme == SchemeProtected:
-		return resultstore.Key{Workload: r.Workload, Scheme: string(r.Scheme), Config: r.Config}
-	default:
-		return newBaseKey(r.Config, r.Workload, r.Scheme).storeKey()
+	key := resultstore.Key{Workload: r.Workload, Scheme: string(r.Scheme), Config: r.Config, Fault: r.Fault}
+	if r.Fault == nil && r.Scheme != SchemeProtected {
+		key.Config = paradet.Config{MaxInstrs: r.Config.MaxInstrs, BigCore: r.Config.BigCore}
+		if !r.Config.BigCore {
+			key.Config.MainCoreHz = r.Config.MainCoreHz
+		}
 	}
+	return key
 }

@@ -2,11 +2,13 @@
 // a declarative Spec — workloads × config points × scheme — that the
 // engine expands into independent cycle-level runs, fans out across a
 // bounded worker pool, and collects back in deterministic spec order
-// regardless of scheduling. Unprotected-baseline runs are memoised per
-// (workload, MaxInstrs, BigCore), so a sweep of N points per workload
-// simulates each baseline once instead of N times. Per-run failures are
-// recorded on the run and aggregated; one bad point does not abort the
-// sweep.
+// regardless of scheduling. Every cell and reference run goes through
+// one memo with one entry per store key (CellKey): memo entry, then
+// result store, then simulator. Reference runs (unprotected, lockstep,
+// RMT) key on the workload, MaxInstrs, BigCore and, without BigCore,
+// MainCoreHz, so a sweep of N points per workload simulates each
+// baseline once instead of N times. Per-run failures are recorded on
+// the run and aggregated; one bad point does not abort the sweep.
 //
 // Every figure of the paper's evaluation (internal/experiments) executes
 // through this engine, as does the repository bench harness; new sweeps

@@ -158,12 +158,19 @@ func TestStoreServesMixedSchemes(t *testing.T) {
 	}
 }
 
-// TestReferenceMemoisation asserts duplicate lockstep/RMT points share
-// one simulation each, counted in BaselineSims (the ROADMAP item).
+// TestReferenceMemoisation asserts that points sharing a store key
+// share one simulation: lockstep/RMT points that differ only in knobs
+// their scheme ignores (checker knobs; the main-core clock under
+// BigCore), counted in BaselineSims, and identical protected points,
+// counted in CellSims.
 func TestReferenceMemoisation(t *testing.T) {
 	cfg := paradet.DefaultConfig()
 	alt := cfg
 	alt.CheckerHz = 500_000_000 // checker knobs are irrelevant to lockstep/RMT
+	big := cfg
+	big.BigCore = true
+	bigAlt := big
+	bigAlt.MainCoreHz = 2_000_000_000 // BigCore ignores MainCoreHz
 	sim := newTrackingSim()
 	out, err := Execute(Spec{
 		Name:      "refs",
@@ -173,6 +180,12 @@ func TestReferenceMemoisation(t *testing.T) {
 			{Label: "ls-b", Config: alt, Scheme: SchemeLockstep},
 			{Label: "rmt-a", Config: cfg, Scheme: SchemeRMT},
 			{Label: "rmt-b", Config: alt, Scheme: SchemeRMT},
+			{Label: "ls-big-a", Config: big, Scheme: SchemeLockstep},
+			{Label: "ls-big-b", Config: bigAlt, Scheme: SchemeLockstep},
+			{Label: "rmt-big-a", Config: big, Scheme: SchemeRMT},
+			{Label: "rmt-big-b", Config: bigAlt, Scheme: SchemeRMT},
+			{Label: "prot-a", Config: cfg, Scheme: SchemeProtected},
+			{Label: "prot-b", Config: cfg, Scheme: SchemeProtected},
 		},
 		MaxInstrs: 4000,
 		Parallel:  4,
@@ -183,17 +196,29 @@ func TestReferenceMemoisation(t *testing.T) {
 	if err := out.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.lockstep.Load(); got != 1 {
-		t.Errorf("lockstep simulations = %d, want 1 (memoised)", got)
+	if got := sim.lockstep.Load(); got != 2 {
+		t.Errorf("lockstep simulations = %d, want 2 (one per main core)", got)
 	}
-	if got := sim.rmt.Load(); got != 1 {
-		t.Errorf("rmt simulations = %d, want 1 (memoised)", got)
+	if got := sim.rmt.Load(); got != 2 {
+		t.Errorf("rmt simulations = %d, want 2 (one per main core)", got)
 	}
-	if out.Stats.BaselineSims != 2 {
-		t.Errorf("BaselineSims = %d, want 2 (one lockstep + one rmt)", out.Stats.BaselineSims)
+	if got := sim.runs.Load(); got != 1 {
+		t.Errorf("protected simulations = %d, want 1 (memoised)", got)
 	}
-	if out.Results[0].Aux != out.Results[1].Aux {
-		t.Error("duplicate lockstep points must share the memoised result")
+	if out.Stats.BaselineSims != 4 || out.Stats.CellSims != 1 {
+		t.Errorf("BaselineSims, CellSims = %d, %d, want 4, 1", out.Stats.BaselineSims, out.Stats.CellSims)
+	}
+	for _, pair := range [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}} {
+		a, b := &out.Results[pair[0]], &out.Results[pair[1]]
+		if a.Aux != b.Aux {
+			t.Errorf("%s and %s must share the memoised result", a.Point.Label, b.Point.Label)
+		}
+	}
+	if out.Results[0].Aux == out.Results[4].Aux {
+		t.Error("lockstep on the Table I core and on the big core must not share a result")
+	}
+	if a, b := &out.Results[8], &out.Results[9]; a.Res == nil || a.Res != b.Res {
+		t.Error("duplicate protected points must share the memoised result")
 	}
 }
 
