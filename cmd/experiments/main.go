@@ -15,8 +15,7 @@
 //	experiments -store .pdstore # persist results; re-runs skip hits
 //	experiments -store .pdstore -no-cache   # ignore the store this run
 //	experiments -run faultcov -json         # fault campaign, schema-stable JSON
-//	experiments -run fig7 -shard 0/3 -store shard0  # this host's third of the grid
-//	experiments -run fig7 -shard 0/3 -shard-strategy weighted -store shard0
+//	experiments -run fig7 -shard 0/3 -store sweep   # this host's third of the grid
 //	experiments -run fig7 -progress-json            # machine-readable progress (pdsweep)
 //	experiments -run fig7 -store .pdstore -telemetry  # per-cell telemetry sidecars (pdreport)
 //
@@ -25,14 +24,14 @@
 // identical to the storeless path (cache traffic goes to stderr).
 //
 // Sharding: -shard i/n executes only the i-th of n deterministic
-// slices of each sweep's grid, so n hosts split one campaign into
-// their own -store directories (-shard-strategy weighted balances
-// summed instruction samples instead of cell counts). `pdstore merge`
-// folds the shard stores into one; re-running without -shard against
-// the merged store then assembles the full sweep with zero
+// slices of each sweep's grid, balanced by summed instruction samples,
+// so n hosts split one campaign. Shards may share one -store directory
+// (writes are atomic renames); shards that wrote their own stores are
+// folded into one with `pdstore merge`. Re-running without -shard
+// against that store then assembles the full sweep with zero
 // simulations and stdout byte-identical to a single-host run.
-// `pdsweep` automates the whole cycle from one command, driving the
-// -progress-json protocol.
+// `pdsweep` automates the whole cycle from one command over one shared
+// store, driving the -progress-json protocol.
 package main
 
 import (

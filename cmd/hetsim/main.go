@@ -19,13 +19,12 @@
 //	    -fault-seqs 40,400 -fault-bits 5,40 -store .pdstore -json
 //
 // A fault campaign splits across hosts with -shard i/n: each host
-// executes a disjoint slice of the grid into its own -store, `pdstore
-// merge` folds the stores together, and re-running without -shard
-// against the merged store emits the full report with zero
-// simulations. `pdsweep` automates that cycle from one command, via
-// the -progress-json machine-readable progress protocol;
-// -shard-strategy weighted balances summed instruction samples
-// instead of cell counts.
+// executes a disjoint slice of the grid, balanced by summed
+// instruction samples, into one shared -store (or its own, folded
+// together with `pdstore merge`), and re-running without -shard
+// against that store emits the full report with zero simulations.
+// `pdsweep` automates that cycle from one command, via the
+// -progress-json machine-readable progress protocol.
 package main
 
 import (
@@ -64,8 +63,8 @@ func main() {
 	faultBits := flag.String("fault-bits", "5,40", "fault campaign: comma-separated bit positions (0-63)")
 	faultSticky := flag.Bool("fault-sticky", false, "fault campaign: also sweep hard (sticky) faults")
 	jsonOut := flag.Bool("json", false, "fault campaign: emit schema-stable JSON instead of text")
-	// -store, -shard, -shard-strategy and -progress-json apply to fault
-	// campaigns; -store also places single-run telemetry sidecars.
+	// -store, -shard and -progress-json apply to fault campaigns; -store
+	// also places single-run telemetry sidecars.
 	var worker orchestrator.WorkerFlags
 	worker.Register(flag.CommandLine)
 	profFlags := prof.Register()
@@ -110,8 +109,8 @@ func main() {
 		}
 		return
 	}
-	if worker.Shard != "" || worker.ShardStrategy != "" || worker.ProgressJSON {
-		fail(fmt.Errorf("-shard, -shard-strategy and -progress-json only apply to fault campaigns (-fault-targets)"))
+	if worker.Shard != "" || worker.ProgressJSON {
+		fail(fmt.Errorf("-shard and -progress-json only apply to fault campaigns (-fault-targets)"))
 	}
 
 	// Single runs still get /metrics, /debug/pprof and the ledger; only

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	pdreport -store .pdstore            # reads .pdstore/telemetry
-//	pdreport -dir /tmp/sweep/merged/telemetry
+//	pdreport -dir /tmp/sweep/telemetry   # a pdsweep -store-root
 //	pdreport -store .pdstore -top 5     # only the 5 worst cells
 //	pdreport -store .pdstore -phases 8 -all
 //	pdreport -store .pdstore -top 3 -all   # phase breakdowns for the 3 worst

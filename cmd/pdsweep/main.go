@@ -1,10 +1,10 @@
 // Command pdsweep runs a sharded campaign sweep from one command: it
-// runs N shard workers over a pool of hosts, streams a live aggregate
-// of their progress, relaunches failed or interrupted shards (each
-// shard's result store makes resume free), and when the last shard
-// lands merges the shard stores and assembles the final output —
-// stdout byte-identical to a single-host run, with zero simulations
-// during assembly.
+// runs N shard workers over a pool of hosts, all writing one result
+// store, streams a live aggregate of their progress, relaunches failed
+// or interrupted shards (the store makes resume free), and when the
+// last shard lands assembles the final output from the store — stdout
+// byte-identical to a single-host run, with zero simulations during
+// assembly.
 //
 // Usage:
 //
@@ -22,29 +22,34 @@
 // pool instead ('local', 'ssh:HOST', or a bare ssh host; list a host
 // twice to run two workers on it). Hosts are health-checked before
 // their first lease and after any worker failure, a dead host is
-// quarantined and its shard moves to another host (the shard store
-// makes that a resume), and with -steal an idle host runs a duplicate
-// attempt of the slowest shard against its own store (shard3.b); the
-// first attempt to finish wins, the loser is cancelled, and the merge
-// folds every non-empty attempt store with fingerprint dedupe, so
-// assembly stays byte-identical to a single-host run.
+// quarantined and its shard moves to another host (the store makes
+// that a resume), and with -steal an idle host runs a duplicate
+// attempt of the slowest shard; the duplicate serves the cells its
+// sibling already stored as hits, the first attempt to finish wins,
+// and the loser is cancelled, so assembly stays byte-identical to a
+// single-host run.
 //
 // Everything after the flags is the campaign command. pdsweep appends
-// the shard, strategy, store and progress flags of the worker-flag
-// table (orchestrator.WorkerFlags) for each shard worker, and the
-// merged store and progress flags for the assembly pass, so the
-// command must be a cmd/experiments or cmd/hetsim invocation (or
-// anything speaking the same flags and progress protocol). Shard
-// workers' stdout is discarded — their figures are partial by
-// construction; only the assembly pass's stdout is printed.
+// the shard, store and progress flags of the worker-flag table
+// (orchestrator.WorkerFlags) for each shard worker, and the store and
+// progress flags for the assembly pass, so the command must be a
+// cmd/experiments or cmd/hetsim invocation (or anything speaking the
+// same flags and progress protocol). Shard workers' stdout is
+// discarded — their figures are partial by construction; only the
+// assembly pass's stdout is printed.
 //
-// Shard stores live under -store-root (a temp directory removed on
-// success when the flag is omitted). Re-running pdsweep with the same
-// -store-root resumes a previously interrupted sweep. With ssh hosts
-// the store root must name a filesystem path shared between this
-// machine and every host, and the campaign command must be runnable
-// both on the hosts (shard workers) and locally — the merge and the
-// final assembly pass always execute on the orchestrating machine.
+// -store-root is the sweep's one result store (a temp directory
+// removed on success when the flag is omitted): every shard attempt
+// and the assembly pass run with -store set to it, and -telemetry
+// sidecars land in its telemetry directory. Re-running pdsweep with
+// the same -store-root resumes a previously interrupted sweep. A store
+// root written by an older pdsweep, which kept per-shard stores and a
+// merged one beneath it, is not resumed from; its merged directory is
+// an ordinary store that -store-root can name. With ssh hosts the
+// store root must name a filesystem path shared between this machine
+// and every host, and the campaign command must be runnable both on
+// the hosts (shard workers) and locally — the final assembly pass
+// always executes on the orchestrating machine.
 package main
 
 import (
@@ -59,7 +64,6 @@ import (
 	"sync"
 	"time"
 
-	"paradet/internal/campaign"
 	"paradet/internal/obs"
 	"paradet/internal/obs/telemetry"
 	"paradet/internal/orchestrator"
@@ -72,15 +76,15 @@ const telemetryPIDBase = 1000
 func main() {
 	n := flag.Int("n", 2, "number of shard workers to split the sweep across")
 	retries := flag.Int("retries", 1, "relaunches allowed per shard before the sweep fails")
-	storeRoot := flag.String("store-root", "", "directory for shard and merged stores (default: temp dir, removed on success); reuse it to resume an interrupted sweep; with ssh hosts it must be on a shared filesystem")
+	storeRoot := flag.String("store-root", "", "the sweep's result store, written by every shard worker (default: temp dir, removed on success); reuse it to resume an interrupted sweep; with ssh hosts it must be on a shared filesystem")
 	hostsArg := flag.String("hosts", "", "comma-separated pool hosts ('local' or 'ssh:HOST'; a bare word is an ssh host; list a host twice to run two workers on it) (default: -n local workers, no stealing): shards lease health-checked hosts, dead hosts are quarantined and their shards move, idle hosts steal the slowest shard")
-	steal := flag.Bool("steal", true, "with -hosts, let idle hosts run duplicate attempts of the slowest shard (first finish wins; the merge dedupes)")
+	steal := flag.Bool("steal", true, "with -hosts, let idle hosts run duplicate attempts of the slowest shard (first finish wins; cells either attempt stored are hits for the other)")
 	healthTimeout := flag.Duration("health-timeout", 5*time.Second, "per-probe liveness timeout (a host failing its probes is quarantined)")
-	dryRun := flag.Bool("dry-run", false, "print the planned shard-to-host assignment and store layout, then exit without launching anything")
-	compact := flag.Bool("compact", false, "pack the merged store into a segment file before assembly (keep -store-root to reuse the packed store)")
+	dryRun := flag.Bool("dry-run", false, "print the planned shard-to-host assignment and store, then exit without launching anything")
+	compact := flag.Bool("compact", false, "pack the store into a segment file before assembly (keep -store-root to reuse the packed store)")
 	tick := flag.Duration("tick", time.Second, "minimum interval between progress lines on stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event timeline of the sweep to this file (open in chrome://tracing or Perfetto): shards as processes, cells as slices")
-	sweep := orchestrator.WorkerFlags{ShardStrategy: string(campaign.StrategyWeighted)}
+	var sweep orchestrator.WorkerFlags
 	sweep.RegisterSweep(flag.CommandLine)
 	obsFlags := obs.Register()
 	flag.Parse()
@@ -89,10 +93,9 @@ func main() {
 	if len(argv) == 0 {
 		fail(fmt.Errorf("no campaign command (try: pdsweep -n 3 go run ./cmd/experiments -run fig7)"))
 	}
-	// Shard workers write sidecars into their own store; the
-	// orchestrator forwards them into the merged store. The assembly
-	// pass inherits the flags too, harmlessly: it is all store hits, and
-	// warm cells never write sidecars.
+	// Shard workers write sidecars into the store's telemetry
+	// directory. The assembly pass inherits the flags too, harmlessly:
+	// it is all store hits, and warm cells never write sidecars.
 	telemArgs, err := sweep.TelemetryArgs()
 	if err != nil {
 		fail(err)
@@ -100,10 +103,6 @@ func main() {
 	argv = append(argv, telemArgs...)
 	if *n < 1 {
 		fail(fmt.Errorf("-n must be >= 1, got %d", *n))
-	}
-	strategy, err := campaign.ParseStrategy(sweep.ShardStrategy)
-	if err != nil {
-		fail(err)
 	}
 	pool, err := newPool(*hostsArg, *n, *steal, *healthTimeout, *storeRoot != "")
 	if err != nil {
@@ -127,7 +126,7 @@ func main() {
 	if *dryRun {
 		plan, err := orchestrator.Plan(orchestrator.Options{
 			Argv: argv, Shards: *n, Pool: pool,
-			StoreRoot: root, Strategy: strategy, Retries: *retries,
+			StoreRoot: root, Retries: *retries,
 		})
 		if err != nil {
 			fail(err)
@@ -200,8 +199,8 @@ func main() {
 		stopObs()
 	}
 
-	// Ctrl-C cancels every worker; finished cells stay in the shard
-	// stores, so the same pdsweep command with -store-root resumes.
+	// Ctrl-C cancels every worker; finished cells stay in the store, so
+	// the same pdsweep command with -store-root resumes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -211,7 +210,6 @@ func main() {
 		Shards:    *n,
 		Pool:      pool,
 		StoreRoot: root,
-		Strategy:  strategy,
 		Retries:   *retries,
 		Compact:   *compact,
 		Progress:  progress,
@@ -222,9 +220,9 @@ func main() {
 	if err != nil {
 		if cleanup {
 			if rep != nil {
-				// Workers ran: their stores make a re-run with
+				// Workers ran: the store makes a re-run with
 				// -store-root resume instead of redo.
-				fmt.Fprintf(os.Stderr, "pdsweep: shard stores kept under %s for resume\n", root)
+				fmt.Fprintf(os.Stderr, "pdsweep: store kept at %s for resume\n", root)
 			} else {
 				os.RemoveAll(root) // nothing ever ran; don't leak the temp dir
 			}
@@ -239,16 +237,16 @@ func main() {
 		compacted = fmt.Sprintf(" · compacted %d cell(s)", rep.Compact.Packed)
 	}
 	p := rep.Pool
-	fmt.Fprintf(os.Stderr, "pdsweep: %d shard(s) ok, %d retr%s · %s · assembled cells=%d hits=%d misses=%d%s"+
+	fmt.Fprintf(os.Stderr, "pdsweep: %d shard(s) ok, %d retr%s · assembled cells=%d hits=%d misses=%d%s"+
 		" · pool hosts=%d leases=%d steals=%d stolen-wins=%d relaunches=%d quarantined=%d · %.1fs\n",
-		*n, p.Relaunches, plural(p.Relaunches, "y", "ies"), rep.Merge, rep.Cells, rep.Hits, rep.Sims, compacted,
+		*n, p.Relaunches, plural(p.Relaunches, "y", "ies"), rep.Cells, rep.Hits, rep.Sims, compacted,
 		len(p.Hosts), p.Leases, p.Steals, p.StolenWins, p.Relaunches, p.Quarantined, time.Since(start).Seconds())
 
 	// With both -telemetry and -trace, the sweep timeline gains one
 	// counter-track process group per simulated cell (IPC, occupancies,
-	// stall breakdown), rendered from the merged sidecars.
+	// stall breakdown), rendered from the store's sidecars.
 	if sweep.Telemetry && trace != nil {
-		telemDir := filepath.Join(root, "merged", telemetry.SidecarDirName)
+		telemDir := filepath.Join(root, telemetry.SidecarDirName)
 		if _, err := os.Stat(telemDir); err == nil {
 			series, err := telemetry.LoadDir(telemDir)
 			if err != nil {
@@ -275,8 +273,8 @@ func main() {
 // GOMAXPROCS-wide simulation pool would oversubscribe it (the assembly
 // pass runs uncapped — it is all store hits). Ssh hosts need an
 // explicit store root: a local temp root cannot serve them, because
-// they would write shard stores on their own hosts while the merge
-// reads empty local directories.
+// they would write the store on their own hosts while the assembly
+// reads an empty local directory.
 func newPool(hosts string, n int, steal bool, healthTimeout time.Duration, haveStoreRoot bool) (*orchestrator.Pool, error) {
 	var entries []string
 	if hosts == "" {

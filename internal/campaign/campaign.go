@@ -93,7 +93,7 @@ type Progress struct {
 	// with the Stats meanings.
 	CellHits, CellSims, BaselineSims, BaselineHits int
 	// Workload, Label and Scheme identify the finished cell; Cached
-	// marks it as store-served.
+	// marks it as served without a simulation of its own.
 	Workload, Label string
 	Scheme          Scheme
 	Cached          bool
@@ -119,7 +119,7 @@ type Options struct {
 	// the expanded grid: cells outside it are marked Run.Skipped and
 	// never simulated or loaded, so N processes with disjoint shards
 	// split one sweep. The spec itself is untouched — Assemble later
-	// re-executes it unsharded against the merged stores.
+	// re-executes it unsharded against the shards' store.
 	Shard *Shard
 	// Telemetry, when non-nil, attaches an interval telemetry probe to
 	// every simulated protected (non-fault) cell and writes a sidecar
@@ -186,16 +186,16 @@ type memo struct {
 }
 
 type memoEntry struct {
-	mu        sync.Mutex
-	cell      *resultstore.Cell
-	err       error
-	fromStore bool
+	mu   sync.Mutex
+	cell *resultstore.Cell
+	err  error
 }
 
-// get returns key's payload and whether the store served it: from the
-// memo entry, else from the store, else from simulate, whose payload
-// is then put back best-effort. A golden is put back too, under its
-// protected cell key, which then serves a protected cell of its config.
+// get returns key's payload and whether this call ran simulate: from
+// the memo entry, else from the store, else from simulate, whose
+// payload is then put back best-effort. A golden is put back too, under
+// its protected cell key, which then serves a protected cell of its
+// config.
 func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate func() (*resultstore.Cell, error)) (*resultstore.Cell, bool, error) {
 	fp := key.Fingerprint()
 	m.mu.Lock()
@@ -209,7 +209,7 @@ func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate fu
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cell != nil || e.err != nil {
-		return e.cell, e.fromStore, e.err
+		return e.cell, false, e.err
 	}
 	ref := w != cellWork
 	hits, sims := &m.ctrs.cellHits, &m.ctrs.cellSims
@@ -222,8 +222,8 @@ func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate fu
 			if ref {
 				obsRefHit.Inc()
 			}
-			e.cell, e.fromStore = c, true
-			return c, true, nil
+			e.cell = c
+			return c, false, nil
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -236,13 +236,13 @@ func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate fu
 	c, err := simulate()
 	if err != nil {
 		e.err = err
-		return nil, false, err
+		return nil, true, err
 	}
 	e.cell = c
 	if m.store != nil {
 		m.store.Put(key, c) // best-effort
 	}
-	return c, false, nil
+	return c, true, nil
 }
 
 // holds reports whether a stored cell carries the payload its key's
@@ -308,10 +308,9 @@ func ExecuteContext(ctx context.Context, spec Spec, sim Simulator, opts Options)
 	out := &Outcome{Spec: spec, Shard: opts.Shard,
 		Results: expandGrid(spec, func(name string) paradet.WorkloadInfo { return progs[name].info })}
 
-	// The shard's strategy maps spec-order cell indices to owners —
-	// round-robin over the index, or cost-weighted over the resolved
-	// instruction samples. Unowned cells are marked Skipped and never
-	// touched.
+	// The shard plan maps spec-order cell indices to owners, weighted
+	// by the resolved instruction samples. Unowned cells are marked
+	// Skipped and never touched.
 	owns := func(int) bool { return true }
 	if opts.Shard != nil {
 		owns = opts.Shard.planner(out.Results)
@@ -459,11 +458,12 @@ func (e *engine) lookup(ctx context.Context, r *Run, prog *paradet.Program) {
 		w = cellWork
 	}
 	key := CellKey(r)
-	c, cached, err := e.memo.get(ctx, key, w, func() (*resultstore.Cell, error) {
+	c, simulated, err := e.memo.get(ctx, key, w, func() (*resultstore.Cell, error) {
 		return e.simulate(ctx, r, key, prog)
 	})
-	r.Cached, r.Err = cached, err
+	r.Err = err
 	if err == nil {
+		r.Cached = !simulated
 		r.Res, r.Aux, r.FaultRec = c.Result, c.Baseline, c.FaultRecord
 	}
 }

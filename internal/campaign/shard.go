@@ -11,53 +11,27 @@ import (
 
 // Shard deterministically selects a 1/Count slice of a campaign's
 // expanded run grid so N hosts can split one sweep. The assignment
-// depends only on the spec and the strategy, never on worker
-// scheduling, so the same (i, n, strategy) always names the same
-// cells, the n shards are pairwise disjoint, and their union is the
-// full grid.
+// balances summed cell cost, where a cell's cost is its resolved
+// committed-instruction sample (Config.MaxInstrs, after spec and
+// workload defaults apply): cells are taken in spec order
+// (workload-major, then point, then fault) and each goes to the
+// currently lightest shard, ties to the lowest index. When every cell
+// weighs the same that is cell i to shard i mod Count. The plan
+// depends only on the spec, never on worker scheduling, so the same
+// (i, n) always names the same cells, every shard computes it
+// independently, the n shards are pairwise disjoint, and their union
+// is the full grid.
 //
-// Each shard executes its slice into its own (or a shared) result
-// store; resultstore.Merge recombines per-shard stores, and Assemble
-// re-executes the full spec against the merged store to produce the
-// single-host outcome without simulating anything.
+// Shards may share one result store (writes are atomic renames), so
+// Assemble can re-execute the full spec against it at once; shards
+// that wrote separate stores are recombined with resultstore.Merge
+// first. Either way assembly reproduces the single-host outcome
+// without simulating anything.
 type Shard struct {
 	// Index is this shard's position, 0 <= Index < Count.
 	Index int
 	// Count is the total number of shards.
 	Count int
-	// Strategy selects how cells map to shards (empty = round-robin).
-	// Every shard of one sweep must use the same strategy, or the
-	// slices are neither disjoint nor covering.
-	Strategy Strategy
-}
-
-// Strategy names a deterministic cell-to-shard assignment.
-type Strategy string
-
-const (
-	// StrategyRoundRobin assigns cell i (spec-order index:
-	// workload-major, then point, then fault) to shard i mod Count. It
-	// balances cell counts, not cell costs.
-	StrategyRoundRobin Strategy = "round-robin"
-	// StrategyWeighted balances summed cell cost across shards, where a
-	// cell's cost is its resolved committed-instruction sample
-	// (Config.MaxInstrs, after spec and workload defaults apply).
-	// Cells are taken in spec order and each goes to the currently
-	// lightest shard (ties to the lowest index), so the assignment is
-	// deterministic and spec-order stable: every shard computes the
-	// same plan independently.
-	StrategyWeighted Strategy = "weighted"
-)
-
-// ParseStrategy parses the CLI -shard-strategy value ("" = round-robin).
-func ParseStrategy(s string) (Strategy, error) {
-	switch Strategy(s) {
-	case "", StrategyRoundRobin:
-		return StrategyRoundRobin, nil
-	case StrategyWeighted:
-		return StrategyWeighted, nil
-	}
-	return "", fmt.Errorf("shard strategy %q: want %q or %q", s, StrategyRoundRobin, StrategyWeighted)
 }
 
 // ParseShard parses the CLI shard syntax "i/n" (e.g. "0/3").
@@ -89,23 +63,13 @@ func (s Shard) Validate() error {
 	if s.Index < 0 || s.Index >= s.Count {
 		return fmt.Errorf("shard %d/%d: index out of range [0, %d)", s.Index, s.Count, s.Count)
 	}
-	if _, err := ParseStrategy(string(s.Strategy)); err != nil {
-		return err
-	}
 	return nil
 }
 
-// owns reports whether cell index i belongs to this shard under
-// round-robin assignment.
-func (s Shard) owns(i int) bool { return i%s.Count == s.Index }
-
-// planner compiles the strategy into an ownership predicate over the
+// planner compiles the shard plan into an ownership predicate over the
 // expanded grid. It sees the fully resolved cells (Config.MaxInstrs
-// filled in), which is all the weighted strategy needs.
+// filled in), which is all the cost weighting needs.
 func (s Shard) planner(cells []Run) func(int) bool {
-	if s.Strategy != StrategyWeighted {
-		return s.owns
-	}
 	assign := weightedAssign(cells, s.Count)
 	return func(i int) bool { return assign[i] == s.Index }
 }
@@ -135,12 +99,12 @@ func weightedAssign(cells []Run, n int) []int {
 }
 
 // Assemble re-executes the full (unsharded) spec against a warm store
-// — typically the resultstore.Merge of per-shard stores — and requires
-// every cell and reference run to be served from it: the merged shards
-// must add up to the whole grid. Any simulation means the store is
-// incomplete, and Assemble returns an error naming the first cell that
-// missed. On success the outcome is identical to a single-host run of
-// the spec, in spec order, at zero simulation cost.
+// — the store the shards shared, or the resultstore.Merge of per-shard
+// stores — and requires every cell and reference run to be served from
+// it: the shards must add up to the whole grid. Any simulation means
+// the store is incomplete, and Assemble returns an error naming the
+// first cell that missed. On success the outcome is identical to a
+// single-host run of the spec, in spec order, at zero simulation cost.
 func Assemble(ctx context.Context, spec Spec, sim Simulator, store *resultstore.Store) (*Outcome, error) {
 	if store == nil {
 		return nil, fmt.Errorf("campaign %q: assemble needs a store", spec.Name)

@@ -25,26 +25,6 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// TestParseStrategy covers the CLI -shard-strategy values.
-func TestParseStrategy(t *testing.T) {
-	for arg, want := range map[string]Strategy{
-		"":            StrategyRoundRobin,
-		"round-robin": StrategyRoundRobin,
-		"weighted":    StrategyWeighted,
-	} {
-		got, err := ParseStrategy(arg)
-		if err != nil || got != want {
-			t.Errorf("ParseStrategy(%q) = %q, %v; want %q", arg, got, err, want)
-		}
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("ParseStrategy(bogus) accepted")
-	}
-	if err := (Shard{Index: 0, Count: 2, Strategy: "bogus"}).Validate(); err == nil {
-		t.Error("Validate accepted an unknown strategy")
-	}
-}
-
 // weightedSpec crosses two workloads with three points of uneven cost
 // (one 4x heavier), so count balance and cost balance disagree.
 func weightedSpec() Spec {
@@ -61,7 +41,7 @@ func weightedSpec() Spec {
 	}
 }
 
-// TestWeightedShardsBalanceAndPartition asserts the weighted strategy
+// TestWeightedShardsBalanceAndPartition asserts the cost-weighted plan
 // keeps the core shard invariants — pairwise disjoint, full cover,
 // independently computable per shard — while balancing summed cell
 // cost (resolved MaxInstrs) instead of cell counts, and that it
@@ -79,7 +59,7 @@ func TestWeightedShardsBalanceAndPartition(t *testing.T) {
 	differs := false
 	for s := 0; s < n; s++ {
 		out, err := ExecuteContext(context.Background(), spec, nil,
-			Options{Shard: &Shard{Index: s, Count: n, Strategy: StrategyWeighted}})
+			Options{Shard: &Shard{Index: s, Count: n}})
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}

@@ -201,8 +201,9 @@ type Run struct {
 	// FaultRec its classified outcome (both nil on performance cells).
 	Fault    *paradet.Fault
 	FaultRec *paradet.FaultRecord
-	// Cached marks cells whose payload was loaded from the result store
-	// instead of simulated.
+	// Cached marks cells served without a simulation of their own: from
+	// the result store, or from an identical cell's run in the same
+	// campaign.
 	Cached bool
 	// Skipped marks cells excluded by Options.Shard: another shard owns
 	// them, so they carry no payload and no error.

@@ -172,6 +172,7 @@ func TestReferenceMemoisation(t *testing.T) {
 	bigAlt := big
 	bigAlt.MainCoreHz = 2_000_000_000 // BigCore ignores MainCoreHz
 	sim := newTrackingSim()
+	hits0, sims0 := obsCellHit.Value(), obsCellSim.Value()
 	out, err := Execute(Spec{
 		Name:      "refs",
 		Workloads: []string{"bitcount"},
@@ -219,6 +220,18 @@ func TestReferenceMemoisation(t *testing.T) {
 	}
 	if a, b := &out.Results[8], &out.Results[9]; a.Res == nil || a.Res != b.Res {
 		t.Error("duplicate protected points must share the memoised result")
+	}
+	// A cell the memo served from an identical cell's run simulated
+	// nothing of its own: it is Cached and counts as a hit.
+	for _, pair := range [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}} {
+		a, b := &out.Results[pair[0]], &out.Results[pair[1]]
+		if a.Cached == b.Cached {
+			t.Errorf("%s, %s Cached = %v, %v: want exactly one served by the other's run",
+				a.Point.Label, b.Point.Label, a.Cached, b.Cached)
+		}
+	}
+	if hits, sims := obsCellHit.Value()-hits0, obsCellSim.Value()-sims0; hits != 5 || sims != 5 {
+		t.Errorf(`cells_total{state="hit"}, {state="sim"} rose by %d, %d, want 5, 5`, hits, sims)
 	}
 }
 

@@ -76,10 +76,11 @@ func TestEveryOpcodeHasCompleteMetadata(t *testing.T) {
 		if op.Format() == FmtInvalid {
 			t.Errorf("op %s has no format", op.Name())
 		}
-		if op.IsMem() && op.MemSize() == 0 {
+		mem := op.IsLoad() || op.IsStore()
+		if mem && op.MemSize() == 0 {
 			t.Errorf("memory op %s has no access size", op.Name())
 		}
-		if !op.IsMem() && op.MemSize() != 0 {
+		if !mem && op.MemSize() != 0 {
 			t.Errorf("non-memory op %s has an access size", op.Name())
 		}
 		if op.IsUncond() && !op.IsBranch() {

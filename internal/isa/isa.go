@@ -298,9 +298,6 @@ func (op Op) IsLoad() bool { return op < opMax && opTable[op].isLoad }
 // IsStore reports whether the op writes data memory.
 func (op Op) IsStore() bool { return op < opMax && opTable[op].isStore }
 
-// IsMem reports whether the op accesses data memory.
-func (op Op) IsMem() bool { return op.IsLoad() || op.IsStore() }
-
 // IsBranch reports whether the op can redirect control flow.
 func (op Op) IsBranch() bool { return op < opMax && opTable[op].isBranch }
 

@@ -32,8 +32,10 @@ func TestSparseCrossPageAccess(t *testing.T) {
 	if got := s.Read(addr, 8); got != 0xdeadbeefcafef00d {
 		t.Errorf("cross-page read = %#x", got)
 	}
-	if s.Pages() != 2 {
-		t.Errorf("pages = %d, want 2", s.Pages())
+	for i, want := range []byte{0x0d, 0xf0, 0xfe, 0xca, 0xef, 0xbe, 0xad, 0xde} {
+		if got := s.ByteAt(addr + uint64(i)); got != want {
+			t.Errorf("byte %#x = %#x, want %#x", addr+uint64(i), got, want)
+		}
 	}
 }
 
@@ -62,25 +64,22 @@ func TestSparseReadAfterWrite(t *testing.T) {
 }
 
 func TestSparseCloneAndDiff(t *testing.T) {
-	s := NewSparse()
+	s, c := NewSparse(), NewSparse()
 	s.Write(0x1000, 8, 42)
-	c := s.Clone()
-	if !s.Equal(c) {
-		t.Fatal("clone must equal original")
+	c.Write(0x1000, 8, 42)
+	if d := s.FirstDiff(c); d != "" {
+		t.Fatalf("identical memories differ: %s", d)
 	}
 	c.Write(0x1000, 1, 43)
-	if s.Equal(c) {
-		t.Fatal("diverged clone must not be equal")
-	}
-	if d := s.FirstDiff(c); d == "" {
-		t.Fatal("FirstDiff must report the change")
+	if d, want := s.FirstDiff(c), "mem[0x1000]: 0x2a != 0x2b"; d != want {
+		t.Fatalf("FirstDiff = %q, want %q", d, want)
 	}
 	// Writing zeros to a fresh page still compares equal to absence.
 	d := NewSparse()
 	e := NewSparse()
 	d.Write(0x5000, 8, 0)
-	if !d.Equal(e) {
-		t.Error("zero-filled page must equal absent page")
+	if diff := d.FirstDiff(e); diff != "" {
+		t.Errorf("zero-filled page must equal absent page: %s", diff)
 	}
 }
 
@@ -88,11 +87,13 @@ func TestSetBytesReadBytes(t *testing.T) {
 	s := NewSparse()
 	in := []byte{1, 2, 3, 4, 5}
 	s.SetBytes(0xfff, in) // crosses a page
-	out := s.ReadBytes(0xfff, 5)
 	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("byte %d = %d, want %d", i, out[i], in[i])
+		if got := s.ByteAt(0xfff + uint64(i)); got != in[i] {
+			t.Fatalf("byte %d = %d, want %d", i, got, in[i])
 		}
+	}
+	if got := s.Read(0xfff, 4); got != 0x04030201 {
+		t.Errorf("cross-page read = %#x, want 0x04030201", got)
 	}
 }
 

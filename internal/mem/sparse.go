@@ -133,63 +133,16 @@ func (s *Sparse) SetBytes(addr uint64, b []byte) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr, one page-sized copy at a
-// time; absent pages read as zero.
-func (s *Sparse) ReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	dst := out
-	for len(dst) > 0 {
-		off := addr & pageMask
-		span := pageSize - int(off)
-		if span > len(dst) {
-			span = len(dst)
-		}
-		if p := s.pageFor(addr, false); p != nil {
-			copy(dst, p[off:off+uint64(span)])
-		}
-		dst = dst[span:]
-		addr += uint64(span)
-	}
-	return out
-}
-
-// Clone returns a deep copy, used to give protected and golden runs
-// identical initial images.
-func (s *Sparse) Clone() *Sparse {
-	c := NewSparse()
-	for pn, p := range s.pages {
-		cp := *p
-		c.pages[pn] = &cp
-	}
-	return c
-}
-
-// Equal reports whether two memories have identical contents. Zero pages
-// are treated as absent, so a written-then-zeroed page equals a never-
-// written one.
-func (s *Sparse) Equal(o *Sparse) bool {
-	return s.firstDiff(o) == nil
-}
-
 // FirstDiff describes the lowest differing address between two memories,
-// or "" if equal. Used by fault-classification to decide whether a fault
-// escaped to architectural memory state.
+// or "" if equal. Zero pages are treated as absent, so a
+// written-then-zeroed page equals a never-written one. Used by
+// fault-classification to decide whether a fault escaped to
+// architectural memory state.
 func (s *Sparse) FirstDiff(o *Sparse) string {
-	if d := s.firstDiff(o); d != nil {
-		return fmt.Sprintf("mem[%#x]: %#x != %#x", d.addr, d.a, d.b)
+	type memDiff struct {
+		addr uint64
+		a, b byte
 	}
-	return ""
-}
-
-type memDiff struct {
-	addr uint64
-	a, b byte
-}
-
-// zeroPage stands in for absent pages when diffing.
-var zeroPage page
-
-func (s *Sparse) firstDiff(o *Sparse) *memDiff {
 	var best *memDiff
 	// Compare one page pair, skipping equal pages with a single
 	// bytes.Equal before falling back to the byte scan for the lowest
@@ -225,8 +178,11 @@ func (s *Sparse) firstDiff(o *Sparse) *memDiff {
 		}
 		diffPage(pn, nil, op)
 	}
-	return best
+	if best == nil {
+		return ""
+	}
+	return fmt.Sprintf("mem[%#x]: %#x != %#x", best.addr, best.a, best.b)
 }
 
-// Pages reports how many pages have been materialised (for stats/tests).
-func (s *Sparse) Pages() int { return len(s.pages) }
+// zeroPage stands in for absent pages when diffing.
+var zeroPage page

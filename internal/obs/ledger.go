@@ -24,9 +24,10 @@ type Entry struct {
 	// within one ledger.
 	Seq int64 `json:"seq"`
 	// Event names what happened: cell_start, cell_done, sweep_start,
-	// sweep_done, store_hit, store_miss, store_write, merge, compact,
-	// assemble_start, assemble_done — plus, from the orchestrator's
-	// pool: lease, release, steal, steal_cancel, relaunch, quarantine.
+	// sweep_done, store_hit, store_miss, store_write, telemetry,
+	// compact, assemble_start, assemble_done, serve_request — plus,
+	// from the orchestrator's pool: lease, release, steal,
+	// steal_cancel, relaunch, quarantine.
 	Event string `json:"event"`
 	// Phase distinguishes otherwise identical events from different
 	// stages of an orchestrated run ("shard" vs "assemble").
@@ -44,8 +45,8 @@ type Entry struct {
 	Hit bool `json:"hit,omitempty"`
 	// DurMS is the event's duration, for events that span time.
 	DurMS int64 `json:"dur_ms,omitempty"`
-	// Count carries the event's cardinality (cells merged, cells
-	// packed, attempt number, …) — see the emitting site.
+	// Count carries the event's cardinality (cells packed, telemetry
+	// samples, attempt number, …) — see the emitting site.
 	Count int `json:"count,omitempty"`
 	// Detail is free-form context (campaign name, runner name, layout).
 	Detail string `json:"detail,omitempty"`

@@ -133,9 +133,6 @@ func (p *Probe) Record(s Sample) {
 // invariant pdreport checks against the store.
 func (p *Probe) Total() uint64 { return p.total }
 
-// Dropped reports how many samples were overwritten by ring overflow.
-func (p *Probe) Dropped() uint64 { return p.total - uint64(p.n) }
-
 // Samples returns the retained samples oldest-first, as a copy.
 func (p *Probe) Samples() []Sample {
 	out := make([]Sample, p.n)

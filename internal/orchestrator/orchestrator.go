@@ -1,14 +1,14 @@
 // Package orchestrator turns a sharded campaign into one supervised
 // run: it leases the hosts of a Pool (local subprocesses, ssh hosts,
-// or any other Runner) to N shard workers, decodes their
-// -progress-json streams into a live aggregate, relaunches failed or
-// interrupted shards (resume is free — each shard's result store keeps
-// its finished cells), and when the last shard lands merges the shard
-// stores and re-runs the campaign against the merge, producing stdout
-// byte-identical to a single-host run with zero simulations. It also
-// owns the worker side of that protocol: the WorkerFlags table the
-// worker CLIs parse and the Emitter behind -progress-json. It is the
-// layer cmd/pdsweep wraps.
+// or any other Runner) to N shard workers that all write one result
+// store, decodes their -progress-json streams into a live aggregate,
+// relaunches failed or interrupted shards (resume is free — the store
+// keeps every finished cell), and when the last shard lands re-runs
+// the campaign against that store, producing stdout byte-identical to
+// a single-host run with zero simulations. It also owns the worker
+// side of that protocol: the WorkerFlags table the worker CLIs parse
+// and the Emitter behind -progress-json. It is the layer cmd/pdsweep
+// wraps.
 package orchestrator
 
 import (
@@ -16,15 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"paradet/internal/campaign"
 	"paradet/internal/obs"
-	"paradet/internal/obs/telemetry"
 	"paradet/internal/resultstore"
 )
 
@@ -42,21 +38,19 @@ type Options struct {
 	// attempts of the slowest shard on idle hosts. Required, with at
 	// least one host.
 	Pool *Pool
-	// StoreRoot is the directory holding the per-shard stores
-	// (shard0, shard1, …) and the merged store (merged). With ssh
-	// runners it must be a shared-filesystem path.
+	// StoreRoot is the sweep's one result store: every shard attempt
+	// and the assembly pass run with -store StoreRoot, and telemetry
+	// sidecars land in its telemetry directory. With ssh runners it
+	// must be a shared-filesystem path.
 	StoreRoot string
-	// Strategy is the cell-assignment strategy passed to every worker
-	// ("" = weighted, the orchestrator default).
-	Strategy campaign.Strategy
 	// Retries is how many times one shard may be relaunched after a
 	// failure before the sweep is abandoned.
 	Retries int
-	// Compact, when set, packs the merged store into a segment file
-	// after the strict merge and before assembly, so the assembly pass
-	// (and any later reuse of the store) reads through the packed
-	// layout — and proves in the same breath that compaction preserved
-	// every cell, because assembly still demands zero simulations.
+	// Compact, when set, packs the store into a segment file once the
+	// shards finish and before assembly, so the assembly pass (and any
+	// later reuse of the store) reads through the packed layout — and
+	// proves in the same breath that compaction preserved every cell,
+	// because assembly still demands zero simulations.
 	Compact bool
 	// Progress, when non-nil, observes the live aggregate after every
 	// decoded worker event.
@@ -69,13 +63,13 @@ type Options struct {
 	// Stdout receives the assembly pass's stdout — the sweep's final
 	// output (nil = discard).
 	Stdout io.Writer
-	// Stderr receives orchestrator notes, merge warnings and the
-	// assembly pass's plain stderr (nil = discard).
+	// Stderr receives orchestrator notes and the assembly pass's plain
+	// stderr (nil = discard).
 	Stderr io.Writer
 
-	// assembler runs the final merge-backed assembly pass, injectable
+	// assembler runs the final store-backed assembly pass, injectable
 	// so tests can substitute an in-process worker (nil = Local; the
-	// merged store is always local to the orchestrator).
+	// store root is always reachable from the orchestrator).
 	assembler Runner
 }
 
@@ -115,8 +109,8 @@ type Snapshot struct {
 	Quarantined int `json:"quarantined,omitempty"`
 	// Shards holds the per-shard detail, indexed by shard. With
 	// stealing active each entry reflects the shard's leading attempt
-	// (duplicates re-simulate the same cells; summing them would
-	// double-count the grid).
+	// (every attempt of a shard works through the same cells; summing
+	// them would double-count the grid).
 	Shards []ShardProgress `json:"shards"`
 	// Slowest is the index of the unfinished shard with the lowest
 	// completion fraction, counting shards that have not reported yet
@@ -131,9 +125,8 @@ type ShardReport struct {
 	Runner string
 	// Attempts counts launches (1 = no retries needed).
 	Attempts int
-	// History details every launch — runner, attempt store, outcome —
-	// in completion order, so a failed sweep is debuggable from its
-	// logs alone.
+	// History details every launch — runner, outcome — in completion
+	// order, so a failed sweep is debuggable from its logs alone.
 	History []Attempt
 	// Done, Hits and Sims are the final decoded counters.
 	Done, Hits, Sims int
@@ -147,10 +140,8 @@ type ShardReport struct {
 type Report struct {
 	// Shards holds one entry per shard, indexed by shard.
 	Shards []ShardReport
-	// Merge is the shard-store recombination accounting.
-	Merge resultstore.MergeStats
-	// Compact is the post-merge compaction accounting (nil unless
-	// Options.Compact was set).
+	// Compact is the compaction accounting (nil unless Options.Compact
+	// was set).
 	Compact *resultstore.CompactStats
 	// Pool summarises the host scheduling: leases, steals, relaunches
 	// and quarantines.
@@ -158,13 +149,10 @@ type Report struct {
 	// Cells, Hits and Sims are the assembly pass's final counters;
 	// Sims is always 0 on success (the orchestrator fails otherwise).
 	Cells, Hits, Sims int
-	// Sidecars is the number of telemetry sidecars forwarded from
-	// shard stores into the merged store (0 when telemetry was off).
-	Sidecars int
 }
 
 // Run executes one orchestrated sweep: launch, supervise, retry,
-// merge, assemble. It returns the report even alongside an error when
+// index, assemble. It returns the report even alongside an error when
 // the failure happened after workers produced accountable state.
 func Run(ctx context.Context, o Options) (*Report, error) {
 	if err := o.resolve(); err != nil {
@@ -177,7 +165,8 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	if stderr == nil {
 		stderr = io.Discard
 	}
-	if err := os.MkdirAll(o.StoreRoot, 0o777); err != nil {
+	st, err := resultstore.Open(o.StoreRoot)
+	if err != nil {
 		return nil, fmt.Errorf("orchestrator: %w", err)
 	}
 
@@ -186,7 +175,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		attempts: make([]map[int]ShardProgress, o.Shards), progress: o.Progress, onEvent: o.OnEvent}
 
 	// Launch the shard workers over the pool's leased hosts. The first
-	// shard to exhaust its retries cancels the rest: their stores keep
+	// shard to exhaust its retries cancels the rest: the store keeps
 	// whatever they finished, so a later pdsweep run resumes instead of
 	// redoing.
 	poolErr := o.Pool.run(ctx, &o, agg, stderr, rep)
@@ -221,7 +210,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		failures = append([]error{poolErr}, failures...)
 	}
 	if interrupted > 0 && len(failures) > 0 {
-		failures = append(failures, fmt.Errorf("%d other shard(s) interrupted; their stores resume the sweep", interrupted))
+		failures = append(failures, fmt.Errorf("%d other shard(s) interrupted; the store resumes the sweep", interrupted))
 	} else if interrupted > 0 {
 		failures = append(failures, fmt.Errorf("%d shard(s) interrupted", interrupted))
 	}
@@ -229,107 +218,23 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		return rep, errors.Join(failures...)
 	}
 
-	// Merge the shard stores. Orchestrated merges are strict: a
-	// corrupt shard cell would silently resurface as simulation work
-	// during assembly, which Run is contracted to forbid.
-	dst, err := resultstore.Open(o.mergedDir())
-	if err != nil {
-		return rep, fmt.Errorf("orchestrator: %w", err)
-	}
-	// Enumerate StoreRoot once for duplicate-attempt stores. A plain
-	// prefix match, not a glob: a store root containing glob
-	// metacharacters must not silently drop a winning duplicate's
-	// cells from the merge. ReadDir returns names sorted.
-	rootEntries, err := os.ReadDir(o.StoreRoot)
-	if err != nil {
-		return rep, fmt.Errorf("orchestrator: %w", err)
-	}
-	srcs := make([]*resultstore.Store, 0, o.Shards)
-	for i := 0; i < o.Shards; i++ {
-		src, err := resultstore.Open(o.attemptStore(i, 0))
-		if err != nil {
-			return rep, fmt.Errorf("orchestrator: shard %d store: %w", i, err)
-		}
-		srcs = append(srcs, src)
-		// Fold in duplicate-attempt stores left by the steal policy —
-		// this run's, or a resumed earlier run's. A losing attempt is
-		// discarded only when its store is empty; one that holds cells
-		// is merged anyway (fingerprint dedupe makes overlap free, and
-		// a loser may hold cells the relaunched winner resumed past).
-		prefix := fmt.Sprintf("shard%d.", i)
-		for _, ent := range rootEntries {
-			if !ent.IsDir() || !strings.HasPrefix(ent.Name(), prefix) {
-				continue
-			}
-			dir := filepath.Join(o.StoreRoot, ent.Name())
-			src, err := resultstore.OpenExisting(dir)
-			if err != nil {
-				fmt.Fprintf(stderr, "orchestrator: ignoring attempt store %s: %v\n", dir, err)
-				continue
-			}
-			fp, err := src.Footprint()
-			if err != nil {
-				fmt.Fprintf(stderr, "orchestrator: ignoring attempt store %s: %v\n", dir, err)
-				continue
-			}
-			if fp.LooseCells+fp.SegmentCells == 0 {
-				continue // an empty loser buys the merge nothing
-			}
-			srcs = append(srcs, src)
-		}
-	}
-	mergeStart := time.Now()
-	rep.Merge, err = resultstore.Merge(dst, srcs...)
-	if obs.Enabled() {
-		ent := obs.Entry{Event: "merge", Count: rep.Merge.Indexed, DurMS: time.Since(mergeStart).Milliseconds(),
-			Detail: fmt.Sprintf("%d source(s), %d copied, %d dup", rep.Merge.Sources, rep.Merge.Copied, rep.Merge.Dups)}
-		if err != nil {
-			ent.Err = err.Error()
-		}
-		obs.Emit(ent)
-	}
-	for _, w := range rep.Merge.Warnings {
-		fmt.Fprintln(stderr, "orchestrator: merge warning:", w)
-	}
-	if err != nil {
-		return rep, fmt.Errorf("orchestrator: merge: %w", err)
-	}
-	if err := rep.Merge.Strict(); err != nil {
-		return rep, fmt.Errorf("orchestrator: merge: %w", err)
-	}
-
-	// Forward telemetry sidecars from every source store (shards plus
-	// duplicate attempts) into the merged store, so pdreport and the
-	// trace exporter see the whole sweep in one directory. Sidecars are
-	// fingerprint-named and simulations are deterministic, so same-name
-	// collisions are identical files; first copy wins.
-	if n, err := forwardSidecars(o.mergedDir(), srcs); err != nil {
-		fmt.Fprintln(stderr, "orchestrator: telemetry forward:", err)
-	} else if n > 0 {
-		rep.Sidecars = n
-		fmt.Fprintf(stderr, "orchestrator: forwarded %d telemetry sidecar(s) into %s\n",
-			n, filepath.Join(o.mergedDir(), telemetry.SidecarDirName))
-		if obs.Enabled() {
-			obs.Emit(obs.Entry{Event: "telemetry_forward", Count: n})
-		}
-	}
-
-	// Optionally pack the merged store before assembly. Compaction
-	// verifies the published segment before deleting loose cells, and
-	// the assembly pass's zero-simulation contract then re-proves every
-	// cell is still served — now through the segment read path.
+	// Concurrent shards may each have journalled the same shared
+	// reference run, so rebuild the advisory index once — compaction,
+	// which packs the store before assembly, rebuilds it itself.
 	if o.Compact {
-		cst, err := dst.Compact(resultstore.CompactOptions{})
+		cst, err := st.Compact(resultstore.CompactOptions{})
 		if err != nil {
 			return rep, fmt.Errorf("orchestrator: compact: %w", err)
 		}
 		rep.Compact = &cst
-		fmt.Fprintln(stderr, "orchestrator: compacted merged store:", cst)
+		fmt.Fprintln(stderr, "orchestrator: compacted store:", cst)
+	} else if _, err := st.RebuildIndex(); err != nil {
+		return rep, fmt.Errorf("orchestrator: index: %w", err)
 	}
 
-	// Assemble: re-run the campaign unsharded against the merged
-	// store. Its stdout is the sweep's final output — byte-identical
-	// to a single-host run, because the store only changes what is
+	// Assemble: re-run the campaign unsharded against the store. Its
+	// stdout is the sweep's final output — byte-identical to a
+	// single-host run, because the store only changes what is
 	// simulated, never what is printed — and its progress stream lets
 	// the orchestrator enforce that nothing was simulated.
 	assembler := o.assembler
@@ -373,13 +278,12 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 	rep.Cells, rep.Hits, rep.Sims = last.Done, last.Hits, last.Sims
 	if rep.Sims > 0 {
-		return rep, fmt.Errorf("orchestrator: assembly simulated %d cell(s): shard stores did not cover the grid", rep.Sims)
+		return rep, fmt.Errorf("orchestrator: assembly simulated %d cell(s): the shards did not cover the grid", rep.Sims)
 	}
 	return rep, nil
 }
 
-// resolve validates the options and fills the default strategy, for
-// Run and Plan alike.
+// resolve validates the options, for Run and Plan alike.
 func (o *Options) resolve() error {
 	if len(o.Argv) == 0 {
 		return fmt.Errorf("orchestrator: no campaign command")
@@ -396,94 +300,22 @@ func (o *Options) resolve() error {
 	if len(o.Pool.Hosts) == 0 {
 		return fmt.Errorf("orchestrator: pool has no hosts")
 	}
-	if _, err := campaign.ParseStrategy(string(o.Strategy)); err != nil {
-		return fmt.Errorf("orchestrator: %w", err)
-	}
-	if o.Strategy == "" {
-		o.Strategy = campaign.StrategyWeighted
-	}
 	return nil
 }
 
-func (o *Options) mergedDir() string { return filepath.Join(o.StoreRoot, "merged") }
-
-// attemptArgv is the worker command for one attempt of one shard.
-func (o *Options) attemptArgv(shard, attempt int) []string {
+// shardArgv is the worker command for every attempt of one shard: the
+// primary, a relaunch and a stolen duplicate alike.
+func (o *Options) shardArgv(shard int) []string {
 	return append(append([]string{}, o.Argv...), WorkerFlags{
-		Shard:         campaign.Shard{Index: shard, Count: o.Shards}.String(),
-		ShardStrategy: string(o.Strategy),
-		Store:         o.attemptStore(shard, attempt),
-		ProgressJSON:  true,
+		Shard:        campaign.Shard{Index: shard, Count: o.Shards}.String(),
+		Store:        o.StoreRoot,
+		ProgressJSON: true,
 	}.Args()...)
 }
 
-// assemblyArgv is the unsharded command run against the merged store.
+// assemblyArgv is the unsharded command run against the store.
 func (o *Options) assemblyArgv() []string {
-	return append(append([]string{}, o.Argv...), WorkerFlags{Store: o.mergedDir(), ProgressJSON: true}.Args()...)
-}
-
-// forwardSidecars copies telemetry/*.jsonl from every source store
-// directory into dstStore/telemetry. Missing source directories are
-// normal (telemetry off, or a shard with only warm cells). Files are
-// fingerprint-named, so a name seen twice is the same deterministic
-// content and the first copy wins. Each copy is written to a temp
-// file and renamed, so an interrupted forward never leaves a
-// truncated sidecar that a resumed run would keep.
-func forwardSidecars(dstStore string, srcs []*resultstore.Store) (int, error) {
-	dstDir := filepath.Join(dstStore, telemetry.SidecarDirName)
-	copied := 0
-	for _, src := range srcs {
-		srcDir := filepath.Join(src.Dir(), telemetry.SidecarDirName)
-		ents, err := os.ReadDir(srcDir)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return copied, err
-		}
-		for _, ent := range ents {
-			name := ent.Name()
-			if ent.IsDir() || !strings.HasSuffix(name, ".jsonl") || strings.HasPrefix(name, ".") {
-				continue
-			}
-			dst := filepath.Join(dstDir, name)
-			if _, err := os.Stat(dst); err == nil {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(srcDir, name))
-			if err != nil {
-				return copied, err
-			}
-			if err := os.MkdirAll(dstDir, 0o755); err != nil {
-				return copied, err
-			}
-			if err := writeFileAtomic(dst, data); err != nil {
-				return copied, err
-			}
-			copied++
-		}
-	}
-	return copied, nil
-}
-
-// writeFileAtomic writes data to a dot-named temp file next to path
-// (forwardSidecars skips dot-files) and renames it into place.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*.jsonl")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return append(append([]string{}, o.Argv...), WorkerFlags{Store: o.StoreRoot, ProgressJSON: true}.Args()...)
 }
 
 // aggregator folds per-shard (and, under a pool, per-attempt) events
@@ -510,8 +342,8 @@ func (a *aggregator) observeAttempt(i, attempt int, e Event) {
 		a.attempts[i] = make(map[int]ShardProgress)
 	}
 	a.attempts[i][attempt] = p
-	// The shard speaks with its leading attempt's voice: duplicates
-	// re-simulate the same cells, so summing attempts would
+	// The shard speaks with its leading attempt's voice: every attempt
+	// works through the same cells, so summing attempts would
 	// double-count the grid. Ties break to the lowest attempt id so
 	// the leader never flaps between equally advanced attempts.
 	lead, leadID := p, attempt

@@ -20,9 +20,9 @@ import (
 	"paradet/internal/resultstore"
 )
 
-// orchSpec is a small sweep with uneven cell costs, so the default
-// weighted strategy has something to balance: 2 workloads x 3 points,
-// one point 4x heavier than the others.
+// orchSpec is a small sweep with uneven cell costs, so the
+// cost-weighted shard plan has something to balance: 2 workloads x 3
+// points, one point 4x heavier than the others.
 func orchSpec() campaign.Spec {
 	mk := func(label string, hz, instrs uint64) campaign.Point {
 		cfg := paradet.DefaultConfig()
@@ -168,10 +168,45 @@ func fakePool(n int, inner Runner) *Pool {
 	return testPool(hosts, false)
 }
 
+// checkOneStore asserts the store root is the sweep's one plain result
+// store: no per-shard or merged store beside it, every cell verifies,
+// and the rebuilt index holds one entry per cell.
+func checkOneStore(t *testing.T, root string) {
+	t.Helper()
+	ents, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "shard") || e.Name() == "merged" {
+			t.Errorf("store root holds %s: want one store, no shard or merged stores", e.Name())
+		}
+	}
+	st, err := resultstore.OpenExisting(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := st.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vr.OK() || vr.Good == 0 {
+		t.Errorf("store verify = %+v", vr)
+	}
+	idx, err := st.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != vr.Good {
+		t.Errorf("index holds %d entries for %d cells", len(idx), vr.Good)
+	}
+}
+
 // TestOrchestratedSweepEquivalence is the tentpole contract: three
 // orchestrated shards produce assembly stdout byte-identical to a
 // single-host run, every protected cell is simulated exactly once
-// across all shards (disjoint cover), and assembly simulates nothing.
+// across all shards (disjoint cover), assembly simulates nothing, and
+// the store root is one plain store.
 func TestOrchestratedSweepEquivalence(t *testing.T) {
 	spec := orchSpec()
 	ref, err := campaign.Execute(spec, nil)
@@ -182,6 +217,7 @@ func TestOrchestratedSweepEquivalence(t *testing.T) {
 
 	sim := &countingSim{Simulator: campaign.Default()}
 	worker := &fakeWorker{t: t, spec: spec, sim: sim, dieShard: -1}
+	root := t.TempDir()
 	var stdout, log bytes.Buffer
 	var snaps []Snapshot
 	rep, err := Run(context.Background(), Options{
@@ -189,7 +225,7 @@ func TestOrchestratedSweepEquivalence(t *testing.T) {
 		Shards:    3,
 		Pool:      fakePool(3, worker),
 		assembler: worker,
-		StoreRoot: t.TempDir(),
+		StoreRoot: root,
 		Progress:  func(s Snapshot) { snaps = append(snaps, s) },
 		Stdout:    &stdout,
 		Stderr:    &log,
@@ -210,9 +246,7 @@ func TestOrchestratedSweepEquivalence(t *testing.T) {
 	if rep.Cells != cellCount {
 		t.Errorf("assembled cells = %d, want %d", rep.Cells, cellCount)
 	}
-	if rep.Merge.Copied == 0 || rep.Merge.Corrupt != 0 {
-		t.Errorf("merge stats = %+v", rep.Merge)
-	}
+	checkOneStore(t, root)
 	if rep.Pool.Relaunches != 0 || rep.Pool.Steals != 0 {
 		t.Errorf("relaunches = %d, steals = %d, want 0", rep.Pool.Relaunches, rep.Pool.Steals)
 	}
@@ -234,11 +268,11 @@ func TestOrchestratedSweepEquivalence(t *testing.T) {
 	}
 }
 
-// TestOrchestratedCompaction runs the 3-shard sweep with post-merge
-// compaction: the merged store must end up fully packed (no loose
-// cells), the assembly pass must read everything through the segment
-// layer with zero simulations, and stdout must still be byte-identical
-// to the single-host run.
+// TestOrchestratedCompaction runs the 3-shard sweep with compaction:
+// the store must end up fully packed (no loose cells), the assembly
+// pass must read everything through the segment layer with zero
+// simulations, and stdout must still be byte-identical to the
+// single-host run.
 func TestOrchestratedCompaction(t *testing.T) {
 	spec := orchSpec()
 	ref, err := campaign.Execute(spec, nil)
@@ -266,9 +300,9 @@ func TestOrchestratedCompaction(t *testing.T) {
 	if rep.Compact == nil || rep.Compact.Packed == 0 {
 		t.Fatalf("compaction stats missing: %+v", rep.Compact)
 	}
-	if rep.Compact.Packed != rep.Merge.Copied {
-		t.Errorf("packed %d cells, merge copied %d — compaction must cover the whole merge",
-			rep.Compact.Packed, rep.Merge.Copied)
+	if rep.Compact.Packed != rep.Compact.Indexed {
+		t.Errorf("packed %d cells of %d indexed — compaction must cover the whole store",
+			rep.Compact.Packed, rep.Compact.Indexed)
 	}
 	if rep.Sims != 0 {
 		t.Errorf("assembly sims = %d, want 0 (served through segments)", rep.Sims)
@@ -276,27 +310,28 @@ func TestOrchestratedCompaction(t *testing.T) {
 	if stdout.String() != want {
 		t.Error("assembly stdout differs from the single-host run after compaction")
 	}
-	// The merged store is fully packed: loose tree empty, one segment.
-	merged, err := resultstore.OpenExisting(filepath.Join(root, "merged"))
+	// The store is fully packed: loose tree empty, one segment.
+	st, err := resultstore.OpenExisting(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := merged.Footprint()
+	fp, err := st.Footprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.LooseCells != 0 || fp.Segments != 1 || fp.SegmentCells != rep.Merge.Copied {
-		t.Errorf("merged store layout = %+v, want fully packed into one segment", fp)
+	if fp.LooseCells != 0 || fp.Segments != 1 || fp.SegmentCells != rep.Compact.Packed {
+		t.Errorf("store layout = %+v, want fully packed into one segment", fp)
 	}
-	if !strings.Contains(log.String(), "compacted merged store") {
+	checkOneStore(t, root)
+	if !strings.Contains(log.String(), "compacted store") {
 		t.Errorf("compaction not surfaced on stderr:\n%s", log.String())
 	}
 }
 
 // TestShardRetryResumesFromStore kills one shard worker after its
 // first cell; the pool must relaunch it, the relaunch must resume from
-// the shard store (no cell simulated twice), and the final output must
-// still be byte-identical with zero assembly sims.
+// the store (no cell simulated twice), and the final output must still
+// be byte-identical with zero assembly sims.
 func TestShardRetryResumesFromStore(t *testing.T) {
 	spec := orchSpec()
 	ref, err := campaign.Execute(spec, nil)
@@ -342,8 +377,8 @@ func TestShardRetryResumesFromStore(t *testing.T) {
 	if rep.Pool.Relaunches != 1 {
 		t.Errorf("relaunches = %d, want 1", rep.Pool.Relaunches)
 	}
-	if h := rep.Shards[1].History; len(h) != 2 || h[0].Store != "shard1" || h[1].Store != "shard1" {
-		t.Errorf("shard 1 history = %+v, want two attempts on store shard1", h)
+	if h := rep.Shards[1].History; len(h) != 2 || h[0].Err == "" || h[1].Err != "" {
+		t.Errorf("shard 1 history = %+v, want a killed attempt, then a win", h)
 	}
 	if !strings.Contains(log.String(), "store resumes") {
 		t.Errorf("retry not surfaced on stderr:\n%s", log.String())
@@ -422,73 +457,71 @@ func TestAssemblyWithoutEventsFails(t *testing.T) {
 	}
 }
 
-// TestForwardSidecars forwards telemetry sidecars from a primary and a
-// duplicate-attempt store that share a fingerprint: every sidecar lands
-// once, non-.jsonl files and dot-files (in-flight temp files) stay
-// behind, an existing sidecar is kept, and no temp file is left.
-func TestForwardSidecars(t *testing.T) {
+// TestOrchestratedTelemetry sweeps with -telemetry in the worker argv:
+// every shard writes its sidecars into the one store, so the store's
+// telemetry directory holds exactly one sidecar per protected cell,
+// each named by its cell's fingerprint and reconciling against its
+// committed instructions.
+func TestOrchestratedTelemetry(t *testing.T) {
+	spec := orchSpec()
+	worker := &fakeWorker{t: t, spec: spec, sim: campaign.Default(), dieShard: -1}
+	fwd, err := WorkerFlags{Telemetry: true, TelemetryInterval: 500}.TelemetryArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	root := t.TempDir()
-	write := func(dir, name, body string) {
-		t.Helper()
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	var log bytes.Buffer
+	rep, err := Run(context.Background(), Options{
+		Argv:      append([]string{"campaign"}, fwd...),
+		Shards:    3,
+		Pool:      fakePool(3, worker),
+		assembler: worker,
+		StoreRoot: root,
+		Stderr:    &log,
+	})
+	if err != nil {
+		t.Fatalf("orchestrated run failed: %v\n%s", err, log.String())
 	}
-	var srcs []*resultstore.Store
-	for _, name := range []string{"shard0", "shard0.b"} {
-		st, err := resultstore.Open(filepath.Join(root, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs = append(srcs, st)
-		dir := filepath.Join(st.Dir(), telemetry.SidecarDirName)
-		write(dir, "aa.jsonl", "shared")
-		write(dir, name+".jsonl", name)
-		write(dir, "notes.txt", "skip")
-		write(dir, ".tmp-1.jsonl", "skip")
+	if rep.Sims != 0 {
+		t.Errorf("assembly sims = %d, want 0", rep.Sims)
 	}
-	dst := filepath.Join(root, "merged")
-	dstDir := filepath.Join(dst, telemetry.SidecarDirName)
-	write(dstDir, "shard0.jsonl", "kept")
-
-	n, err := forwardSidecars(dst, srcs)
+	cellCount := len(spec.Workloads) * len(spec.Points)
+	series, err := telemetry.LoadDir(filepath.Join(root, telemetry.SidecarDirName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Errorf("forwarded %d sidecar(s), want 2 (aa and shard0.b)", n)
+	if len(series) != cellCount {
+		t.Fatalf("%d sidecars for %d protected cells", len(series), cellCount)
 	}
-	ents, err := os.ReadDir(dstDir)
+	ref, err := campaign.Execute(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]string{}
-	for _, e := range ents {
-		b, err := os.ReadFile(filepath.Join(dstDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
+	want := map[string]bool{}
+	for i := range ref.Results {
+		want[campaign.CellKey(&ref.Results[i]).Fingerprint()] = true
+	}
+	for _, s := range series {
+		if !want[s.Header.Fingerprint] {
+			t.Errorf("sidecar %s names no protected cell of the sweep", s.Header.Fingerprint)
 		}
-		got[e.Name()] = string(b)
+		delete(want, s.Header.Fingerprint)
+		if err := telemetry.Reconcile(s); err != nil {
+			t.Error(err)
+		}
 	}
-	want := map[string]string{"aa.jsonl": "shared", "shard0.jsonl": "kept", "shard0.b.jsonl": "shard0.b"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("merged sidecars = %v, want %v", got, want)
-	}
+	checkOneStore(t, root)
 }
 
 // TestRunValidatesOptions covers the option-level refusals.
 func TestRunValidatesOptions(t *testing.T) {
 	pool := fakePool(1, brokenWorker{})
 	cases := []Options{
-		{Shards: 2, StoreRoot: "x", Pool: pool},                                         // no argv
-		{Argv: []string{"c"}, Shards: 0, StoreRoot: "x", Pool: pool},                    // no shards
-		{Argv: []string{"c"}, Shards: 2, Pool: pool},                                    // no store root
-		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x", Pool: pool, Strategy: "bogus"}, // bad strategy
-		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x"},                                // no pool
-		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x", Pool: testPool(nil, false)},    // hostless pool
+		{Shards: 2, StoreRoot: "x", Pool: pool},                                      // no argv
+		{Argv: []string{"c"}, Shards: 0, StoreRoot: "x", Pool: pool},                 // no shards
+		{Argv: []string{"c"}, Shards: 2, Pool: pool},                                 // no store root
+		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x"},                             // no pool
+		{Argv: []string{"c"}, Shards: 2, StoreRoot: "x", Pool: testPool(nil, false)}, // hostless pool
 	}
 	for i, o := range cases {
 		if _, err := Run(context.Background(), o); err == nil {

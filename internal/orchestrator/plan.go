@@ -2,12 +2,11 @@ package orchestrator
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 )
 
 // Plan renders the sweep Run would execute — shard-to-host
-// assignment, store layout, steal policy, assembly command — without
+// assignment, store, steal policy, assembly command — without
 // launching anything or creating a single directory. It is what
 // `pdsweep -dry-run` prints, so pool configs can be sanity-checked
 // cheaply in CI and by hand.
@@ -17,10 +16,10 @@ func Plan(o Options) (string, error) {
 	}
 	p := o.Pool
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: %d shard(s) · strategy %s · retries %d\n", o.Shards, o.Strategy, o.Retries)
+	fmt.Fprintf(&b, "plan: %d shard(s) · retries %d · store %s\n", o.Shards, o.Retries, o.StoreRoot)
 	steal := "off"
 	if p.Steal {
-		steal = fmt.Sprintf("on (eta >= %s, <= %d attempt store(s) per shard)", p.minStealEta(), maxAttempts)
+		steal = fmt.Sprintf("on (eta >= %s, <= %d attempt(s) per shard; first finish wins)", p.minStealEta(), maxAttempts)
 	}
 	fmt.Fprintf(&b, "pool: %d host(s) · health probe %q x%d, timeout %s · steal %s\n",
 		len(p.Hosts), strings.Join(p.probeCommand(), " "), healthProbes, p.healthTimeout(), steal)
@@ -32,16 +31,11 @@ func Plan(o Options) (string, error) {
 	// starting point, not a fixed binding.
 	for i := 0; i < o.Shards; i++ {
 		if i < len(p.Hosts) {
-			fmt.Fprintf(&b, "  shard %d -> host %d (%s) · store %s\n", i, i, p.Hosts[i].Name(), o.attemptStore(i, 0))
+			fmt.Fprintf(&b, "  shard %d -> host %d (%s)\n", i, i, p.Hosts[i].Name())
 		} else {
-			fmt.Fprintf(&b, "  shard %d -> queued (first idle host) · store %s\n", i, o.attemptStore(i, 0))
+			fmt.Fprintf(&b, "  shard %d -> queued (first idle host)\n", i)
 		}
 	}
-	if p.Steal {
-		fmt.Fprintf(&b, "  steal attempts -> %s.b, .c, ... (idle hosts duplicate the slowest shard; first finish wins, all non-empty stores merge)\n",
-			filepath.Join(o.StoreRoot, "shardN"))
-	}
-	fmt.Fprintf(&b, "merged store: %s\n", o.mergedDir())
 	fmt.Fprintf(&b, "assembly (local): %s\n", strings.Join(o.assemblyArgv(), " "))
 	return b.String(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -16,15 +15,15 @@ import (
 // leases them to shards one at a time, health-checks every host
 // (before its first lease and again after any worker failure),
 // quarantines hosts that keep failing probes, and moves a dead host's
-// shard to another healthy host — the shard's store makes the move a
+// shard to another healthy host — the sweep's store makes the move a
 // resume, not a redo. With Steal set, a host that goes idle with no
 // shard left to start launches a duplicate attempt of the slowest
-// unfinished shard (per Snapshot.Slowest and the worker's own ETA)
-// against a fresh per-attempt store (shard3.b, shard3.c). Whichever
-// attempt finishes first wins and the loser is cancelled; the merge
-// folds every non-empty attempt store, and fingerprint dedupe makes
-// the duplicated cells free, so the final assembly is byte-identical
-// to a single-host run.
+// unfinished shard (per Snapshot.Slowest and the worker's own ETA).
+// Every attempt of a shard runs the same command against the same
+// store, so a duplicate serves the cells its sibling already stored as
+// hits and simulates only the rest. Whichever attempt finishes first
+// wins and the loser is cancelled; the final assembly is
+// byte-identical to a single-host run.
 type Pool struct {
 	// Hosts are the leasable workers. Each host runs at most one shard
 	// attempt at a time; list a host twice to run two.
@@ -49,8 +48,8 @@ const (
 	healthProbes  = 2
 	healthBackoff = 500 * time.Millisecond
 	// maxAttempts caps the launches per shard the steal policy may
-	// reach, bounding the per-attempt stores: the primary plus two
-	// duplicates.
+	// reach, bounding the hosts one shard can occupy: the primary plus
+	// two duplicates.
 	maxAttempts = 3
 )
 
@@ -72,8 +71,8 @@ func (p *Pool) probeCommand() []string {
 }
 
 // minStealEta is the smallest worker-reported ETA worth stealing:
-// duplicating a shard that is nearly done wastes a host on work the
-// merge will throw away.
+// duplicating a shard that is nearly done wastes a host on work its
+// sibling is about to store anyway.
 func (p *Pool) minStealEta() time.Duration {
 	if p.stealMinEta > 0 {
 		return p.stealMinEta
@@ -116,17 +115,14 @@ func (p *Pool) probeHost(ctx context.Context, r Runner) error {
 	return fmt.Errorf("health probe failed %d time(s): %w", healthProbes, err)
 }
 
-// Attempt is one launch of one shard: where it ran, which store it
-// wrote, and how it ended. The slice of these per shard is the attempt
-// history carried into retry-exhaustion errors and the final Report.
+// Attempt is one launch of one shard: where it ran and how it ended.
+// The slice of these per shard is the attempt history carried into
+// retry-exhaustion errors and the final Report.
 type Attempt struct {
 	// N is the launch ordinal for the shard (1 = primary).
 	N int
 	// Runner names the host the attempt ran on.
 	Runner string
-	// Store is the attempt's store directory basename (shard3,
-	// shard3.b, …).
-	Store string
 	// Stolen marks duplicate attempts launched by the steal policy.
 	Stolen bool
 	// Err is how the attempt ended ("" = finished and won).
@@ -134,7 +130,7 @@ type Attempt struct {
 }
 
 func (a Attempt) String() string {
-	s := fmt.Sprintf("attempt %d on %s (%s)", a.N, a.Runner, a.Store)
+	s := fmt.Sprintf("attempt %d on %s", a.N, a.Runner)
 	if a.Stolen {
 		s += " [stolen]"
 	}
@@ -186,8 +182,9 @@ type attemptResult struct {
 	probeErr             error // host never answered; nothing ran
 }
 
-// pendingWork is a shard waiting for a host. attempt is the store it
-// should (re)use — a relaunch resumes the failed attempt's store.
+// pendingWork is a shard waiting for a host. attempt identifies the
+// attempt's progress stream — a relaunch continues the failed
+// attempt's.
 type pendingWork struct {
 	shard, attempt int
 	lastHost       int // host of the failed attempt (-1 = none): prefer a different one
@@ -205,16 +202,8 @@ type shardState struct {
 	launched int // attempts ever started (relaunches and steals included)
 	dupes    int // duplicate (stolen) attempts ever started
 	active   map[int]context.CancelFunc
-	winner   int // winning attempt id (-1 = none yet)
 	history  []Attempt
 	tail     *tailBuffer
-}
-
-// attemptStore names the store directory for one attempt of one
-// shard: the primary and its relaunches write shardN, duplicates
-// shardN.b and shardN.c.
-func (o *Options) attemptStore(shard, attempt int) string {
-	return filepath.Join(o.StoreRoot, storeBase(shard, attempt))
 }
 
 // run schedules every shard over the pool's hosts and fills rep's
@@ -236,7 +225,6 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 	for i := range shards {
 		shards[i].active = make(map[int]context.CancelFunc)
 		shards[i].tail = &tailBuffer{max: tailBytes}
-		shards[i].winner = -1
 	}
 	obsHealthyHosts.Set(float64(len(p.Hosts)))
 
@@ -266,13 +254,11 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 		pool.Hosts[h].Leases++
 		obsLeases.Inc()
 		name := p.Hosts[h].Name()
-		store := o.attemptStore(w.shard, w.attempt)
 		if stolen {
 			pool.Steals++
 			obsSteals.Inc()
 			agg.addSteal()
-			fmt.Fprintf(stderr, "orchestrator: stealing shard %d onto idle host %s (attempt store %s)\n",
-				w.shard, name, store)
+			fmt.Fprintf(stderr, "orchestrator: stealing shard %d onto idle host %s\n", w.shard, name)
 		}
 		if obs.Enabled() {
 			ev := "lease"
@@ -282,7 +268,7 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 			obs.Emit(obs.Entry{Event: ev, Shard: obs.Int(w.shard), Count: w.attempt + 1, Detail: name})
 		}
 		needProbe := !hosts[h].probed
-		argv := o.attemptArgv(w.shard, w.attempt)
+		argv := o.shardArgv(w.shard)
 		go func() {
 			if needProbe {
 				if err := p.probeHost(actx, p.Hosts[h]); err != nil {
@@ -321,8 +307,8 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 		if snap.Shards[s].EtaMS < p.minStealEta().Milliseconds() {
 			return pendingWork{}, false
 		}
-		// Duplicate attempt ids count up from 1 (store suffixes .b, .c);
-		// the primary and its relaunches share attempt 0.
+		// Duplicate attempt ids count up from 1; the primary and its
+		// relaunches share attempt 0.
 		return pendingWork{shard: s, attempt: shards[s].dupes + 1, lastHost: -1}, true
 	}
 
@@ -416,7 +402,7 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 					// about the host, so record the cancellation and
 					// leave the host healthy.
 					st.history = append(st.history, Attempt{N: r.ord, Runner: p.Hosts[r.host].Name(),
-						Store: storeBase(r.shard, r.attempt), Stolen: r.stolen, Err: "cancelled before launch"})
+						Stolen: r.stolen, Err: "cancelled before launch"})
 					if !r.stolen && !st.done {
 						pending = append([]pendingWork{{shard: r.shard, attempt: r.attempt, lastHost: r.host}}, pending...)
 					}
@@ -435,17 +421,16 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 				}
 				fmt.Fprintf(stderr, "orchestrator: host %s quarantined (%v)\n", p.Hosts[r.host].Name(), r.probeErr)
 				st.history = append(st.history, Attempt{N: r.ord, Runner: p.Hosts[r.host].Name(),
-					Store: storeBase(r.shard, r.attempt), Stolen: r.stolen, Err: "never launched: " + r.probeErr.Error()})
+					Stolen: r.stolen, Err: "never launched: " + r.probeErr.Error()})
 				if !r.stolen && !st.done {
 					pending = append([]pendingWork{{shard: r.shard, attempt: r.attempt, lastHost: r.host}}, pending...)
 				}
 			case r.err == nil:
 				hosts[r.host].probed = true // the worker ran to completion; skip the next pre-lease probe
 				st.history = append(st.history, Attempt{N: r.ord, Runner: p.Hosts[r.host].Name(),
-					Store: storeBase(r.shard, r.attempt), Stolen: r.stolen})
+					Stolen: r.stolen})
 				if !st.done {
 					st.done = true
-					st.winner = r.attempt
 					unfinished--
 					if r.stolen {
 						pool.StolenWins++
@@ -472,7 +457,7 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 					errText = "cancelled: " + errText
 				}
 				st.history = append(st.history, Attempt{N: r.ord, Runner: p.Hosts[r.host].Name(),
-					Store: storeBase(r.shard, r.attempt), Stolen: r.stolen, Err: errText})
+					Stolen: r.stolen, Err: errText})
 				if st.done || fatal != nil || ctx.Err() != nil {
 					break
 				}
@@ -529,16 +514,6 @@ func (p *Pool) run(ctx context.Context, o *Options, agg *aggregator, stderr io.W
 		return fatal
 	}
 	return ctx.Err()
-}
-
-// storeBase is the attempt store's directory basename; attemptStore
-// joins it under Options.StoreRoot. Duplicate attempts get letter
-// suffixes from .b; maxAttempts keeps them below .d.
-func storeBase(shard, attempt int) string {
-	if attempt == 0 {
-		return fmt.Sprintf("shard%d", shard)
-	}
-	return fmt.Sprintf("shard%d.%c", shard, 'b'+attempt-1)
 }
 
 // historyLines renders an attempt history one line per attempt, for

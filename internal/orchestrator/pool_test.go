@@ -5,10 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +13,6 @@ import (
 	"time"
 
 	"paradet/internal/campaign"
-	"paradet/internal/resultstore"
 )
 
 // poolHost wraps a worker Runner as a leasable pool host with
@@ -292,10 +288,6 @@ func TestPoolRelaunchMovesHost(t *testing.T) {
 		h[1].Runner != "steady" || h[1].Err != "" {
 		t.Errorf("shard 0 history = %+v, want crash-on-flaky then win-on-steady", h)
 	}
-	// Both attempts resume the same shard store.
-	if len(h) == 2 && (h[0].Store != "shard0" || h[1].Store != "shard0") {
-		t.Errorf("relaunch changed stores (%q -> %q), want a resume of shard0", h[0].Store, h[1].Store)
-	}
 	if stdout.String() != want {
 		t.Error("assembly stdout differs after a cross-host relaunch")
 	}
@@ -308,16 +300,16 @@ func TestPoolRelaunchMovesHost(t *testing.T) {
 	}
 }
 
-// hangingPrimary runs shard attempts against the primary store of
-// hangShard by reporting fake slow progress (a huge ETA) and then
-// blocking until cancelled — the deterministic stand-in for a laggard
-// host. Every other attempt (other shards, steal duplicates) runs the
-// real inner worker. If simulateFirst is set, the laggard first runs
-// its shard to completion (writing every cell to its store) before
-// pretending to be stuck, so the losing store holds cells.
+// hangingPrimary runs the first attempt of hangShard by reporting fake
+// slow progress (a huge ETA) and then blocking until cancelled — the
+// deterministic stand-in for a laggard host. Every other attempt
+// (other shards, steal duplicates) runs the real inner worker. If
+// simulateFirst is set, the laggard first runs its shard to completion
+// (writing every cell to the store) before pretending to be stuck, so
+// the cells it stored are there for the duplicate to hit.
 type hangingPrimary struct {
 	inner         *fakeWorker
-	hangStore     string // exact -store value of the attempt to hang
+	hangShard     string // exact -shard value of the attempt to hang
 	simulateFirst bool
 	hung          atomic.Bool
 }
@@ -329,7 +321,7 @@ func (h *hangingPrimary) Run(ctx context.Context, argv []string, stdout, stderr 
 	if err != nil {
 		return err
 	}
-	if w.Store != h.hangStore || !h.hung.CompareAndSwap(false, true) {
+	if w.Shard != h.hangShard || !h.hung.CompareAndSwap(false, true) {
 		return h.inner.Run(ctx, argv, stdout, stderr)
 	}
 	if h.simulateFirst {
@@ -353,12 +345,13 @@ func (h *hangingPrimary) Run(ctx context.Context, argv []string, stdout, stderr 
 }
 
 // TestPoolStealWinnerCancelsLoser is the elastic tentpole in one
-// deterministic scene: shard 1's primary stalls with a huge
-// self-reported ETA, the host finishing shard 0 goes idle and steals a
-// duplicate attempt (store shard1.b), the duplicate wins, the stalled
-// primary is cancelled — and because the loser simulated cells before
-// stalling, its store is merged anyway, deduped by fingerprint, with
-// assembly byte-identical and zero simulations.
+// deterministic scene: shard 1's primary stores its cells and then
+// stalls with a huge self-reported ETA, the host finishing shard 0
+// goes idle and steals a duplicate attempt, the duplicate wins, and
+// the stalled primary is cancelled. The duplicate shares the store, so
+// it serves the cells the loser stored as hits: every grid cell is
+// simulated exactly once, with assembly byte-identical and zero
+// simulations.
 func TestPoolStealWinnerCancelsLoser(t *testing.T) {
 	spec := orchSpec()
 	ref, err := campaign.Execute(spec, nil)
@@ -368,8 +361,9 @@ func TestPoolStealWinnerCancelsLoser(t *testing.T) {
 	want := renderOutcome(t, ref) + "\n"
 
 	root := t.TempDir()
-	worker := &fakeWorker{t: t, spec: spec, sim: campaign.Default(), dieShard: -1}
-	hang := &hangingPrimary{inner: worker, hangStore: filepath.Join(root, "shard1"), simulateFirst: true}
+	sim := &countingSim{Simulator: campaign.Default()}
+	worker := &fakeWorker{t: t, spec: spec, sim: sim, dieShard: -1}
+	hang := &hangingPrimary{inner: worker, hangShard: "1/2", simulateFirst: true}
 	hosts := []Runner{
 		&poolHost{name: "hostA", inner: hang},
 		&poolHost{name: "hostB", inner: hang},
@@ -411,20 +405,18 @@ func TestPoolStealWinnerCancelsLoser(t *testing.T) {
 			lose = a
 		}
 	}
-	if win == nil || !win.Stolen || win.Store != "shard1.b" {
-		t.Errorf("winning attempt = %+v, want a stolen win in shard1.b", win)
+	if win == nil || !win.Stolen {
+		t.Errorf("winning attempt = %+v, want a stolen win", win)
 	}
 	if lose == nil || lose.Stolen || !strings.Contains(lose.Err, "cancelled") {
 		t.Errorf("losing attempt = %+v, want the cancelled primary", lose)
 	}
-	// The loser's store holds cells, so the merge must include it:
-	// shard0 + shard1 + shard1.b, with the overlap deduped.
-	if rep.Merge.Sources != 3 {
-		t.Errorf("merge sources = %d, want 3 (the non-empty loser merges too)", rep.Merge.Sources)
+	// The duplicate re-simulates nothing the loser already stored.
+	cellCount := len(spec.Workloads) * len(spec.Points)
+	if got := int(sim.runs.Load()); got != cellCount {
+		t.Errorf("protected simulations = %d, want %d (one per grid cell)", got, cellCount)
 	}
-	if rep.Merge.Dups == 0 {
-		t.Error("merge deduped nothing: the duplicated shard should overlap by fingerprint")
-	}
+	checkOneStore(t, root)
 	if stdout.String() != want {
 		t.Error("assembly stdout differs from the single-host run after a steal")
 	}
@@ -444,69 +436,6 @@ func TestPoolStealWinnerCancelsLoser(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "stealing shard 1") {
 		t.Errorf("steal not surfaced on stderr:\n%s", log.String())
-	}
-}
-
-// TestPoolStealEmptyLoserDiscarded is the steal race where the stalled
-// primary never wrote a cell: its store exists but is empty, and the
-// merge must skip it (primary stores always merge, so the scene flips
-// — here the EMPTY attempt store is a pre-seeded stray duplicate and
-// the primary wins). Covered directly below via merge-source counting.
-func TestPoolStealEmptyLoserDiscarded(t *testing.T) {
-	spec := orchSpec()
-	root := t.TempDir()
-	worker := &fakeWorker{t: t, spec: spec, sim: campaign.Default(), dieShard: -1}
-	// A stray empty duplicate store from an interrupted earlier run.
-	if _, err := resultstore.Open(filepath.Join(root, "shard0.b")); err != nil {
-		t.Fatal(err)
-	}
-	// And a stray non-empty one: a copy of a finished shard 1 store.
-	var stdout, log bytes.Buffer
-	rep, err := Run(context.Background(), Options{
-		Argv:      []string{"campaign"},
-		Shards:    2,
-		Pool:      testPool([]Runner{&poolHost{name: "h", inner: worker}}, false),
-		assembler: worker,
-		StoreRoot: root,
-		Stdout:    &stdout,
-		Stderr:    &log,
-	})
-	if err != nil {
-		t.Fatalf("pool run failed: %v\n%s", err, log.String())
-	}
-	// shard0 + shard1 merge; the empty shard0.b is discarded.
-	if rep.Merge.Sources != 2 {
-		t.Errorf("merge sources = %d, want 2 (empty attempt store must be discarded)", rep.Merge.Sources)
-	}
-	if rep.Sims != 0 {
-		t.Errorf("assembly sims = %d, want 0", rep.Sims)
-	}
-
-	// Re-run against the same root after duplicating shard1's finished
-	// store as a stray non-empty attempt store: now it must be merged
-	// (3 sources) and deduped rather than discarded.
-	if err := copyTree(filepath.Join(root, "shard1"), filepath.Join(root, "shard1.c")); err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Run(context.Background(), Options{
-		Argv:      []string{"campaign"},
-		Shards:    2,
-		Pool:      testPool([]Runner{&poolHost{name: "h", inner: worker}}, false),
-		assembler: worker,
-		StoreRoot: root,
-		Stderr:    &log,
-	})
-	if err != nil {
-		t.Fatalf("resumed pool run failed: %v\n%s", err, log.String())
-	}
-	if rep2.Merge.Sources != 3 {
-		t.Errorf("resumed merge sources = %d, want 3 (non-empty attempt store must merge)", rep2.Merge.Sources)
-	}
-	if rep2.Merge.Dups == 0 {
-		t.Error("resumed merge deduped nothing despite a duplicated store")
-	}
-	if rep2.Sims != 0 {
-		t.Errorf("resumed assembly sims = %d, want 0", rep2.Sims)
 	}
 }
 
@@ -537,7 +466,7 @@ func (h *slowProbeHost) Run(ctx context.Context, argv []string, stdout, stderr i
 // — so the primary wins while the duplicate is still probing.
 type etaThenFinish struct {
 	inner     *fakeWorker
-	baitStore string // exact -store value of the attempt that baits
+	baitShard string // exact -shard value of the attempt that baits
 	probing   <-chan struct{}
 	baited    atomic.Bool
 }
@@ -549,7 +478,7 @@ func (w *etaThenFinish) Run(ctx context.Context, argv []string, stdout, stderr i
 	if err != nil {
 		return err
 	}
-	if flags.Store != w.baitStore || !w.baited.CompareAndSwap(false, true) {
+	if flags.Shard != w.baitShard || !w.baited.CompareAndSwap(false, true) {
 		return w.inner.Run(ctx, argv, stdout, stderr)
 	}
 	sh, err := campaign.ParseShard(flags.Shard)
@@ -576,10 +505,9 @@ func (w *etaThenFinish) Run(ctx context.Context, argv []string, stdout, stderr i
 // never-launched duplicate.
 func TestPoolCancelledProbeNotQuarantined(t *testing.T) {
 	spec := orchSpec()
-	root := t.TempDir()
 	worker := &fakeWorker{t: t, spec: spec, sim: campaign.Default(), dieShard: -1}
 	probing := make(chan struct{})
-	bait := &etaThenFinish{inner: worker, baitStore: filepath.Join(root, "shard0"), probing: probing}
+	bait := &etaThenFinish{inner: worker, baitShard: "0/1", probing: probing}
 	slow := &slowProbeHost{inner: bait, started: probing}
 	pool := testPool([]Runner{&poolHost{name: "fast", inner: bait}, slow}, true)
 	pool.sleep = (&noSleep{}).sleep
@@ -590,7 +518,7 @@ func TestPoolCancelledProbeNotQuarantined(t *testing.T) {
 		Shards:    1,
 		Pool:      pool,
 		assembler: worker,
-		StoreRoot: root,
+		StoreRoot: t.TempDir(),
 		Stderr:    &log,
 	})
 	if err != nil {
@@ -622,44 +550,6 @@ func TestPoolCancelledProbeNotQuarantined(t *testing.T) {
 	if rep.Sims != 0 {
 		t.Errorf("assembly sims = %d, want 0", rep.Sims)
 	}
-}
-
-// TestStoreBaseSuffixes pins the attempt-store naming: the primary's
-// bare name, then letters for the duplicates maxAttempts allows.
-func TestStoreBaseSuffixes(t *testing.T) {
-	for _, tc := range []struct {
-		attempt int
-		want    string
-	}{
-		{0, "shard3"},
-		{1, "shard3.b"},
-		{2, "shard3.c"},
-	} {
-		if got := storeBase(3, tc.attempt); got != tc.want {
-			t.Errorf("storeBase(3, %d) = %q, want %q", tc.attempt, got, tc.want)
-		}
-	}
-}
-
-func copyTree(src, dst string) error {
-	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o777)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, b, 0o666)
-	})
 }
 
 // TestPoolExhaustionCarriesHistory drives one shard's relaunch budget
@@ -704,18 +594,23 @@ func TestPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wantSub := range []string{
-		"plan: 3 shard(s)",
+		"plan: 3 shard(s) · retries 1 · store /sweep",
 		"pool: 2 host(s)",
 		"host 0: local0",
 		"host 1: ssh:hostb",
-		fmt.Sprintf("shard 0 -> host 0 (local0) · store %s", filepath.Join("/sweep", "shard0")),
+		"shard 0 -> host 0 (local0)\n",
 		"shard 2 -> queued",
-		"steal attempts",
-		fmt.Sprintf("merged store: %s", filepath.Join("/sweep", "merged")),
-		"assembly (local): ./experiments -run fig7",
+		"steal on",
+		"assembly (local): ./experiments -run fig7 -store /sweep -progress-json",
 	} {
 		if !strings.Contains(got, wantSub) {
 			t.Errorf("plan missing %q:\n%s", wantSub, got)
+		}
+	}
+	// Every shard and the assembly share the one store.
+	for _, stale := range []string{"shard0", "merged"} {
+		if strings.Contains(got, stale) {
+			t.Errorf("plan names a %s store:\n%s", stale, got)
 		}
 	}
 
@@ -730,16 +625,13 @@ func TestPlan(t *testing.T) {
 	}
 	for _, wantSub := range []string{
 		"steal off",
-		fmt.Sprintf("shard 0 -> host 0 (ssh:a) · store %s", filepath.Join("/s", "shard0")),
+		"shard 0 -> host 0 (ssh:a)",
 		"shard 1 -> queued",
-		fmt.Sprintf("assembly (local): c -store %s -progress-json", filepath.Join("/s", "merged")),
+		"assembly (local): c -store /s -progress-json",
 	} {
 		if !strings.Contains(noSteal, wantSub) {
 			t.Errorf("plan missing %q:\n%s", wantSub, noSteal)
 		}
-	}
-	if strings.Contains(noSteal, "steal attempts") {
-		t.Errorf("plan without stealing names steal attempts:\n%s", noSteal)
 	}
 
 	// Plan must refuse what Run refuses.

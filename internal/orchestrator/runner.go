@@ -64,7 +64,7 @@ func (l Local) Run(ctx context.Context, argv []string, stdout, stderr io.Writer)
 // multiplexing). The campaign binary must exist on the remote host,
 // and the orchestrator's store root must be a path shared between the
 // orchestrator and every ssh runner (NFS or similar), because the
-// merge and assembly steps read the shard stores locally.
+// workers write the one store the assembly step reads locally.
 type SSH struct {
 	// Host is the ssh destination (host, user@host, or an ssh_config
 	// alias).

@@ -23,7 +23,6 @@ import (
 // names.
 type WorkerFlags struct {
 	Shard             string
-	ShardStrategy     string
 	Store             string
 	ProgressJSON      bool
 	Telemetry         bool
@@ -45,17 +44,14 @@ type workerFlag struct {
 func (w *WorkerFlags) table() []workerFlag {
 	return []workerFlag{
 		{"shard", &w.Shard,
-			"execute one slice i/n of the campaign grid (e.g. 0/3); merge the shard stores with pdstore", ""},
-		{"shard-strategy", &w.ShardStrategy,
-			"cell assignment for -shard: round-robin (default) or weighted (balance summed instruction samples)",
-			"cell assignment: weighted (balance summed instruction samples) or round-robin"},
+			"execute one slice i/n of the campaign grid (e.g. 0/3), balancing summed instruction samples; give every shard one -store, or merge the shard stores with pdstore", ""},
 		{"store", &w.Store,
 			"campaign result store directory (cells persist across runs)", ""},
 		{"progress-json", &w.ProgressJSON,
 			"emit one machine-readable JSON progress line per completed cell to stderr (the pdsweep protocol)", ""},
 		{"telemetry", &w.Telemetry,
 			"write interval telemetry sidecars (<store>/telemetry/<fp>.jsonl, or ./telemetry without -store) for simulated protected runs; analyze with pdreport",
-			"pass -telemetry to every shard worker; sidecars are forwarded into <store-root>/merged/telemetry (use -store-root to keep them) and, with -trace, rendered as per-cell counter tracks"},
+			"pass -telemetry to every shard worker; sidecars land in <store-root>/telemetry (use -store-root to keep them) and, with -trace, are rendered as per-cell counter tracks"},
 		{"telemetry-interval", &w.TelemetryInterval,
 			"committed instructions between telemetry samples (0 = default)",
 			"with -telemetry, pass -telemetry-interval N (committed instructions between samples) to every shard worker (0 = the workers' default)"},
@@ -66,8 +62,7 @@ func (w *WorkerFlags) table() []workerFlag {
 func (w *WorkerFlags) Register(fs *flag.FlagSet) { w.register(fs, false) }
 
 // RegisterSweep declares on fs the worker flags pdsweep takes itself
-// (-shard-strategy, -telemetry, -telemetry-interval), defaulting to
-// w's values.
+// (-telemetry, -telemetry-interval), defaulting to w's values.
 func (w *WorkerFlags) RegisterSweep(fs *flag.FlagSet) { w.register(fs, true) }
 
 func (w *WorkerFlags) register(fs *flag.FlagSet, sweep bool) {
@@ -138,25 +133,19 @@ func (w *WorkerFlags) TelemetryOptions() (*campaign.TelemetryOptions, error) {
 	return &campaign.TelemetryOptions{Dir: dir, Interval: w.TelemetryInterval}, nil
 }
 
-// Campaign turns the parsed flags into campaign options: the shard
-// with its strategy, the opened store, the telemetry sidecars, and
-// with -progress-json an Emitter writing to stderr.
+// Campaign turns the parsed flags into campaign options: the shard,
+// the opened store, the telemetry sidecars, and with -progress-json an
+// Emitter writing to stderr.
 func (w *WorkerFlags) Campaign(stderr io.Writer) (campaign.Options, error) {
 	var opts campaign.Options
-	strategy, err := campaign.ParseStrategy(w.ShardStrategy)
-	if err != nil {
-		return opts, err
-	}
 	if w.Shard != "" {
 		sh, err := campaign.ParseShard(w.Shard)
 		if err != nil {
 			return opts, err
 		}
-		sh.Strategy = strategy
 		opts.Shard = &sh
-	} else if w.ShardStrategy != "" {
-		return opts, errors.New("-shard-strategy needs -shard")
 	}
+	var err error
 	if opts.Telemetry, err = w.TelemetryOptions(); err != nil {
 		return opts, err
 	}

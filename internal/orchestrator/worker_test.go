@@ -6,15 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 
-	"paradet/internal/campaign"
 	"paradet/internal/obs/telemetry"
 )
 
-// TestWorkerArgvRoundTrip renders the argv of a primary attempt, a
-// duplicate attempt and the assembly pass over a campaign command that
-// carries pdsweep's telemetry forwarding, and parses each back with the
-// worker-flag table: the orchestrator and the workers agree on every
-// flag it writes.
+// TestWorkerArgvRoundTrip renders the argv of a shard attempt and the
+// assembly pass over a campaign command that carries pdsweep's
+// telemetry flags, and parses each back with the worker-flag table:
+// the orchestrator and the workers agree on every flag it writes, and
+// both name the one store.
 func TestWorkerArgvRoundTrip(t *testing.T) {
 	fwd, err := WorkerFlags{Telemetry: true, TelemetryInterval: 500}.TelemetryArgs()
 	if err != nil {
@@ -30,12 +29,10 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 		argv []string
 		want WorkerFlags
 	}{
-		{"primary", o.attemptArgv(3, 0), WorkerFlags{Shard: "3/4", ShardStrategy: "weighted",
-			Store: filepath.Join(root, "shard3"), ProgressJSON: true, Telemetry: true, TelemetryInterval: 500}},
-		{"duplicate", o.attemptArgv(3, 1), WorkerFlags{Shard: "3/4", ShardStrategy: "weighted",
-			Store: filepath.Join(root, "shard3.b"), ProgressJSON: true, Telemetry: true, TelemetryInterval: 500}},
+		{"shard", o.shardArgv(3), WorkerFlags{Shard: "3/4",
+			Store: root, ProgressJSON: true, Telemetry: true, TelemetryInterval: 500}},
 		{"assembly", o.assemblyArgv(), WorkerFlags{
-			Store: filepath.Join(root, "merged"), ProgressJSON: true, Telemetry: true, TelemetryInterval: 500}},
+			Store: root, ProgressJSON: true, Telemetry: true, TelemetryInterval: 500}},
 	} {
 		got, err := parseWorkerArgv(tc.argv)
 		if err != nil {
@@ -60,7 +57,7 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 		}
 		wantShard := tc.want.Shard != ""
 		if (opts.Shard != nil) != wantShard ||
-			wantShard && (opts.Shard.Index != 3 || opts.Shard.Count != 4 || opts.Shard.Strategy != campaign.StrategyWeighted) {
+			wantShard && (opts.Shard.Index != 3 || opts.Shard.Count != 4) {
 			t.Errorf("%s: shard = %+v", tc.name, opts.Shard)
 		}
 	}
@@ -72,7 +69,6 @@ func TestWorkerFlagsValidation(t *testing.T) {
 		w    WorkerFlags
 		want string
 	}{
-		{WorkerFlags{ShardStrategy: "weighted"}, "-shard-strategy needs -shard"},
 		{WorkerFlags{TelemetryInterval: 100}, "-telemetry-interval needs -telemetry"},
 	} {
 		if _, err := tc.w.Campaign(io.Discard); err == nil || err.Error() != tc.want {
@@ -82,25 +78,21 @@ func TestWorkerFlagsValidation(t *testing.T) {
 	if _, err := (WorkerFlags{TelemetryInterval: 100}).TelemetryArgs(); err == nil || err.Error() != "-telemetry-interval needs -telemetry" {
 		t.Errorf("forwarding an interval without telemetry: error %v", err)
 	}
-	for _, w := range []WorkerFlags{
-		{Shard: "2/2"},
-		{Shard: "0/2", ShardStrategy: "bogus"},
-	} {
-		if _, err := w.Campaign(io.Discard); err == nil {
-			t.Errorf("%+v accepted", w)
-		}
+	bad := WorkerFlags{Shard: "2/2"}
+	if _, err := bad.Campaign(io.Discard); err == nil {
+		t.Errorf("%+v accepted", bad)
 	}
 }
 
-// TestRegisterSweep pins the subset pdsweep declares and the default
-// it sets before registering.
+// TestRegisterSweep pins the subset pdsweep declares and their
+// defaults.
 func TestRegisterSweep(t *testing.T) {
 	fs := flag.NewFlagSet("pdsweep", flag.ContinueOnError)
-	w := WorkerFlags{ShardStrategy: "weighted"}
+	var w WorkerFlags
 	w.RegisterSweep(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name+"="+f.DefValue) })
-	want := []string{"shard-strategy=weighted", "telemetry=false", "telemetry-interval=0"}
+	want := []string{"telemetry=false", "telemetry-interval=0"}
 	if len(names) != len(want) {
 		t.Fatalf("pdsweep worker flags = %v, want %v", names, want)
 	}

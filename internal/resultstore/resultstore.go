@@ -264,35 +264,7 @@ func (s *Store) cellPath(fp string) string {
 // fingerprint-mismatched cells in either layout report a miss (false),
 // so a stale or corrupt store degrades to re-simulation, never to
 // failure.
-func (s *Store) Get(k Key) (*Cell, bool) {
-	fp := k.Fingerprint()
-	if data, err := os.ReadFile(s.cellPath(fp)); err == nil {
-		var c Cell
-		if json.Unmarshal(data, &c) == nil && c.Schema == SchemaVersion && c.Fingerprint == fp {
-			obsReadLoose.Inc()
-			if obs.Enabled() {
-				obs.Emit(obs.Entry{Event: "store_hit", Workload: k.Workload, Scheme: k.Scheme, Hit: true, Detail: "loose"})
-			}
-			return &c, true
-		}
-		// A damaged loose cell still falls through: its packed twin (if
-		// any) is independently checksummed.
-	}
-	c, ok := s.segGet(fp)
-	if ok {
-		obsReadSegment.Inc()
-	} else {
-		obsReadMiss.Inc()
-	}
-	if obs.Enabled() {
-		if ok {
-			obs.Emit(obs.Entry{Event: "store_hit", Workload: k.Workload, Scheme: k.Scheme, Hit: true, Detail: "segment"})
-		} else {
-			obs.Emit(obs.Entry{Event: "store_miss", Workload: k.Workload, Scheme: k.Scheme})
-		}
-	}
-	return c, ok
-}
+func (s *Store) Get(k Key) (*Cell, bool) { return s.get(k.Fingerprint(), &k) }
 
 // GetFingerprint loads a cell by fingerprint alone — the
 // content-addressed read path for consumers (like the serving layer)
@@ -305,6 +277,14 @@ func (s *Store) GetFingerprint(fp string) (*Cell, bool) {
 	if !ValidFingerprint(fp) {
 		return nil, false
 	}
+	return s.get(fp, nil)
+}
+
+// get is the one read path behind Get and GetFingerprint. k names the
+// key on the ledger's store_miss line (nil for a fingerprint lookup);
+// a hit names the cell's own workload and scheme, which Put copied
+// from its key.
+func (s *Store) get(fp string, k *Key) (*Cell, bool) {
 	if data, err := os.ReadFile(s.cellPath(fp)); err == nil {
 		var c Cell
 		if json.Unmarshal(data, &c) == nil && c.Schema == SchemaVersion && c.Fingerprint == fp {
@@ -314,21 +294,26 @@ func (s *Store) GetFingerprint(fp string) (*Cell, bool) {
 			}
 			return &c, true
 		}
+		// A damaged loose cell still falls through: its packed twin (if
+		// any) is independently checksummed.
 	}
 	c, ok := s.segGet(fp)
-	if ok {
-		obsReadSegment.Inc()
-	} else {
+	if !ok {
 		obsReadMiss.Inc()
-	}
-	if obs.Enabled() {
-		if ok {
-			obs.Emit(obs.Entry{Event: "store_hit", Workload: c.Workload, Scheme: c.Scheme, Hit: true, Detail: "segment"})
-		} else {
-			obs.Emit(obs.Entry{Event: "store_miss", Detail: "fingerprint"})
+		if obs.Enabled() {
+			ent := obs.Entry{Event: "store_miss", Detail: "fingerprint"}
+			if k != nil {
+				ent = obs.Entry{Event: "store_miss", Workload: k.Workload, Scheme: k.Scheme}
+			}
+			obs.Emit(ent)
 		}
+		return nil, false
 	}
-	return c, ok
+	obsReadSegment.Inc()
+	if obs.Enabled() {
+		obs.Emit(obs.Entry{Event: "store_hit", Workload: c.Workload, Scheme: c.Scheme, Hit: true, Detail: "segment"})
+	}
+	return c, true
 }
 
 // ValidFingerprint reports whether fp is a well-formed cell

@@ -46,19 +46,6 @@ func TestClockCyclesRoundsUp(t *testing.T) {
 	}
 }
 
-func TestNextEdge(t *testing.T) {
-	clk := NewClock(1_000_000_000)
-	if e := clk.NextEdge(0); e != 0 {
-		t.Errorf("NextEdge(0) = %v", e)
-	}
-	if e := clk.NextEdge(1); e != Nanosecond {
-		t.Errorf("NextEdge(1fs) = %v, want 1ns", e)
-	}
-	if e := clk.NextEdge(Nanosecond); e != Nanosecond {
-		t.Errorf("NextEdge(1ns) = %v, want 1ns", e)
-	}
-}
-
 func TestTimeStringUnits(t *testing.T) {
 	cases := []struct {
 		t    Time

@@ -101,13 +101,3 @@ func (c Clock) Cycles(d Time) int64 {
 
 // Duration converts a cycle count to a duration.
 func (c Clock) Duration(cycles int64) Time { return Time(cycles) * c.Period }
-
-// NextEdge returns the first clock edge at or after t, assuming edge 0 is
-// at time 0.
-func (c Clock) NextEdge(t Time) Time {
-	if t <= 0 {
-		return 0
-	}
-	p := int64(c.Period)
-	return Time((int64(t) + p - 1) / p * p)
-}
