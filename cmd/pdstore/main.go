@@ -15,12 +15,9 @@
 // merge folds per-shard stores into one: cells missing from the
 // destination are copied (out of loose trees and packed segments
 // alike), duplicate fingerprints are deduplicated, corrupt cells are
-// skipped with a warning (-strict turns skipped cells into a non-zero
-// exit, for orchestrated merges that must fail loudly),
-// cross-SchemaVersion stores are refused, and the destination index is
-// rebuilt from the merged store. Re-running the campaign against the
-// merged store with -store then assembles the full sweep at zero
-// simulation cost.
+// skipped with a warning, and cross-SchemaVersion stores are refused.
+// Re-running the campaign against the merged store with -store then
+// assembles the full sweep at zero simulation cost.
 //
 // compact batches cold loose cells into one packed, checksummed
 // segment file under segments/ — the cure for one-file-per-cell trees
@@ -30,13 +27,12 @@
 // land loose, so compaction never races live sweeps.
 //
 // stats reports the per-scheme footprint (cells, fault cells, bytes)
-// across both layouts, plus segment and index health. gc ages out
-// cells not written since -older-than ago (whole segments once every
-// record in them is that old) and rebuilds the index; everything it
-// removes simply re-simulates on next use. verify checks every loose
-// cell's fingerprint against its content, every segment's footer and
-// per-record checksums, and the index against the store, exiting 1 on
-// any inconsistency.
+// across both layouts, plus segment health. gc ages out cells not
+// written since -older-than ago (whole segments once every record in
+// them is that old); everything it removes simply re-simulates on next
+// use. verify checks every loose cell's fingerprint against its
+// content and every segment's footer and per-record checksums,
+// exiting 1 on any inconsistency.
 //
 // Subcommands never create a store: they operate on directories some
 // campaign already wrote (only merge's -into destination is created),
@@ -57,16 +53,14 @@ const usage = `pdstore maintains campaign result stores (-store directories).
 
 Usage:
 
-  pdstore merge [-strict] -into DIR SRC [SRC...]
-                                         fold source stores into DIR (-strict:
-                                         exit 1 if corrupt cells were skipped)
-  pdstore stats [-json] DIR              per-scheme footprint + segment/index health
+  pdstore merge -into DIR SRC [SRC...]   fold source stores into DIR
+  pdstore stats [-json] DIR              per-scheme footprint + segment health
                                          (-json: one schema-pinned JSON document)
   pdstore compact [-older-than DUR] [-dry-run] DIR
                                          pack cold loose cells into a segment file
   pdstore gc -older-than DUR [-dry-run] DIR
                                          age out cells (e.g. -older-than 720h)
-  pdstore verify DIR                     check cells, segments and index; exit 1 on damage
+  pdstore verify DIR                     check cells and segments; exit 1 on damage
 
 Examples (sharding a sweep across 3 hosts):
 
@@ -120,7 +114,6 @@ func open(dir string) (*resultstore.Store, error) {
 func runMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	into := fs.String("into", "", "destination store directory (created if missing)")
-	strict := fs.Bool("strict", false, "fail (exit 1) if any corrupt source cell was skipped, instead of warning")
 	fs.Parse(args)
 	if *into == "" || fs.NArg() == 0 {
 		return fmt.Errorf("merge: want -into DIR and at least one source store")
@@ -145,9 +138,6 @@ func runMerge(args []string) error {
 		return err
 	}
 	fmt.Println(st)
-	if *strict {
-		return st.Strict()
-	}
 	return nil
 }
 
@@ -180,11 +170,6 @@ func runStats(args []string) error {
 		fmt.Printf("  layout: %d loose, %d packed in %d segment(s) (%.1f KiB on disk)\n",
 			fp.LooseCells, fp.SegmentCells, fp.Segments, float64(fp.SegmentBytes)/1024)
 	}
-	fmt.Printf("  index: %d entries", fp.IndexEntries)
-	if fp.IndexEntries != fp.Cells {
-		fmt.Printf(" (store has %d cells; run gc or merge to rebuild)", fp.Cells)
-	}
-	fmt.Println()
 	if fp.Corrupt > 0 {
 		fmt.Printf("  corrupt: %d unreadable cell file(s) (run verify for detail)\n", fp.Corrupt)
 	}

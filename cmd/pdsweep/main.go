@@ -54,12 +54,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,6 +70,7 @@ import (
 	"paradet/internal/obs"
 	"paradet/internal/obs/telemetry"
 	"paradet/internal/orchestrator"
+	"paradet/internal/resultstore"
 )
 
 // telemetryPIDBase offsets counter-track process IDs in the sweep
@@ -175,9 +179,11 @@ func main() {
 	// shard, one duration slice per cell (its own simulation time;
 	// store hits are zero-width marks). The file is written on every
 	// exit path — a partial timeline of a failed sweep is exactly when
-	// you want one.
+	// you want one. simulated collects the fingerprints of the cells
+	// the shards simulated, whose telemetry the trace draws.
 	var trace *obs.Trace
 	var onEvent func(int, orchestrator.Event)
+	simulated := map[string]bool{}
 	if *tracePath != "" {
 		trace = obs.NewTrace()
 		onEvent = func(shard int, e orchestrator.Event) {
@@ -185,6 +191,9 @@ func main() {
 			trace.Slice(shard, fmt.Sprintf("%s/%s[%s]", e.Workload, e.Point, e.Scheme),
 				(e.ElapsedMS-e.SimMS)*1000, e.SimMS*1000,
 				map[string]any{"cell": e.Cell, "hit": e.Hit})
+			if !e.Hit && resultstore.ValidFingerprint(e.FP) {
+				simulated[e.FP] = true
+			}
 		}
 	}
 	onExit = func() {
@@ -243,26 +252,48 @@ func main() {
 		len(p.Hosts), p.Leases, p.Steals, p.StolenWins, p.Relaunches, p.Quarantined, time.Since(start).Seconds())
 
 	// With both -telemetry and -trace, the sweep timeline gains one
-	// counter-track process group per simulated cell (IPC, occupancies,
-	// stall breakdown), rendered from the store's sidecars.
+	// counter-track process group per protected cell this sweep
+	// simulated (IPC, occupancies, stall breakdown), rendered from its
+	// sidecar in the store.
 	if sweep.Telemetry && trace != nil {
-		telemDir := filepath.Join(root, telemetry.SidecarDirName)
-		if _, err := os.Stat(telemDir); err == nil {
-			series, err := telemetry.LoadDir(telemDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pdsweep: telemetry:", err)
-			} else {
-				for i, s := range series {
-					obs.TelemetryTracks(trace, telemetryPIDBase+i, s)
-				}
-				fmt.Fprintf(os.Stderr, "pdsweep: %d telemetry counter track group(s) added to trace\n", len(series))
+		series, err := sweepSeries(filepath.Join(root, telemetry.SidecarDirName), simulated)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pdsweep: telemetry:", err)
+		} else {
+			for i, s := range series {
+				obs.TelemetryTracks(trace, telemetryPIDBase+i, s)
 			}
+			fmt.Fprintf(os.Stderr, "pdsweep: %d telemetry counter track group(s) added to trace\n", len(series))
 		}
 	}
 	onExit()
 	if cleanup {
 		os.RemoveAll(root)
 	}
+}
+
+// sweepSeries loads the telemetry sidecars dir/<fp>.jsonl of the cells
+// a sweep simulated, sorted by fingerprint. Sidecars that earlier
+// sweeps left in the same store are not read; a simulated cell without
+// a sidecar (one that is not protected) is skipped.
+func sweepSeries(dir string, simulated map[string]bool) ([]*telemetry.Series, error) {
+	fps := make([]string, 0, len(simulated))
+	for fp := range simulated {
+		fps = append(fps, fp)
+	}
+	sort.Strings(fps)
+	var out []*telemetry.Series
+	for _, fp := range fps {
+		s, err := telemetry.ReadFile(filepath.Join(dir, fp+".jsonl"))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // newPool builds the sweep's host pool from -hosts. Entries are

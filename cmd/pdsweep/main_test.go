@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"paradet/internal/obs/telemetry"
 	"paradet/internal/orchestrator"
 )
 
@@ -67,5 +68,27 @@ func TestDefaultDryRunPlan(t *testing.T) {
 	}
 	if !strings.Contains(plan, "steal off") || strings.Contains(plan, "steal attempts") {
 		t.Errorf("default plan steals:\n%s", plan)
+	}
+}
+
+// TestSweepSeries checks that the trace draws only the telemetry of
+// cells this sweep simulated: of two sidecars in one directory, the one
+// an earlier sweep left is not loaded, and a simulated cell without a
+// sidecar is skipped.
+func TestSweepSeries(t *testing.T) {
+	dir := t.TempDir()
+	mine, earlier := strings.Repeat("a", 64), strings.Repeat("b", 64)
+	for _, fp := range []string{mine, earlier} {
+		s := &telemetry.Series{Header: telemetry.Header{Version: telemetry.SidecarVersion, Fingerprint: fp}}
+		if _, err := s.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series, err := sweepSeries(dir, map[string]bool{mine: true, strings.Repeat("c", 64): true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0].Header.Fingerprint != mine {
+		t.Errorf("drew %d series, want only the sweep's own sidecar %s…", len(series), mine[:8])
 	}
 }

@@ -97,6 +97,9 @@ type Progress struct {
 	Workload, Label string
 	Scheme          Scheme
 	Cached          bool
+	// Fingerprint is the cell's store fingerprint (CellKey), which
+	// also names its telemetry sidecar.
+	Fingerprint string
 	// Elapsed is the cell's wall-clock latency — near zero for
 	// store-served cells, the simulation time otherwise.
 	Elapsed time.Duration
@@ -118,7 +121,7 @@ type Options struct {
 	// Shard, when non-nil, restricts execution to the shard's slice of
 	// the expanded grid: cells outside it are marked Run.Skipped and
 	// never simulated or loaded, so N processes with disjoint shards
-	// split one sweep. The spec itself is untouched — Assemble later
+	// split one sweep. The spec itself is untouched — assembly later
 	// re-executes it unsharded against the shards' store.
 	Shard *Shard
 	// Telemetry, when non-nil, attaches an interval telemetry probe to
@@ -389,6 +392,7 @@ func (e *engine) report(cell int, r *Run, elapsed time.Duration) {
 		e.ctrs.done.Add(1)
 		return
 	}
+	fp := CellKey(r).Fingerprint()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	done := e.ctrs.done.Add(1)
@@ -404,6 +408,7 @@ func (e *engine) report(cell int, r *Run, elapsed time.Duration) {
 		Label:        r.Point.Label,
 		Scheme:       r.Scheme,
 		Cached:       r.Cached,
+		Fingerprint:  fp,
 		Elapsed:      elapsed,
 		Err:          r.Err,
 	})

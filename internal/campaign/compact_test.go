@@ -32,9 +32,9 @@ func looseCellCount(t *testing.T, dir string) int {
 
 // TestAssembleOverCompactedStore is the acceptance criterion for the
 // compaction subsystem at the campaign layer: compacting a store and
-// then running Assemble must reproduce the original outcome with zero
-// simulations — every cell and reference run served through the packed
-// segment read path.
+// then re-running the spec against it must reproduce the original
+// outcome with zero simulations — every cell and reference run served
+// through the packed segment read path.
 func TestAssembleOverCompactedStore(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(2)
@@ -68,10 +68,7 @@ func TestAssembleOverCompactedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := newTrackingSim()
-	out2, err := Assemble(context.Background(), spec, sim, st2)
-	if err != nil {
-		t.Fatalf("assembly over compacted store: %v", err)
-	}
+	out2 := assemble(t, spec, sim, st2)
 	if n := sim.total(); n != 0 {
 		t.Errorf("assembly simulated %d times, want 0", n)
 	}
@@ -120,10 +117,7 @@ func TestAssembleOverCompactedFaultStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := newTrackingSim()
-	out2, err := Assemble(context.Background(), spec, sim, st2)
-	if err != nil {
-		t.Fatalf("fault assembly over compacted store: %v", err)
-	}
+	out2 := assemble(t, spec, sim, st2)
 	if n := sim.total(); n != 0 {
 		t.Errorf("fault assembly simulated %d times (goldens must stay lazy), want 0", n)
 	}

@@ -1,12 +1,9 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
-
-	"paradet/internal/resultstore"
 )
 
 // Shard deterministically selects a 1/Count slice of a campaign's
@@ -23,10 +20,10 @@ import (
 // is the full grid.
 //
 // Shards may share one result store (writes are atomic renames), so
-// Assemble can re-execute the full spec against it at once; shards
-// that wrote separate stores are recombined with resultstore.Merge
-// first. Either way assembly reproduces the single-host outcome
-// without simulating anything.
+// re-executing the full spec unsharded against it assembles the sweep;
+// shards that wrote separate stores are recombined with
+// resultstore.Merge first. Either way assembly reproduces the
+// single-host outcome without simulating anything.
 type Shard struct {
 	// Index is this shard's position, 0 <= Index < Count.
 	Index int
@@ -96,36 +93,4 @@ func weightedAssign(cells []Run, n int) []int {
 		load[best] += w
 	}
 	return assign
-}
-
-// Assemble re-executes the full (unsharded) spec against a warm store
-// — the store the shards shared, or the resultstore.Merge of per-shard
-// stores — and requires every cell and reference run to be served from
-// it: the shards must add up to the whole grid. Any simulation means
-// the store is incomplete, and Assemble returns an error naming the
-// first cell that missed. On success the outcome is identical to a
-// single-host run of the spec, in spec order, at zero simulation cost.
-func Assemble(ctx context.Context, spec Spec, sim Simulator, store *resultstore.Store) (*Outcome, error) {
-	if store == nil {
-		return nil, fmt.Errorf("campaign %q: assemble needs a store", spec.Name)
-	}
-	out, err := ExecuteContext(ctx, spec, sim, Options{Store: store})
-	if err != nil {
-		return out, err
-	}
-	if err := out.Err(); err != nil {
-		return out, err
-	}
-	if sims := out.Stats.CellSims + out.Stats.BaselineSims; sims > 0 {
-		first := "(reference run)"
-		for i := range out.Results {
-			if r := &out.Results[i]; !r.Cached {
-				first = fmt.Sprintf("%s/%s[%s]", r.Workload, r.Point.Label, r.Scheme)
-				break
-			}
-		}
-		return out, fmt.Errorf("campaign %q: assembly simulated %d of %d cells (store %s incomplete; first miss %s)",
-			spec.Name, sims, out.Stats.Cells, store.Dir(), first)
-	}
-	return out, nil
 }

@@ -160,6 +160,20 @@ func TestShardsPartitionGrid(t *testing.T) {
 	}
 }
 
+// assemble re-executes spec unsharded against a warm store, as a CLI
+// re-run with -store does, failing the test on any cell error.
+func assemble(t *testing.T, spec Spec, sim Simulator, st *resultstore.Store) *Outcome {
+	t.Helper()
+	out, err := ExecuteContext(context.Background(), spec, sim, Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestShardMergeAssembleEquivalence is the acceptance contract for
 // distributed sharding: running a spec as 3 shards into separate
 // stores, merging the stores, then assembling the full spec from the
@@ -206,10 +220,7 @@ func TestShardMergeAssembleEquivalence(t *testing.T) {
 	}
 
 	sim := newTrackingSim()
-	out, err := Assemble(context.Background(), spec, sim, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := assemble(t, spec, sim, merged)
 	if got := sim.total(); got != 0 {
 		t.Errorf("assembly simulated %d times, want 0", got)
 	}
@@ -268,10 +279,7 @@ func TestShardFaultCampaign(t *testing.T) {
 	}
 
 	sim := newTrackingSim()
-	out, err := Assemble(context.Background(), spec, sim, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := assemble(t, spec, sim, merged)
 	if got := sim.total(); got != 0 {
 		t.Errorf("assembly simulated %d times (goldens must stay lazy), want 0", got)
 	}
@@ -279,28 +287,6 @@ func TestShardFaultCampaign(t *testing.T) {
 		if out.Results[i].FaultRec.Outcome != ref.Results[i].FaultRec.Outcome {
 			t.Errorf("cell %d outcome changed through shard/merge/assemble", i)
 		}
-	}
-}
-
-// TestAssembleDetectsIncompleteStore asserts assembly refuses to pass
-// off a partial store as the full sweep: with only one shard merged,
-// it must name the miss instead of silently simulating.
-func TestAssembleDetectsIncompleteStore(t *testing.T) {
-	spec := testSpec(2)
-	st, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExecuteContext(context.Background(), spec, nil,
-		Options{Store: st, Shard: &Shard{Index: 0, Count: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Assemble(context.Background(), spec, nil, st); err == nil ||
-		!strings.Contains(err.Error(), "incomplete") {
-		t.Errorf("assembly of a single shard store must fail, got %v", err)
-	}
-	if _, err := Assemble(context.Background(), spec, nil, nil); err == nil {
-		t.Error("assemble without a store accepted")
 	}
 }
 
@@ -337,9 +323,7 @@ func TestOverlappingShardStoresMerge(t *testing.T) {
 		t.Errorf("overlapping stores produced no dedupes: %+v", ms)
 	}
 	sim := newTrackingSim()
-	if _, err := Assemble(context.Background(), spec, sim, merged); err != nil {
-		t.Fatal(err)
-	}
+	assemble(t, spec, sim, merged)
 	if got := sim.total(); got != 0 {
 		t.Errorf("assembly simulated %d times, want 0", got)
 	}

@@ -152,8 +152,9 @@ type Report struct {
 }
 
 // Run executes one orchestrated sweep: launch, supervise, retry,
-// index, assemble. It returns the report even alongside an error when
-// the failure happened after workers produced accountable state.
+// compact (with Options.Compact), assemble. It returns the report even
+// alongside an error when the failure happened after workers produced
+// accountable state.
 func Run(ctx context.Context, o Options) (*Report, error) {
 	if err := o.resolve(); err != nil {
 		return nil, err
@@ -218,9 +219,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		return rep, errors.Join(failures...)
 	}
 
-	// Concurrent shards may each have journalled the same shared
-	// reference run, so rebuild the advisory index once — compaction,
-	// which packs the store before assembly, rebuilds it itself.
 	if o.Compact {
 		cst, err := st.Compact(resultstore.CompactOptions{})
 		if err != nil {
@@ -228,8 +226,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		}
 		rep.Compact = &cst
 		fmt.Fprintln(stderr, "orchestrator: compacted store:", cst)
-	} else if _, err := st.RebuildIndex(); err != nil {
-		return rep, fmt.Errorf("orchestrator: index: %w", err)
 	}
 
 	// Assemble: re-run the campaign unsharded against the store. Its

@@ -170,7 +170,7 @@ func fakePool(n int, inner Runner) *Pool {
 
 // checkOneStore asserts the store root is the sweep's one plain result
 // store: no per-shard or merged store beside it, every cell verifies,
-// and the rebuilt index holds one entry per cell.
+// and the index lists one entry per cell.
 func checkOneStore(t *testing.T, root string) {
 	t.Helper()
 	ents, err := os.ReadDir(root)
@@ -300,9 +300,17 @@ func TestOrchestratedCompaction(t *testing.T) {
 	if rep.Compact == nil || rep.Compact.Packed == 0 {
 		t.Fatalf("compaction stats missing: %+v", rep.Compact)
 	}
-	if rep.Compact.Packed != rep.Compact.Indexed {
+	st, err := resultstore.OpenExisting(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := st.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Compact.Packed != len(idx) {
 		t.Errorf("packed %d cells of %d indexed — compaction must cover the whole store",
-			rep.Compact.Packed, rep.Compact.Indexed)
+			rep.Compact.Packed, len(idx))
 	}
 	if rep.Sims != 0 {
 		t.Errorf("assembly sims = %d, want 0 (served through segments)", rep.Sims)
@@ -311,10 +319,6 @@ func TestOrchestratedCompaction(t *testing.T) {
 		t.Error("assembly stdout differs from the single-host run after compaction")
 	}
 	// The store is fully packed: loose tree empty, one segment.
-	st, err := resultstore.OpenExisting(root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fp, err := st.Footprint()
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +458,42 @@ func TestAssemblyWithoutEventsFails(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "no progress events") {
 		t.Errorf("silent assembly accepted: %v", err)
+	}
+}
+
+// idleShardWorker runs every attempt on its fakeWorker except those of
+// one shard, which exit 0 without running a cell — a campaign command
+// that silently did nothing.
+type idleShardWorker struct {
+	*fakeWorker
+	idleShard string // exact -shard value of the idle shard
+}
+
+func (w idleShardWorker) Run(ctx context.Context, argv []string, stdout, stderr io.Writer) error {
+	if f, err := parseWorkerArgv(argv); err == nil && f.Shard == w.idleShard {
+		return nil
+	}
+	return w.fakeWorker.Run(ctx, argv, stdout, stderr)
+}
+
+// TestIncompleteAssemblyFails asserts a sweep whose shards did not
+// cover the grid fails instead of passing off assembly-time
+// simulations as a zero-simulation assembly: one shard's worker exits
+// 0 without running its cells, so assembly must simulate them.
+func TestIncompleteAssemblyFails(t *testing.T) {
+	worker := &fakeWorker{t: t, spec: orchSpec(), sim: campaign.Default(), dieShard: -1}
+	rep, err := Run(context.Background(), Options{
+		Argv:      []string{"campaign"},
+		Shards:    3,
+		Pool:      fakePool(3, idleShardWorker{fakeWorker: worker, idleShard: "1/3"}),
+		assembler: worker,
+		StoreRoot: t.TempDir(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "the shards did not cover the grid") {
+		t.Fatalf("incomplete sweep accepted: %v", err)
+	}
+	if rep == nil || rep.Sims == 0 || !strings.Contains(err.Error(), fmt.Sprintf("assembly simulated %d cell(s)", rep.Sims)) {
+		t.Errorf("error %q does not report the assembly's %+v simulations", err, rep)
 	}
 }
 

@@ -57,6 +57,9 @@ type Event struct {
 	// observed cell rate (omitted until one cell has finished and after
 	// the last). Added by protocol revision 2.
 	EtaMS int64 `json:"eta_ms,omitempty"`
+	// FP is the finished cell's store fingerprint, which also names its
+	// telemetry sidecar. Added by protocol revision 3.
+	FP string `json:"fp,omitempty"`
 	// Err is the cell's failure, if any.
 	Err string `json:"err,omitempty"`
 }
@@ -113,6 +116,7 @@ func (e *emitter) observe(p campaign.Progress) {
 		Point:     p.Label,
 		Scheme:    string(p.Scheme),
 		ElapsedMS: time.Since(e.start).Milliseconds(),
+		FP:        p.Fingerprint,
 	}
 	if !p.Cached {
 		evt.SimMS = p.Elapsed.Milliseconds()

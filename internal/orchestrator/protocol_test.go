@@ -64,6 +64,23 @@ func TestEventGoldenLine(t *testing.T) {
 	if string(v2) != want2 {
 		t.Errorf("revision-2 line schema drifted:\n got %s\nwant %s", v2, want2)
 	}
+
+	// Protocol revision 3 added fp, between eta_ms and err; it too
+	// vanishes when empty, so the two goldens above still hold.
+	v3, err := json.Marshal(Event{
+		V: 1, Shard: 2, Shards: 3, Cell: 7, Done: 4, Total: 9,
+		Hits: 3, Sims: 1, Workload: "stream", Point: "tableI", Scheme: "protected",
+		ElapsedMS: 1500, SimMS: 320, EtaMS: 1875, FP: "ab12", Err: "boom",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want3 := `{"v":1,"shard":2,"shards":3,"cell":7,"done":4,"total":9,"hit":false,` +
+		`"hits":3,"sims":1,"workload":"stream","point":"tableI","scheme":"protected",` +
+		`"elapsed_ms":1500,"sim_ms":320,"eta_ms":1875,"fp":"ab12","err":"boom"}`
+	if string(v3) != want3 {
+		t.Errorf("revision-3 line schema drifted:\n got %s\nwant %s", v3, want3)
+	}
 }
 
 // TestEmitterSimAndEta pins the emitter-side semantics of the
@@ -108,7 +125,7 @@ func TestEmitterAccumulatesAcrossSweeps(t *testing.T) {
 	emit := Emitter(&buf, &campaign.Shard{Index: 1, Count: 2}, time.Now())
 
 	// Sweep one: two cells, one sim then one hit.
-	emit(campaign.Progress{Done: 1, Total: 2, Cell: 0, CellSims: 1, Workload: "a", Label: "p", Scheme: "protected"})
+	emit(campaign.Progress{Done: 1, Total: 2, Cell: 0, CellSims: 1, Workload: "a", Label: "p", Scheme: "protected", Fingerprint: "f0"})
 	emit(campaign.Progress{Done: 2, Total: 2, Cell: 2, CellSims: 1, CellHits: 1, Cached: true, Workload: "b", Label: "p", Scheme: "protected"})
 	// Sweep two begins: Done resets to 1.
 	emit(campaign.Progress{Done: 1, Total: 3, Cell: 4, CellSims: 1, BaselineSims: 1, Workload: "a", Label: "q", Scheme: "protected",
@@ -129,6 +146,9 @@ func TestEmitterAccumulatesAcrossSweeps(t *testing.T) {
 		if e.ElapsedMS < 0 {
 			t.Errorf("event %d elapsed %d < 0", i, e.ElapsedMS)
 		}
+	}
+	if e := events[0]; e.FP != "f0" {
+		t.Errorf("sweep-1 first event fp = %q, want the cell's fingerprint", e.FP)
 	}
 	if e := events[1]; !e.Hit || e.Done != 2 || e.Total != 2 || e.Hits != 1 || e.Sims != 1 || e.Cell != 2 {
 		t.Errorf("sweep-1 final event = %+v", e)

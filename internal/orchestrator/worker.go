@@ -51,7 +51,7 @@ func (w *WorkerFlags) table() []workerFlag {
 			"emit one machine-readable JSON progress line per completed cell to stderr (the pdsweep protocol)", ""},
 		{"telemetry", &w.Telemetry,
 			"write interval telemetry sidecars (<store>/telemetry/<fp>.jsonl, or ./telemetry without -store) for simulated protected runs; analyze with pdreport",
-			"pass -telemetry to every shard worker; sidecars land in <store-root>/telemetry (use -store-root to keep them) and, with -trace, are rendered as per-cell counter tracks"},
+			"pass -telemetry to every shard worker; sidecars land in <store-root>/telemetry (use -store-root to keep them) and, with -trace, those of the cells this sweep simulated are rendered as per-cell counter tracks"},
 		{"telemetry-interval", &w.TelemetryInterval,
 			"committed instructions between telemetry samples (0 = default)",
 			"with -telemetry, pass -telemetry-interval N (committed instructions between samples) to every shard worker (0 = the workers' default)"},

@@ -16,7 +16,7 @@ func TestStatsReportGolden(t *testing.T) {
 		Footprint: Footprint{
 			Cells: 6, Bytes: 4096, LooseCells: 2, Corrupt: 1,
 			Segments: 1, SegmentCells: 4, SegmentBytes: 2048,
-			BrokenSegments: 0, IndexEntries: 6,
+			BrokenSegments: 0,
 			Schemes: []SchemeFootprint{
 				{Scheme: "protected", Cells: 3, Bytes: 2048, Faults: 0},
 				{Scheme: "unprotected", Cells: 3, Bytes: 2048, Faults: 1},
@@ -27,9 +27,9 @@ func TestStatsReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"stats_schema":1,"dir":"/tmp/store","cells":6,"bytes":4096,` +
+	want := `{"stats_schema":2,"dir":"/tmp/store","cells":6,"bytes":4096,` +
 		`"loose_cells":2,"corrupt":1,"segments":1,"segment_cells":4,"segment_bytes":2048,` +
-		`"broken_segments":0,"index_entries":6,"schemes":[` +
+		`"broken_segments":0,"schemes":[` +
 		`{"scheme":"protected","cells":3,"bytes":2048,"faults":0},` +
 		`{"scheme":"unprotected","cells":3,"bytes":2048,"faults":1}]}`
 	if string(got) != want {

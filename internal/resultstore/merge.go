@@ -1,7 +1,6 @@
 package resultstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -14,10 +13,11 @@ import (
 
 // Merge copies every cell the destination store is missing out of the
 // source stores, in order — loose cells and packed segment records
-// alike. It is the recombination step for sharded campaigns: N shards
-// execute disjoint grid slices into their own stores, Merge folds them
-// into one, and campaign.Assemble replays the full spec against the
-// result at zero simulation cost.
+// alike. It is the recombination step for sharded campaigns on hosts
+// without a shared filesystem: N shards execute disjoint grid slices
+// into their own stores, Merge folds them into one, and re-running the
+// campaign against the result replays the full spec at zero simulation
+// cost.
 //
 // Cells already present in the destination (in either layout) are
 // deduplicated by fingerprint (content addressing makes the copies
@@ -30,8 +30,7 @@ import (
 // parseable source cell or segment footer carrying a different
 // SchemaVersion refuses the whole merge before anything is copied: its
 // store belongs to an incompatible engine, and folding it in would
-// bury cells that can never hit. The destination index is rebuilt from
-// the merged store afterwards.
+// bury cells that can never hit.
 func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 	var st MergeStats
 	st.Sources = len(srcs)
@@ -122,10 +121,7 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 			}
 		}
 	}
-
-	var err error
-	st.Indexed, err = dst.RebuildIndex()
-	return st, err
+	return st, nil
 }
 
 // MergeStats reports what a Merge did.
@@ -139,90 +135,13 @@ type MergeStats struct {
 	Dups int
 	// Corrupt counts unreadable or inconsistent source cells skipped.
 	Corrupt int
-	// Indexed is the destination's cell count after the index rebuild.
-	Indexed int
 	// Warnings describes each skipped cell, for operators to surface.
 	Warnings []string
 }
 
 func (m MergeStats) String() string {
-	return fmt.Sprintf("merged %d source(s): %d copied, %d duplicate, %d corrupt skipped, %d cells indexed",
-		m.Sources, m.Copied, m.Dups, m.Corrupt, m.Indexed)
-}
-
-// Strict converts skipped corrupt cells into an error. Interactive
-// merges tolerate corruption (a skipped cell just re-simulates), but
-// orchestrated merges — pdstore merge -strict, pdsweep — must fail
-// loudly: a silently thinner store turns into surprise simulation work
-// at assembly time.
-func (m MergeStats) Strict() error {
-	if m.Corrupt > 0 {
-		return fmt.Errorf("resultstore: merge skipped %d corrupt cell(s)", m.Corrupt)
-	}
-	return nil
-}
-
-// RebuildIndex regenerates index.jsonl from both layouts — the loose
-// cell tree and the packed segment footers — replacing whatever
-// journal was there: sorted by fingerprint, one entry per readable
-// cell (a cell present both loose and packed indexes once), created
-// times from loose file modification times or the segment footer. It
-// returns the number of cells indexed. This repairs indexes that lost
-// appends (they are advisory) and compacts after Merge, GC or Compact.
-func (s *Store) RebuildIndex() (int, error) {
-	files, err := s.cellFiles()
-	if err != nil {
-		return 0, err
-	}
-	byFP := map[string]IndexEntry{}
-	for _, path := range files {
-		c, _, ok := readCell(path)
-		if !ok {
-			continue
-		}
-		created := ""
-		if fi, err := os.Stat(path); err == nil {
-			created = fi.ModTime().UTC().Format(time.RFC3339)
-		}
-		byFP[c.Fingerprint] = IndexEntry{
-			Fingerprint: c.Fingerprint,
-			Workload:    c.Workload,
-			Scheme:      c.Scheme,
-			Created:     created,
-		}
-	}
-	readers, _ := s.segScan()
-	for _, r := range readers {
-		for _, e := range r.footer.Entries {
-			if _, ok := byFP[e.Fingerprint]; ok {
-				continue
-			}
-			byFP[e.Fingerprint] = IndexEntry{
-				Fingerprint: e.Fingerprint,
-				Workload:    e.Workload,
-				Scheme:      e.Scheme,
-				Created:     e.Created,
-			}
-		}
-	}
-	fps := make([]string, 0, len(byFP))
-	for fp := range byFP {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	var buf bytes.Buffer
-	for _, fp := range fps {
-		line, err := json.Marshal(byFP[fp])
-		if err != nil {
-			continue
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, "index.jsonl"), buf.Bytes()); err != nil {
-		return 0, err
-	}
-	return len(fps), nil
+	return fmt.Sprintf("merged %d source(s): %d copied, %d duplicate, %d corrupt skipped",
+		m.Sources, m.Copied, m.Dups, m.Corrupt)
 }
 
 // GCStats reports what a GC pass did (or, dry, would do).
@@ -246,12 +165,10 @@ type GCStats struct {
 // segments are immutable, so partial removal is impossible). Content
 // addressing makes this always safe: an aged-out cell simply
 // re-simulates on next use. Structurally broken segments are left in
-// place for verify to report, never silently deleted. The index is
-// rebuilt afterwards.
+// place for verify to report, never silently deleted.
 //
 // With dry set, GC only reports what it would remove; a dry pass is
-// strictly read-only — no deletion, no index rebuild, no directory
-// creation — even when the index is stale.
+// strictly read-only — no deletion, no directory creation.
 func (s *Store) GC(cutoff time.Time, dry bool) (GCStats, error) {
 	files, err := s.cellFiles()
 	if err != nil {
@@ -299,11 +216,6 @@ func (s *Store) GC(cutoff time.Time, dry bool) (GCStats, error) {
 			os.Remove(r.path)
 		}
 	}
-	if !dry {
-		if _, err := s.RebuildIndex(); err != nil {
-			return st, err
-		}
-	}
 	return st, nil
 }
 
@@ -339,15 +251,13 @@ type Footprint struct {
 	// BrokenSegments counts structurally damaged segment files (run
 	// verify for detail).
 	BrokenSegments int `json:"broken_segments"`
-	// IndexEntries is the advisory index's line count (may lag Cells).
-	IndexEntries int `json:"index_entries"`
 	// Schemes breaks the totals down per scheme, sorted by name.
 	Schemes []SchemeFootprint `json:"schemes"`
 }
 
 // StatsSchemaVersion versions the pdstore stats -json document. Bump
 // only for breaking shape changes; additive growth keeps it.
-const StatsSchemaVersion = 1
+const StatsSchemaVersion = 2
 
 // StatsReport is the machine-readable form of pdstore stats: the
 // store's footprint plus the document schema version and the store
@@ -417,9 +327,6 @@ func (s *Store) Footprint() (Footprint, error) {
 		fp.Schemes = append(fp.Schemes, *row)
 	}
 	sort.Slice(fp.Schemes, func(i, j int) bool { return fp.Schemes[i].Scheme < fp.Schemes[j].Scheme })
-	if idx, err := s.Index(); err == nil {
-		fp.IndexEntries = len(idx)
-	}
 	return fp, nil
 }
 
@@ -433,8 +340,7 @@ type VerifyReport struct {
 	Segments int
 	// Problems describes every inconsistency found: unparseable cells,
 	// fingerprint mismatches, foreign schema versions, structurally
-	// damaged segments, corrupt segment records, and index entries
-	// whose cell is gone.
+	// damaged segments and corrupt segment records.
 	Problems []string
 }
 
@@ -445,19 +351,17 @@ func (r VerifyReport) OK() bool { return len(r.Problems) == 0 }
 // schema version, and fingerprints consistently with its own content
 // and file name; checks every segment's structure (magic, trailer,
 // footer checksum) and every packed record's payload checksum, parse,
-// schema and fingerprint; then cross-checks the index for entries
-// pointing at cells in neither layout. Problems are reported, not
-// repaired: Get already degrades mismatches to misses, and
-// gc/rebuild-index/compact clean them up. Segment footers are re-read
-// from disk here, bypassing the in-memory cache, so damage inflicted
-// after a segment was first read is still caught.
+// schema and fingerprint. Problems are reported, not repaired: Get
+// already degrades mismatches to misses, and gc/compact clean them up.
+// Segment footers are re-read from disk here, bypassing the in-memory
+// cache, so damage inflicted after a segment was first read is still
+// caught.
 func (s *Store) Verify() (VerifyReport, error) {
 	files, err := s.cellFiles()
 	if err != nil {
 		return VerifyReport{}, err
 	}
 	var rep VerifyReport
-	onDisk := map[string]bool{}
 	for _, path := range files {
 		rep.Cells++
 		c, _, ok := readCell(path)
@@ -465,7 +369,6 @@ func (s *Store) Verify() (VerifyReport, error) {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: unparseable", path))
 			continue
 		}
-		onDisk[c.Fingerprint] = true
 		switch {
 		case c.Schema != SchemaVersion:
 			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: schema %d, engine writes %d", path, c.Schema, SchemaVersion))
@@ -495,17 +398,7 @@ func (s *Store) Verify() (VerifyReport, error) {
 				rep.Problems = append(rep.Problems, err.Error())
 				continue
 			}
-			onDisk[e.Fingerprint] = true
 			rep.Good++
-		}
-	}
-	idx, err := s.Index()
-	if err != nil {
-		return rep, err
-	}
-	for _, e := range idx {
-		if !onDisk[e.Fingerprint] {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("index: entry %s has no cell file", e.Fingerprint))
 		}
 	}
 	return rep, nil

@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +33,7 @@ func openStore(t *testing.T) *Store {
 // TestMergeCopiesAndDedupes is the shard-recombination contract: cells
 // from disjoint stores all land in the destination, cells present in
 // several sources (overlapping shards) copy once, and the destination
-// index is rebuilt to match the merged tree.
+// lists exactly the merged cells.
 func TestMergeCopiesAndDedupes(t *testing.T) {
 	srcA, srcB, dst := openStore(t), openStore(t), openStore(t)
 	kA1 := putTestCell(t, srcA, "stream", 1000)
@@ -49,9 +48,6 @@ func TestMergeCopiesAndDedupes(t *testing.T) {
 	if st.Copied != 3 || st.Dups != 1 || st.Corrupt != 0 {
 		t.Errorf("stats = %+v, want 3 copied / 1 dup / 0 corrupt", st)
 	}
-	if st.Indexed != 3 {
-		t.Errorf("Indexed = %d, want 3", st.Indexed)
-	}
 	for _, k := range []Key{kA1, kA2, kB} {
 		if _, ok := dst.Get(k); !ok {
 			t.Errorf("merged store missing %s/%d", k.Workload, k.Config.MaxInstrs)
@@ -62,7 +58,7 @@ func TestMergeCopiesAndDedupes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(idx) != 3 {
-		t.Errorf("rebuilt index has %d entries, want 3", len(idx))
+		t.Errorf("merged index has %d entries, want 3", len(idx))
 	}
 
 	// Merging again is a no-op: everything dedupes.
@@ -116,14 +112,6 @@ func TestMergeSkipsCorruptCells(t *testing.T) {
 	if _, ok := dst.Get(bad); ok {
 		t.Error("corrupt cell must not be copied")
 	}
-	// Strict mode (pdstore merge -strict, pdsweep) turns the skip into
-	// an error; a clean merge stays nil.
-	if err := st.Strict(); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("Strict() on a corrupt-skipping merge = %v, want corrupt-cell error", err)
-	}
-	if err := (MergeStats{Copied: 3}).Strict(); err != nil {
-		t.Errorf("Strict() on a clean merge = %v, want nil", err)
-	}
 }
 
 // TestMergeRefusesCrossSchema asserts a source carrying a different
@@ -162,33 +150,8 @@ func TestMergeRefusesSelfMerge(t *testing.T) {
 	}
 }
 
-// TestRebuildIndex asserts the index regenerates from the cell tree
-// after the journal is lost.
-func TestRebuildIndex(t *testing.T) {
-	s := openStore(t)
-	putTestCell(t, s, "stream", 1000)
-	putTestCell(t, s, "bitcount", 1000)
-	if err := os.Remove(filepath.Join(s.Dir(), "index.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.RebuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("rebuilt %d entries, want 2", n)
-	}
-	idx, err := s.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 || idx[0].Workload == "" || idx[0].Created == "" {
-		t.Errorf("rebuilt index = %+v", idx)
-	}
-}
-
 // TestGCAgesOutOldCells asserts age-out by modification time, dry-run
-// first, and the index rebuild afterwards.
+// first, and that the index no longer lists the aged-out cell.
 func TestGCAgesOutOldCells(t *testing.T) {
 	s := openStore(t)
 	old := putTestCell(t, s, "stream", 1000)
@@ -232,20 +195,14 @@ func TestGCAgesOutOldCells(t *testing.T) {
 }
 
 // TestGCDryRunIsReadOnly is the regression test for the dry-run
-// contract: gc -dry-run must be strictly read-only — no cell deletion
-// and no index rebuild — even when the index is stale and a normal gc
-// would rewrite it. (The accounting must still be reported in full.)
+// contract: gc -dry-run must be strictly read-only, with no cell
+// deletion. (The accounting must still be reported in full.)
 func TestGCDryRunIsReadOnly(t *testing.T) {
 	s := openStore(t)
 	old := putTestCell(t, s, "stream", 1000)
 	putTestCell(t, s, "bitcount", 1000)
 	past := time.Now().Add(-48 * time.Hour)
 	if err := os.Chtimes(s.Path(old), past, past); err != nil {
-		t.Fatal(err)
-	}
-	// Stale index: the journal lost its appends, so any index rebuild
-	// would visibly rewrite index.jsonl.
-	if err := os.Truncate(filepath.Join(s.Dir(), "index.jsonl"), 0); err != nil {
 		t.Fatal(err)
 	}
 	before := treeSnapshot(t, s.Dir())
@@ -258,7 +215,7 @@ func TestGCDryRunIsReadOnly(t *testing.T) {
 		t.Errorf("dry stats = %+v, want 1 removed / 1 kept", st)
 	}
 	if !sameTree(before, treeSnapshot(t, s.Dir())) {
-		t.Error("gc -dry-run modified the store (stale index must stay stale)")
+		t.Error("gc -dry-run modified the store")
 	}
 }
 
@@ -291,13 +248,10 @@ func TestFootprint(t *testing.T) {
 	if fp.Schemes[0].Cells != 3 || fp.Schemes[0].Faults != 1 {
 		t.Errorf("protected footprint = %+v, want 3 cells / 1 fault", fp.Schemes[0])
 	}
-	if fp.IndexEntries != 4 {
-		t.Errorf("IndexEntries = %d, want 4", fp.IndexEntries)
-	}
 }
 
-// TestVerify asserts clean stores verify, and damaged cells plus
-// dangling index entries are each reported.
+// TestVerify asserts clean stores verify, and a damaged cell is
+// reported.
 func TestVerify(t *testing.T) {
 	s := openStore(t)
 	k1 := putTestCell(t, s, "stream", 1000)
@@ -320,14 +274,12 @@ func TestVerify(t *testing.T) {
 	if err := os.WriteFile(s.Path(k1), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// And orphan an index entry.
-	s.appendIndex(IndexEntry{Fingerprint: "deadbeef", Workload: "ghost", Scheme: "protected"})
 
 	rep, err = s.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK() || len(rep.Problems) != 2 {
+	if rep.OK() || len(rep.Problems) != 1 {
 		t.Fatalf("verify missed damage: %+v", rep)
 	}
 	if rep.Good != 1 {

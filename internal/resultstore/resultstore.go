@@ -5,7 +5,10 @@
 // JSON file under a sharded directory tree:
 //
 //	<dir>/cells/<fp[:2]>/<fp>.json
-//	<dir>/index.jsonl
+//
+// Compaction packs cells into segment files (segment.go). The cell
+// files and segment footers are the store's only record of what it
+// holds; Index lists the cells from them.
 //
 // Fingerprints are SHA-256 over an explicit, field-by-field rendering
 // of the key (never over Go struct memory or field order), prefixed
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -197,7 +201,7 @@ type Cell struct {
 	FaultRecord *paradet.FaultRecord    `json:"fault_record,omitempty"`
 }
 
-// IndexEntry is one line of the store's append-only index.
+// IndexEntry is one cell of the store's listing (Index).
 type IndexEntry struct {
 	Fingerprint string `json:"fingerprint"`
 	Workload    string `json:"workload"`
@@ -207,9 +211,8 @@ type IndexEntry struct {
 
 // Store is a campaign result store rooted at one directory. A Store
 // handle is safe for concurrent use, and separate processes may share
-// one directory: cell writes are atomic renames, segments are
-// immutable once linked into place, and the index is an append-only
-// journal.
+// one directory: cell writes are atomic renames, and segments are
+// immutable once linked into place.
 type Store struct {
 	dir string
 	// segMu guards the lazily-built segment footer cache (segment.go).
@@ -354,12 +357,6 @@ func (s *Store) Put(k Key, c *Cell) error {
 	if err := writeFileAtomic(s.Path(k), data); err != nil {
 		return err
 	}
-	s.appendIndex(IndexEntry{
-		Fingerprint: c.Fingerprint,
-		Workload:    c.Workload,
-		Scheme:      c.Scheme,
-		Created:     time.Now().UTC().Format(time.RFC3339),
-	})
 	elapsed := time.Since(start)
 	obsWrites.Inc()
 	obsWriteSecs.Observe(elapsed.Seconds())
@@ -397,43 +394,40 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// appendIndex journals one entry. The index is advisory (Get never
-// consults it), so failures are ignored: a lost line costs listing
-// completeness, not correctness. Single small O_APPEND writes keep
-// concurrent processes from interleaving within a line.
-func (s *Store) appendIndex(e IndexEntry) {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, "index.jsonl"),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	f.Write(append(line, '\n'))
-}
-
-// Index reads the append-only index. Unparseable lines are skipped.
+// Index lists every cell the store holds, sorted by fingerprint: each
+// readable loose cell, then each packed segment record that no loose
+// cell shadows. Created is the loose file's modification time, or for a
+// packed cell the time its loose original was written (from the
+// segment footer).
 func (s *Store) Index() ([]IndexEntry, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, "index.jsonl"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	files, err := s.cellFiles()
 	if err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
+		return nil, err
 	}
-	var out []IndexEntry
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
+	byFP := map[string]IndexEntry{}
+	for _, path := range files {
+		c, _, ok := readCell(path)
+		if !ok {
 			continue
 		}
-		var e IndexEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			continue
+		created := ""
+		if fi, err := os.Stat(path); err == nil {
+			created = fi.ModTime().UTC().Format(time.RFC3339)
 		}
+		byFP[c.Fingerprint] = IndexEntry{Fingerprint: c.Fingerprint, Workload: c.Workload, Scheme: c.Scheme, Created: created}
+	}
+	readers, _ := s.segScan()
+	for _, r := range readers {
+		for _, e := range r.footer.Entries {
+			if _, ok := byFP[e.Fingerprint]; !ok {
+				byFP[e.Fingerprint] = IndexEntry{Fingerprint: e.Fingerprint, Workload: e.Workload, Scheme: e.Scheme, Created: e.Created}
+			}
+		}
+	}
+	out := make([]IndexEntry, 0, len(byFP))
+	for _, e := range byFP {
 		out = append(out, e)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out, nil
 }

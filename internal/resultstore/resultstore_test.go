@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -142,6 +143,55 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
 			t.Errorf("leftover temp file %s", e.Name())
 		}
+	}
+}
+
+// TestIndexListsLayouts asserts Put writes nothing beside the cell
+// file, and Index lists the cells from the two layouts alone: a loose
+// cell, a packed cell, and a packed cell shadowed by a loose copy each
+// appear once, sorted by fingerprint. A leftover index.jsonl from an
+// older build is ignored.
+func TestIndexListsLayouts(t *testing.T) {
+	s := openStore(t)
+	packed := putTestCell(t, s, "stream", 1000)
+	shadowed := putTestCell(t, s, "bitcount", 1000)
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	loose := putTestCell(t, s, "randacc", 1000)
+	putTestCell(t, s, "bitcount", 1000) // a loose copy beside the packed record
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != "cells" && e.Name() != segDirName {
+			t.Errorf("store root holds %s beside the two layouts", e.Name())
+		}
+	}
+	if fp, err := s.Footprint(); err != nil || fp.LooseCells != 2 || fp.SegmentCells != 1 {
+		t.Fatalf("layout = %+v (%v), want 2 loose cells and 1 unshadowed packed cell", fp, err)
+	}
+
+	stale := `{"fingerprint":"deadbeef","workload":"ghost","scheme":"protected","created":""}` + "\n"
+	if err := os.WriteFile(filepath.Join(s.Dir(), "index.jsonl"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{packed.Fingerprint(), shadowed.Fingerprint(), loose.Fingerprint()}
+	sort.Strings(want)
+	var got []string
+	for _, e := range idx {
+		got = append(got, e.Fingerprint)
+		if e.Workload == "" || e.Scheme != "protected" || e.Created == "" {
+			t.Errorf("index entry missing fields: %+v", e)
+		}
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("index fingerprints = %v, want %v", got, want)
 	}
 }
 

@@ -61,7 +61,7 @@ type segEntry struct {
 	// SHA256 is the hex SHA-256 of the payload bytes.
 	SHA256 string `json:"sha256"`
 	// Workload, Scheme and Fault mirror the cell's identity so stats
-	// and index rebuilds need not read the record itself.
+	// and Index need not read the record itself.
 	Workload string `json:"workload"`
 	Scheme   string `json:"scheme"`
 	Fault    bool   `json:"fault,omitempty"`
@@ -237,25 +237,17 @@ func (s *Store) segmentFiles() ([]string, error) {
 // reads re-verify their checksum every time regardless, so a stale
 // reader can at worst miss, never serve wrong data.
 func (s *Store) segScan() (readers []*segReader, broken []string) {
-	entries, err := os.ReadDir(s.segDir())
-	if err != nil || len(entries) == 0 {
+	paths, err := s.segmentFiles()
+	if err != nil || len(paths) == 0 {
 		return nil, nil
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names))) // newest first
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	if s.segs == nil {
 		s.segs = make(map[string]*segCacheEntry)
 	}
-	for _, name := range names {
-		path := filepath.Join(s.segDir(), name)
+	for i := len(paths) - 1; i >= 0; i-- { // newest first
+		path := paths[i]
 		fi, err := os.Stat(path)
 		if err != nil {
 			continue // raced away

@@ -223,6 +223,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"GET  /metrics                                          Prometheus text format\n")
 }
 
+// handleStatus reports the store's identity and load. indexed_cells
+// counts the readable cells the target's Index lists, which parses
+// every loose cell.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	idx, err := s.target.Index()
 	status := struct {
@@ -241,8 +244,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:  int64(time.Since(s.started).Seconds()),
 	}
 	if err != nil {
-		// The index is advisory; a damaged one degrades the count, not
-		// the endpoint.
+		// A store that cannot be listed degrades the count, not the
+		// endpoint.
 		status.Indexed = -1
 	}
 	writeJSON(w, http.StatusOK, status)

@@ -22,8 +22,8 @@ type Target interface {
 	// cells simulate through the campaign engine, which writes its
 	// results (and memoised baselines) back here.
 	Store() *resultstore.Store
-	// Index lists the store's advisory index entries (what has ever
-	// been written here), oldest first.
+	// Index lists the cells the store holds, across both layouts,
+	// sorted by fingerprint.
 	Index() ([]resultstore.IndexEntry, error)
 }
 
