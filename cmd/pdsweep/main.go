@@ -201,7 +201,8 @@ func main() {
 			if err := trace.WriteFile(*tracePath); err != nil {
 				fmt.Fprintln(os.Stderr, "pdsweep: trace:", err)
 			} else {
-				fmt.Fprintf(os.Stderr, "pdsweep: trace written to %s (%d slices)\n", *tracePath, trace.Len())
+				slices, samples := trace.Counts()
+				fmt.Fprintf(os.Stderr, "pdsweep: trace written to %s (%d slice(s), %d counter sample(s))\n", *tracePath, slices, samples)
 			}
 			trace = nil
 		}

@@ -190,7 +190,9 @@ type Run struct {
 	// Config is the fully resolved configuration (MaxInstrs filled in).
 	Config paradet.Config
 	// Res holds protected/unprotected results; Aux holds lockstep/RMT
-	// results (exactly one of the two is set on success).
+	// results (exactly one of the two is set on success). Res, Aux,
+	// Baseline and FaultRec may be shared with identical cells and
+	// with the result store's reads, so they are read-only.
 	Res *paradet.Result
 	Aux *paradet.BaselineResult
 	// Baseline is the shared memoised unprotected run (WithBaseline).

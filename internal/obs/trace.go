@@ -118,12 +118,19 @@ func (t *Trace) Counter(pid int, name string, tsUS int64, values map[string]floa
 	})
 }
 
-// Len reports the number of events recorded so far (duration slices
-// plus counter samples; metadata is not counted).
-func (t *Trace) Len() int {
+// Counts reports the duration slices and the counter samples
+// recorded so far (metadata is not counted).
+func (t *Trace) Counts() (slices, samples int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	for _, e := range t.events {
+		if e.Ph == "X" {
+			slices++
+		} else {
+			samples++
+		}
+	}
+	return slices, samples
 }
 
 // WriteTo renders the trace as one JSON object. Slices are sorted by

@@ -78,8 +78,8 @@ func TestTraceSchemaValid(t *testing.T) {
 			t.Errorf("event %d: unexpected ph %q", i, e.Ph)
 		}
 	}
-	if slices != 4 || tr.Len() != 4 {
-		t.Errorf("slices = %d (Len %d), want 4", slices, tr.Len())
+	if n, samples := tr.Counts(); slices != 4 || n != 4 || samples != 0 {
+		t.Errorf("slices = %d (Counts %d, %d), want 4 slices and 0 counter samples", slices, n, samples)
 	}
 	if metas != 2 {
 		t.Errorf("metadata events = %d, want 2 (rename must be ignored)", metas)
@@ -105,6 +105,9 @@ func TestCounterTrackSchemaGolden(t *testing.T) {
 	tr.Counter(7, "stall cycles", 125, map[string]float64{"logfull": 3, "icache": 1, "rename": 0})
 	tr.Counter(7, "occupancy", 250, map[string]float64{"rob": 38, "iq": 12, "sq": 4, "fetchq": 9})
 	tr.Counter(7, "ipc", -5, nil) // negative ts clamps, nil values legal
+	if slices, samples := tr.Counts(); slices != 0 || samples != 4 {
+		t.Errorf("Counts = %d slices, %d counter samples; want 0 and 4", slices, samples)
+	}
 
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
@@ -173,6 +176,22 @@ func TestCounterTrackSchemaGolden(t *testing.T) {
 	}
 }
 
+// TestTraceCountsSlicesAndSamples asserts Counts tells the two kinds
+// of event apart in a trace that holds both, like a sweep trace with
+// one simulated cell and its telemetry counter tracks.
+func TestTraceCountsSlicesAndSamples(t *testing.T) {
+	tr := NewTrace()
+	tr.ProcessName(0, "shard 0")
+	tr.Slice(0, "stream/tableI[protected]", 0, 40, nil)
+	for i := 0; i < 21; i++ {
+		tr.Counter(1, "ipc", int64(i*10), map[string]float64{"ipc": 1})
+	}
+	tr.Slice(0, "bitcount/tableI[protected]", 10, 0, nil)
+	if slices, samples := tr.Counts(); slices != 2 || samples != 21 {
+		t.Errorf("Counts = %d slices, %d counter samples; want 2 and 21", slices, samples)
+	}
+}
+
 // TestTraceConcurrent exercises the lane allocator under concurrent
 // Slice calls (run with -race in CI).
 func TestTraceConcurrent(t *testing.T) {
@@ -188,8 +207,8 @@ func TestTraceConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if tr.Len() != 8*200 {
-		t.Fatalf("lost slices: %d != %d", tr.Len(), 8*200)
+	if n, _ := tr.Counts(); n != 8*200 {
+		t.Fatalf("lost slices: %d != %d", n, 8*200)
 	}
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {

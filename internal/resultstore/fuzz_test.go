@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -263,4 +265,136 @@ func FuzzSegmentOpen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// canonicalFmt is the fmt-based rendering Key.Canonical replaced,
+// kept as the reference it must match byte for byte.
+func canonicalFmt(k Key) string {
+	field := func(s string) string {
+		s = jsonValidUTF8(s)
+		if strings.ContainsAny(s, "\n\r\"\\") {
+			return strconv.Quote(s)
+		}
+		return s
+	}
+	var b strings.Builder
+	c := k.Config
+	fmt.Fprintf(&b, "schema=%d\n", SchemaVersion)
+	fmt.Fprintf(&b, "workload=%s\n", field(k.Workload))
+	fmt.Fprintf(&b, "scheme=%s\n", field(k.Scheme))
+	fmt.Fprintf(&b, "main_core_hz=%d\n", c.MainCoreHz)
+	fmt.Fprintf(&b, "checker_hz=%d\n", c.CheckerHz)
+	fmt.Fprintf(&b, "num_checkers=%d\n", c.NumCheckers)
+	fmt.Fprintf(&b, "log_bytes=%d\n", c.LogBytes)
+	fmt.Fprintf(&b, "entry_bytes=%d\n", c.EntryBytes)
+	fmt.Fprintf(&b, "timeout_instrs=%d\n", c.TimeoutInstrs)
+	fmt.Fprintf(&b, "checkpoint_cycles=%d\n", c.CheckpointCycles)
+	fmt.Fprintf(&b, "interrupt_interval_ns=%d\n", c.InterruptIntervalNS)
+	fmt.Fprintf(&b, "max_instrs=%d\n", c.MaxInstrs)
+	fmt.Fprintf(&b, "disable_checkers=%t\n", c.DisableCheckers)
+	fmt.Fprintf(&b, "big_core=%t\n", c.BigCore)
+	if f := k.Fault; f != nil {
+		fmt.Fprintf(&b, "fault.target=%s\n", field(string(f.Target)))
+		fmt.Fprintf(&b, "fault.seq=%d\n", f.Seq)
+		fmt.Fprintf(&b, "fault.bit=%d\n", f.Bit)
+		fmt.Fprintf(&b, "fault.sticky=%t\n", f.Sticky)
+		fmt.Fprintf(&b, "fault.checker_id=%d\n", f.CheckerID)
+	}
+	return b.String()
+}
+
+// readFuzzCorpus parses the "go test fuzz v1" files of a corpus
+// directory into argument lists.
+func readFuzzCorpus(t *testing.T, dir string) [][]any {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]any
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a fuzz corpus file", path)
+		}
+		var args []any
+		for _, l := range lines[1:] {
+			typ, lit, ok := strings.Cut(strings.TrimSuffix(l, ")"), "(")
+			var v any
+			switch typ {
+			case "string":
+				v, err = strconv.Unquote(lit)
+			case "uint64":
+				v, err = strconv.ParseUint(lit, 10, 64)
+			case "int64":
+				v, err = strconv.ParseInt(lit, 10, 64)
+			case "int":
+				v, err = strconv.Atoi(lit)
+			case "bool":
+				v, err = strconv.ParseBool(lit)
+			default:
+				ok = false
+			}
+			if !ok || err != nil {
+				t.Fatalf("%s: cannot parse %q: %v", path, l, err)
+			}
+			args = append(args, v)
+		}
+		out = append(out, args)
+	}
+	return out
+}
+
+// TestCanonicalMatchesFmtReference asserts Key.Canonical and
+// Key.Fingerprint render every key exactly as the fmt-based reference
+// does: on FuzzCellRoundTrip's seeds and corpus, and on seeded random
+// keys whose names need quoting or carry invalid UTF-8.
+func TestCanonicalMatchesFmtReference(t *testing.T) {
+	keys := []Key{ // FuzzCellRoundTrip's seeds
+		fuzzKey("stream", "protected", 1_000_000_000, 250_000_000, 0, 0, 10000, 0,
+			12, 2048, 16, 0, 0, 0, false, false, false, false, ""),
+		fuzzKey("bitcount", "protected", 2_000_000_000, 500_000_000, 5000, 100, 4000, 40,
+			8, 4096, 16, 2, 5, 1000, false, true, true, true, "dest-reg"),
+		fuzzKey("evil\nscheme=unprotected", "protected", 1, 2, 3, 4, 5, 6,
+			1, 2, 3, 4, 5, -1, true, false, true, false, "store\"value"),
+	}
+	corpus := readFuzzCorpus(t, filepath.Join("testdata", "fuzz", "FuzzCellRoundTrip"))
+	if len(corpus) == 0 {
+		t.Fatal("the FuzzCellRoundTrip corpus is missing")
+	}
+	for _, a := range corpus {
+		keys = append(keys, fuzzKey(a[0].(string), a[1].(string),
+			a[2].(uint64), a[3].(uint64), a[4].(uint64), a[5].(uint64), a[6].(uint64), a[7].(uint64),
+			a[8].(int), a[9].(int), a[10].(int), a[11].(int), a[12].(int), a[13].(int64),
+			a[14].(bool), a[15].(bool), a[16].(bool), a[17].(bool), a[18].(string)))
+	}
+	rng := rand.New(rand.NewPCG(21, 1))
+	pieces := []string{"stream", "bitcount", "dest-reg", "\n", "\r", `"`, `\`, "=", "é", "\xff", "\xc3", " ", ""}
+	name := func() string {
+		var b strings.Builder
+		for n := rng.IntN(4); n >= 0; n-- {
+			b.WriteString(pieces[rng.IntN(len(pieces))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, fuzzKey(name(), name(),
+			rng.Uint64(), rng.Uint64(), rng.Uint64()>>rng.IntN(64), rng.Uint64(), rng.Uint64()>>rng.IntN(64), rng.Uint64(),
+			int(rng.Int64()), rng.IntN(1<<20)-1<<19, rng.IntN(64), int(rng.Int32()), rng.IntN(256), rng.Int64()-rng.Int64(),
+			rng.IntN(2) == 0, rng.IntN(2) == 0, rng.IntN(2) == 0, rng.IntN(2) == 0, name()))
+	}
+	for _, k := range keys {
+		want := canonicalFmt(k)
+		if got := k.Canonical(); got != want {
+			t.Fatalf("Canonical drifted from the fmt reference:\n got %q\nwant %q", got, want)
+		}
+		sum := sha256.Sum256([]byte(want))
+		if got := k.Fingerprint(); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("Fingerprint drifted from the fmt reference for %q", want)
+		}
+	}
 }

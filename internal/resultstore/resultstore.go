@@ -60,9 +60,9 @@ type Key struct {
 }
 
 // configFieldGuard pins the exact field set of paradet.Config that
-// canonicalConfig serializes. If paradet.Config gains, loses, reorders
-// or retypes a field, this conversion stops compiling: update
-// canonicalConfig accordingly and bump SchemaVersion.
+// appendCanonicalConfig serializes. If paradet.Config gains, loses,
+// reorders or retypes a field, this conversion stops compiling: update
+// appendCanonicalConfig accordingly and bump SchemaVersion.
 var _ = func(c paradet.Config) {
 	_ = struct {
 		MainCoreHz          uint64
@@ -93,28 +93,44 @@ var _ = func(f paradet.Fault) {
 	}(f)
 }
 
-// canonicalConfig renders a Config as ordered key=value lines. The
-// line set and order are part of the schema: any change here without a
-// SchemaVersion bump silently aliases old and new cells, which is why
-// the golden-fingerprint test pins the output.
-func canonicalConfig(c paradet.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "main_core_hz=%d\n", c.MainCoreHz)
-	fmt.Fprintf(&b, "checker_hz=%d\n", c.CheckerHz)
-	fmt.Fprintf(&b, "num_checkers=%d\n", c.NumCheckers)
-	fmt.Fprintf(&b, "log_bytes=%d\n", c.LogBytes)
-	fmt.Fprintf(&b, "entry_bytes=%d\n", c.EntryBytes)
-	fmt.Fprintf(&b, "timeout_instrs=%d\n", c.TimeoutInstrs)
-	fmt.Fprintf(&b, "checkpoint_cycles=%d\n", c.CheckpointCycles)
-	fmt.Fprintf(&b, "interrupt_interval_ns=%d\n", c.InterruptIntervalNS)
-	fmt.Fprintf(&b, "max_instrs=%d\n", c.MaxInstrs)
-	fmt.Fprintf(&b, "disable_checkers=%t\n", c.DisableCheckers)
-	fmt.Fprintf(&b, "big_core=%t\n", c.BigCore)
-	return b.String()
+// appendCanonicalConfig renders a Config as ordered key=value lines.
+// The line set and order are part of the schema: any change here
+// without a SchemaVersion bump silently aliases old and new cells,
+// which is why the golden-fingerprint test pins the output.
+func appendCanonicalConfig(b []byte, c paradet.Config) []byte {
+	b = appendUint(b, "main_core_hz=", c.MainCoreHz)
+	b = appendUint(b, "checker_hz=", c.CheckerHz)
+	b = appendInt(b, "num_checkers=", int64(c.NumCheckers))
+	b = appendInt(b, "log_bytes=", int64(c.LogBytes))
+	b = appendInt(b, "entry_bytes=", int64(c.EntryBytes))
+	b = appendUint(b, "timeout_instrs=", c.TimeoutInstrs)
+	b = appendInt(b, "checkpoint_cycles=", c.CheckpointCycles)
+	b = appendUint(b, "interrupt_interval_ns=", c.InterruptIntervalNS)
+	b = appendUint(b, "max_instrs=", c.MaxInstrs)
+	b = appendBool(b, "disable_checkers=", c.DisableCheckers)
+	return appendBool(b, "big_core=", c.BigCore)
 }
 
-// canonField renders a free-form string field (workload, scheme, fault
-// target) for the canonical serialization. Names the registries
+// appendInt, appendUint, appendBool and appendField each append one
+// canonical "name=value\n" line.
+func appendInt(b []byte, name string, v int64) []byte {
+	return append(strconv.AppendInt(append(b, name...), v, 10), '\n')
+}
+
+func appendUint(b []byte, name string, v uint64) []byte {
+	return append(strconv.AppendUint(append(b, name...), v, 10), '\n')
+}
+
+func appendBool(b []byte, name string, v bool) []byte {
+	return append(strconv.AppendBool(append(b, name...), v), '\n')
+}
+
+func appendField(b []byte, name, v string) []byte {
+	return append(appendCanonField(append(b, name...), v), '\n')
+}
+
+// appendCanonField renders a free-form string field (workload, scheme,
+// fault target) for the canonical serialization. Names the registries
 // actually produce pass through verbatim, keeping every existing
 // fingerprint stable; two hardenings found by the serialization fuzz
 // test cover everything else:
@@ -130,12 +146,12 @@ func canonicalConfig(c paradet.Config) string {
 //     raw names that mangle identically share a cell by construction:
 //     their encoded cells are byte-identical, a collision inherited
 //     from JSON, not introduced here.
-func canonField(s string) string {
+func appendCanonField(b []byte, s string) []byte {
 	s = jsonValidUTF8(s)
 	if strings.ContainsAny(s, "\n\r\"\\") {
-		return strconv.Quote(s)
+		return strconv.AppendQuote(b, s)
 	}
-	return s
+	return append(b, s...)
 }
 
 // jsonValidUTF8 rewrites s the way encoding/json's encoder does:
@@ -163,25 +179,27 @@ func jsonValidUTF8(s string) string {
 
 // Canonical renders the key's full canonical serialization, the exact
 // bytes the fingerprint hashes.
-func (k Key) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "schema=%d\n", SchemaVersion)
-	fmt.Fprintf(&b, "workload=%s\n", canonField(k.Workload))
-	fmt.Fprintf(&b, "scheme=%s\n", canonField(k.Scheme))
-	b.WriteString(canonicalConfig(k.Config))
+func (k Key) Canonical() string { return string(k.appendCanonical(nil)) }
+
+func (k Key) appendCanonical(b []byte) []byte {
+	b = appendInt(b, "schema=", SchemaVersion)
+	b = appendField(b, "workload=", k.Workload)
+	b = appendField(b, "scheme=", k.Scheme)
+	b = appendCanonicalConfig(b, k.Config)
 	if f := k.Fault; f != nil {
-		fmt.Fprintf(&b, "fault.target=%s\n", canonField(string(f.Target)))
-		fmt.Fprintf(&b, "fault.seq=%d\n", f.Seq)
-		fmt.Fprintf(&b, "fault.bit=%d\n", f.Bit)
-		fmt.Fprintf(&b, "fault.sticky=%t\n", f.Sticky)
-		fmt.Fprintf(&b, "fault.checker_id=%d\n", f.CheckerID)
+		b = appendField(b, "fault.target=", string(f.Target))
+		b = appendUint(b, "fault.seq=", f.Seq)
+		b = appendUint(b, "fault.bit=", uint64(f.Bit))
+		b = appendBool(b, "fault.sticky=", f.Sticky)
+		b = appendInt(b, "fault.checker_id=", int64(f.CheckerID))
 	}
-	return b.String()
+	return b
 }
 
 // Fingerprint returns the hex SHA-256 of the canonical serialization.
 func (k Key) Fingerprint() string {
-	sum := sha256.Sum256([]byte(k.Canonical()))
+	var buf [512]byte // a registry key's canonical form fits
+	sum := sha256.Sum256(k.appendCanonical(buf[:0]))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -218,6 +236,8 @@ type Store struct {
 	// segMu guards the lazily-built segment footer cache (segment.go).
 	segMu sync.Mutex
 	segs  map[string]*segCacheEntry
+	// memo holds the read path's verified decodes (memo.go).
+	memo cellMemo
 }
 
 // Open opens (creating if necessary) a store rooted at dir.
@@ -267,6 +287,10 @@ func (s *Store) cellPath(fp string) string {
 // fingerprint-mismatched cells in either layout report a miss (false),
 // so a stale or corrupt store degrades to re-simulation, never to
 // failure.
+//
+// Every Get reads the cell's bytes, but bytes equal to those of an
+// earlier verified decode return that decode's cell again: the
+// returned cell is shared and must not be modified.
 func (s *Store) Get(k Key) (*Cell, bool) { return s.get(k.Fingerprint(), &k) }
 
 // GetFingerprint loads a cell by fingerprint alone — the
@@ -275,7 +299,8 @@ func (s *Store) Get(k Key) (*Cell, bool) { return s.get(k.Fingerprint(), &k) }
 // integrity checks match Get: loose tree first, then packed segments;
 // damaged or mismatched cells report a miss. A malformed fingerprint
 // is simply a miss too — by construction nothing can be stored under
-// it.
+// it. As with Get, the returned cell is shared and must not be
+// modified.
 func (s *Store) GetFingerprint(fp string) (*Cell, bool) {
 	if !ValidFingerprint(fp) {
 		return nil, false
@@ -289,13 +314,12 @@ func (s *Store) GetFingerprint(fp string) (*Cell, bool) {
 // from its key.
 func (s *Store) get(fp string, k *Key) (*Cell, bool) {
 	if data, err := os.ReadFile(s.cellPath(fp)); err == nil {
-		var c Cell
-		if json.Unmarshal(data, &c) == nil && c.Schema == SchemaVersion && c.Fingerprint == fp {
+		if c, err := s.memo.decode(fp, looseLayer, data, sha256.Sum256(data)); err == nil {
 			obsReadLoose.Inc()
 			if obs.Enabled() {
 				obs.Emit(obs.Entry{Event: "store_hit", Workload: c.Workload, Scheme: c.Scheme, Hit: true, Detail: "loose"})
 			}
-			return &c, true
+			return c, true
 		}
 		// A damaged loose cell still falls through: its packed twin (if
 		// any) is independently checksummed.
@@ -340,7 +364,8 @@ func ValidFingerprint(fp string) bool {
 // Put stores a cell under its key, filling the schema and fingerprint
 // fields. The cell file is written to a temp file in the target
 // directory and renamed into place, so readers in other processes only
-// ever observe complete cells.
+// ever observe complete cells. Put does not fill the read memo: the
+// next read decodes the new bytes.
 func (s *Store) Put(k Key, c *Cell) error {
 	start := time.Now()
 	c.Schema = SchemaVersion
@@ -406,15 +431,17 @@ func (s *Store) Index() ([]IndexEntry, error) {
 	}
 	byFP := map[string]IndexEntry{}
 	for _, path := range files {
-		c, _, ok := readCell(path)
-		if !ok {
+		// Only the identity fields are decoded; an unparseable file is
+		// skipped.
+		var id struct{ Fingerprint, Workload, Scheme string }
+		if data, err := os.ReadFile(path); err != nil || json.Unmarshal(data, &id) != nil {
 			continue
 		}
 		created := ""
 		if fi, err := os.Stat(path); err == nil {
 			created = fi.ModTime().UTC().Format(time.RFC3339)
 		}
-		byFP[c.Fingerprint] = IndexEntry{Fingerprint: c.Fingerprint, Workload: c.Workload, Scheme: c.Scheme, Created: created}
+		byFP[id.Fingerprint] = IndexEntry{Fingerprint: id.Fingerprint, Workload: id.Workload, Scheme: id.Scheme, Created: created}
 	}
 	readers, _ := s.segScan()
 	for _, r := range readers {

@@ -150,7 +150,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 // file, and Index lists the cells from the two layouts alone: a loose
 // cell, a packed cell, and a packed cell shadowed by a loose copy each
 // appear once, sorted by fingerprint. A leftover index.jsonl from an
-// older build is ignored.
+// older build and an unparseable loose file are ignored.
 func TestIndexListsLayouts(t *testing.T) {
 	s := openStore(t)
 	packed := putTestCell(t, s, "stream", 1000)
@@ -175,6 +175,10 @@ func TestIndexListsLayouts(t *testing.T) {
 
 	stale := `{"fingerprint":"deadbeef","workload":"ghost","scheme":"protected","created":""}` + "\n"
 	if err := os.WriteFile(filepath.Join(s.Dir(), "index.jsonl"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	junkFP := strings.Repeat("ab", 32) // an unparseable loose file
+	if err := writeFileAtomic(s.cellPath(junkFP), []byte(`{"fingerprint": "`+junkFP+`", "workload": "junk"`)); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := s.Index()

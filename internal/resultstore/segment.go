@@ -163,37 +163,41 @@ func openSegment(path string) (*segReader, error) {
 }
 
 // read loads and authenticates one record: payload checksum against
-// the footer, JSON parse, schema, and the content-addressing invariant
-// (embedded fingerprint == footer fingerprint == recomputation from
-// the identity fields). Any failure is an error — callers on the read
-// path treat it as a miss, so corruption degrades to re-simulation and
-// never to wrong data.
+// the footer, then decodeCell's JSON parse, schema, and the
+// content-addressing invariant (embedded fingerprint == footer
+// fingerprint == recomputation from the identity fields). Any failure
+// is an error — callers on the read path treat it as a miss, so
+// corruption degrades to re-simulation and never to wrong data.
 func (r *segReader) read(e segEntry) (*Cell, []byte, error) {
+	data, _, err := r.payload(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := decodeCell(data, e.Fingerprint, packedLayer)
+	if err != nil {
+		return nil, nil, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
+	}
+	return c, data, nil
+}
+
+// payload reads one record's bytes and checks them against the
+// footer's checksum, returning the bytes and their SHA-256.
+func (r *segReader) payload(e segEntry) ([]byte, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
 	f, err := os.Open(r.path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("segment %s: %w", r.path, err)
+		return nil, sum, fmt.Errorf("segment %s: %w", r.path, err)
 	}
 	defer f.Close()
 	data := make([]byte, e.Length)
 	if _, err := f.ReadAt(data, e.Offset); err != nil {
-		return nil, nil, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
+		return nil, sum, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
 	}
-	sum := sha256.Sum256(data)
+	sum = sha256.Sum256(data)
 	if hex.EncodeToString(sum[:]) != e.SHA256 {
-		return nil, nil, fmt.Errorf("segment %s: record %s: payload checksum mismatch", r.path, e.Fingerprint)
+		return nil, sum, fmt.Errorf("segment %s: record %s: payload checksum mismatch", r.path, e.Fingerprint)
 	}
-	var c Cell
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, nil, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
-	}
-	if c.Schema != SchemaVersion {
-		return nil, nil, fmt.Errorf("segment %s: record %s: schema %d, engine reads %d", r.path, e.Fingerprint, c.Schema, SchemaVersion)
-	}
-	want := Key{Workload: c.Workload, Scheme: c.Scheme, Config: c.Config, Fault: c.Fault}.Fingerprint()
-	if c.Fingerprint != e.Fingerprint || want != e.Fingerprint {
-		return nil, nil, fmt.Errorf("segment %s: record %s: fingerprint does not match content", r.path, e.Fingerprint)
-	}
-	return &c, data, nil
+	return data, sum, nil
 }
 
 // get reads the record for a fingerprint, reporting (nil, nil, nil)
@@ -276,12 +280,22 @@ type segCacheEntry struct {
 	r       *segReader
 }
 
-// segGet serves one fingerprint from the segment layer. Damaged
-// records and broken segments are misses.
+// segGet serves one fingerprint from the segment layer, through the
+// read memo: every record read is checked against its footer
+// checksum, and only its decode may be reused. Damaged records and
+// broken segments are misses.
 func (s *Store) segGet(fp string) (*Cell, bool) {
 	readers, _ := s.segScan()
 	for _, r := range readers {
-		if c, _, err := r.get(fp); err == nil && c != nil {
+		i, ok := r.byFP[fp]
+		if !ok {
+			continue
+		}
+		data, sum, err := r.payload(r.footer.Entries[i])
+		if err != nil {
+			continue
+		}
+		if c, err := s.memo.decode(fp, packedLayer, data, sum); err == nil {
 			return c, true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,6 +117,73 @@ func TestAPIStatusCodes(t *testing.T) {
 				t.Fatalf("body %q does not contain %q", body, tc.want)
 			}
 		})
+	}
+}
+
+// TestCellResponseBytes pins the body of GET /v1/cells/{fp}: the
+// stored JSON plus a newline, for a loose and a packed cell, on the
+// first request and on a repeated one; once a Put replaces the cell,
+// the next response carries the new bytes.
+func TestCellResponseBytes(t *testing.T) {
+	_, st, ts := newTestServer(t, nil)
+	keyOf := func(spec campaign.Spec) resultstore.Key {
+		t.Helper()
+		warm(t, st, spec)
+		cells, err := campaign.Expand(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells[0].Key
+	}
+	stored := func(k resultstore.Key) string {
+		t.Helper()
+		data, err := os.ReadFile(st.Path(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	fetch := func(fp string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/cells/" + fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET cell %s: status %d (%v), body %s", fp, resp.StatusCode, err, body)
+		}
+		return string(body)
+	}
+
+	packed := keyOf(testSpec(2000))
+	packedJSON := stored(packed)
+	if cs, err := st.Compact(resultstore.CompactOptions{}); err != nil || cs.Packed != 1 {
+		t.Fatalf("compact: %+v, %v", cs, err)
+	}
+	loose := keyOf(testSpec(3000))
+	for _, c := range []struct {
+		name string
+		key  resultstore.Key
+		json string
+	}{{"loose", loose, stored(loose)}, {"packed", packed, packedJSON}} {
+		fp := c.key.Fingerprint()
+		for _, req := range []string{"first", "repeated"} {
+			if got := fetch(fp); got != c.json+"\n" {
+				t.Errorf("%s cell, %s request: body is not the stored JSON plus a newline:\n%s", c.name, req, got)
+			}
+		}
+		if err := st.Put(c.key, &resultstore.Cell{Result: &paradet.Result{Workload: c.key.Workload, Instructions: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		replaced := stored(c.key)
+		if replaced == c.json {
+			t.Fatalf("%s cell: the replacement wrote the same bytes", c.name)
+		}
+		if got := fetch(fp); got != replaced+"\n" {
+			t.Errorf("%s cell after a Put: body is not the new stored JSON plus a newline:\n%s", c.name, got)
+		}
 	}
 }
 
