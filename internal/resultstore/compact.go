@@ -139,6 +139,7 @@ func (s *Store) Compact(opts CompactOptions) (CompactStats, error) {
 					break
 				}
 			}
+			r.close()
 		}
 		if err != nil {
 			os.Remove(segPath)

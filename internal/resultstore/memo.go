@@ -10,8 +10,9 @@ import (
 
 // memoCapacity bounds a Store's memo of verified decodes. The paper's
 // whole evaluation grid is 180 cells per instruction sample, so the
-// memo holds several samples' grids. A decoded cell of that grid
-// takes 2.6 KiB of heap on average, so a full memo holds under 3 MiB.
+// memo holds several samples' grids. An entry of that grid takes
+// 8.2 KiB of heap on average (2.5 KiB of decoded cell, the rest its
+// encoded body), so a full memo holds about 8.2 MiB.
 const memoCapacity = 1024
 
 // layer names the layout a cell was read from. The two apply
@@ -32,7 +33,7 @@ type memoKey struct {
 
 // memoEntry is one verified decode: the SHA-256 of the exact bytes
 // that were decoded and passed their layer's checks, and the cell they
-// decoded to.
+// decoded to, which carries its encoded body (Cell.Body).
 type memoEntry struct {
 	sum  [sha256.Size]byte
 	cell *Cell
@@ -51,7 +52,9 @@ type cellMemo struct {
 // decode returns the cell that data, read from layer l under
 // fingerprint fp, decodes to. It reuses the cell of an earlier
 // verified decode of the same bytes, and otherwise decodes and checks
-// data afresh (decodeCell), remembering the result if it passes.
+// data afresh (decodeCell) and encodes the cell's body (encodeBody),
+// remembering the result if both succeed. The body is set before the
+// cell is shared, so readers never see it change.
 func (m *cellMemo) decode(fp string, l layer, data []byte, sum [sha256.Size]byte) (*Cell, error) {
 	k := memoKey{fp, l}
 	m.mu.Lock()
@@ -63,6 +66,9 @@ func (m *cellMemo) decode(fp string, l layer, data []byte, sum [sha256.Size]byte
 	}
 	obsDecodeJSON.Inc()
 	c, err := decodeCell(data, fp, l)
+	if err == nil {
+		c.body, err = encodeBody(c)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -99,4 +105,20 @@ func decodeCell(data []byte, fp string, l layer) (*Cell, error) {
 		return nil, errors.New("fingerprint does not match content")
 	}
 	return &c, nil
+}
+
+// encodeBody renders a cell as served: its canonical JSON, indented as
+// Put writes it, plus a newline. It never reuses the bytes a cell was
+// read from, which may be compact or carry fields the decode ignored.
+func encodeBody(c *Cell) ([]byte, error) {
+	b, err := json.MarshalIndent(c, "", " ")
+	if err != nil {
+		return nil, err
+	}
+	// Copy into an exact-size slice: MarshalIndent's buffer has room
+	// for twice the compact encoding, and the memo keeps the body.
+	body := make([]byte, len(b)+1)
+	copy(body, b)
+	body[len(b)] = '\n'
+	return body, nil
 }

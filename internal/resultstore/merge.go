@@ -216,6 +216,9 @@ func (s *Store) GC(cutoff time.Time, dry bool) (GCStats, error) {
 			os.Remove(r.path)
 		}
 	}
+	if st.SegmentsRemoved > 0 && !dry {
+		s.segScan() // drops the removed segments' entries and closes their files
+	}
 	return st, nil
 }
 
@@ -400,6 +403,7 @@ func (s *Store) Verify() (VerifyReport, error) {
 			}
 			rep.Good++
 		}
+		r.close()
 	}
 	return rep, nil
 }

@@ -217,6 +217,21 @@ type Cell struct {
 	Result      *paradet.Result         `json:"result,omitempty"`
 	Baseline    *paradet.BaselineResult `json:"baseline_result,omitempty"`
 	FaultRecord *paradet.FaultRecord    `json:"fault_record,omitempty"`
+
+	// body is the encoding a verified decode made (encodeBody), set
+	// before the cell is shared; nil on a cell no read returned.
+	body []byte
+}
+
+// Body returns the cell's response body: its canonical JSON, indented
+// as Put writes it, plus a newline. A cell that Get or GetFingerprint
+// returned carries the body its verified decode encoded, so serving it
+// encodes nothing; any other cell is encoded now, by the same function.
+func (c *Cell) Body() ([]byte, error) {
+	if c.body != nil {
+		return c.body, nil
+	}
+	return encodeBody(c)
 }
 
 // IndexEntry is one cell of the store's listing (Index).

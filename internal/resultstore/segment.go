@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,6 +61,11 @@ type segEntry struct {
 	Length int64 `json:"length"`
 	// SHA256 is the hex SHA-256 of the payload bytes.
 	SHA256 string `json:"sha256"`
+	// sum is SHA256 decoded by openSegment, and sumOK reports that it
+	// was 64 lowercase hex digits (an entry with any other digest
+	// never matches its record).
+	sum   [sha256.Size]byte
+	sumOK bool
 	// Workload, Scheme and Fault mirror the cell's identity so stats
 	// and Index need not read the record itself.
 	Workload string `json:"workload"`
@@ -83,30 +89,33 @@ type segFooter struct {
 // they round-trip byte-identically through this engine).
 func (s *Store) segDir() string { return filepath.Join(s.dir, segDirName) }
 
-// segReader is one parsed, checksum-verified segment footer. Record
-// payloads are read (and re-verified) on demand.
+// segReader is one parsed, checksum-verified segment footer and the
+// open file it was parsed from. Record payloads are read (and
+// re-verified) on demand through that file.
 type segReader struct {
-	path string
-	// size and modTime fingerprint the file the footer was parsed from,
-	// so a cached reader is invalidated if the file is ever replaced.
-	size    int64
-	modTime time.Time
-	footer  segFooter
-	byFP    map[string]int // fingerprint -> Entries index
+	path   string
+	f      *os.File
+	size   int64
+	footer segFooter
+	byFP   map[string]int // fingerprint -> Entries index
 }
 
-// openSegment parses and verifies a segment's structure: magic,
+// openSegment opens a segment and verifies its structure: magic,
 // trailer, footer checksum, and entry bounds. Record payloads are not
 // read here; read verifies each on access. A structurally damaged
 // segment (truncated, bad footer checksum, missing trailer) fails
 // loudly — the whole file is unusable, and every cell in it degrades
-// to re-simulation.
-func openSegment(path string) (*segReader, error) {
+// to re-simulation. The reader keeps the file open until close.
+func openSegment(path string) (_ *segReader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("segment %s: %w", path, err)
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("segment %s: %w", path, err)
@@ -146,9 +155,10 @@ func openSegment(path string) (*segReader, error) {
 	if footer.Count != len(footer.Entries) {
 		return nil, fmt.Errorf("segment %s: footer count %d != %d entries", path, footer.Count, len(footer.Entries))
 	}
-	r := &segReader{path: path, size: size, modTime: fi.ModTime(), footer: footer,
+	r := &segReader{path: path, f: f, size: size, footer: footer,
 		byFP: make(map[string]int, len(footer.Entries))}
-	for i, e := range footer.Entries {
+	for i := range footer.Entries {
+		e := &footer.Entries[i]
 		// Compare without adding Offset+Length: both are
 		// attacker-controlled and the sum can wrap int64, which would
 		// slip a near-MaxInt64 Length past the check and panic the
@@ -157,10 +167,19 @@ func openSegment(path string) (*segReader, error) {
 			e.Length > footerOff || e.Offset > footerOff-e.Length {
 			return nil, fmt.Errorf("segment %s: entry %s out of bounds", path, e.Fingerprint)
 		}
+		// A digest has a fingerprint's shape: 64 lowercase hex digits.
+		if ValidFingerprint(e.SHA256) {
+			_, err := hex.Decode(e.sum[:], []byte(e.SHA256))
+			e.sumOK = err == nil
+		}
 		r.byFP[e.Fingerprint] = i
 	}
 	return r, nil
 }
+
+// close closes the reader's file. A read racing it fails, and so
+// misses.
+func (r *segReader) close() { r.f.Close() }
 
 // read loads and authenticates one record: payload checksum against
 // the footer, then decodeCell's JSON parse, schema, and the
@@ -180,21 +199,17 @@ func (r *segReader) read(e segEntry) (*Cell, []byte, error) {
 	return c, data, nil
 }
 
-// payload reads one record's bytes and checks them against the
-// footer's checksum, returning the bytes and their SHA-256.
+// payload reads one record's bytes through the reader's open file and
+// checks them against the footer's checksum, returning the bytes and
+// their SHA-256.
 func (r *segReader) payload(e segEntry) ([]byte, [sha256.Size]byte, error) {
 	var sum [sha256.Size]byte
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, sum, fmt.Errorf("segment %s: %w", r.path, err)
-	}
-	defer f.Close()
 	data := make([]byte, e.Length)
-	if _, err := f.ReadAt(data, e.Offset); err != nil {
+	if _, err := r.f.ReadAt(data, e.Offset); err != nil {
 		return nil, sum, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
 	}
 	sum = sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != e.SHA256 {
+	if !e.sumOK || sum != e.sum {
 		return nil, sum, fmt.Errorf("segment %s: record %s: payload checksum mismatch", r.path, e.Fingerprint)
 	}
 	return data, sum, nil
@@ -235,14 +250,17 @@ func (s *Store) segmentFiles() ([]string, error) {
 // segScan returns verified readers for the store's current segments,
 // newest (highest sequence) first, plus the paths of structurally
 // broken segments. Footers are cached per file — broken files too —
-// and invalidated whenever the file's size or mtime changes (a GC'd
-// sequence number could in principle be reused by a later compaction,
-// and a once-broken path can be replaced by a healthy segment); record
-// reads re-verify their checksum every time regardless, so a stale
-// reader can at worst miss, never serve wrong data.
+// with the reader's open file, and reopened whenever the path names
+// another file or the file's size or mtime changes (a GC'd sequence
+// number could in principle be reused by a later compaction, and a
+// once-broken path can be replaced by a healthy segment). An entry
+// whose segment left the listing is dropped, and a dropped or replaced
+// entry's file is closed. Record reads re-verify their checksum every
+// time regardless, so a stale reader, or one closed under a racing
+// read, can at worst miss, never serve wrong data.
 func (s *Store) segScan() (readers []*segReader, broken []string) {
 	paths, err := s.segmentFiles()
-	if err != nil || len(paths) == 0 {
+	if err != nil {
 		return nil, nil
 	}
 	s.segMu.Lock()
@@ -250,16 +268,25 @@ func (s *Store) segScan() (readers []*segReader, broken []string) {
 	if s.segs == nil {
 		s.segs = make(map[string]*segCacheEntry)
 	}
+	for path, ce := range s.segs {
+		if _, listed := slices.BinarySearch(paths, path); !listed {
+			s.dropSegment(path, ce)
+		}
+	}
 	for i := len(paths) - 1; i >= 0; i-- { // newest first
 		path := paths[i]
 		fi, err := os.Stat(path)
-		if err != nil {
-			continue // raced away
-		}
 		ce := s.segs[path]
-		if ce == nil || fi.Size() != ce.size || !fi.ModTime().Equal(ce.modTime) {
+		if ce != nil && (err != nil || !ce.current(fi)) {
+			s.dropSegment(path, ce) // raced away or replaced
+			ce = nil
+		}
+		if err != nil {
+			continue
+		}
+		if ce == nil {
 			r, _ := openSegment(path) // nil reader = broken, cached as such
-			ce = &segCacheEntry{size: fi.Size(), modTime: fi.ModTime(), r: r}
+			ce = &segCacheEntry{fi: fi, r: r}
 			s.segs[path] = ce
 		}
 		if ce.r == nil {
@@ -271,13 +298,27 @@ func (s *Store) segScan() (readers []*segReader, broken []string) {
 	return readers, broken
 }
 
-// segCacheEntry is one cached segment-footer parse, keyed by the
-// file's (size, mtime) so replacement at the same path reloads. A nil
-// reader records a structurally broken file.
+// segCacheEntry is one cached segment-footer parse, with the stat its
+// path had just before the parse. A nil reader records a structurally
+// broken file.
 type segCacheEntry struct {
-	size    int64
-	modTime time.Time
-	r       *segReader
+	fi os.FileInfo
+	r  *segReader
+}
+
+// current reports whether fi, a fresh stat of the entry's path, names
+// the same unchanged file.
+func (ce *segCacheEntry) current(fi os.FileInfo) bool {
+	return os.SameFile(ce.fi, fi) && fi.Size() == ce.fi.Size() && fi.ModTime().Equal(ce.fi.ModTime())
+}
+
+// dropSegment removes a cache entry and closes its reader's file. The
+// caller holds segMu.
+func (s *Store) dropSegment(path string, ce *segCacheEntry) {
+	delete(s.segs, path)
+	if ce.r != nil {
+		ce.r.close()
+	}
 }
 
 // segGet serves one fingerprint from the segment layer, through the

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -642,6 +645,47 @@ func TestSegmentRejectsForgedEntryBounds(t *testing.T) {
 	}
 }
 
+// TestSegmentDigestMustBeLowercaseHex asserts a footer entry whose
+// sha256 is not exactly 64 lowercase hex digits never matches its
+// record, even when it spells the record's true digest another way.
+func TestSegmentDigestMustBeLowercaseHex(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	k := putTestCell(t, s, "stream", 1000)
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	segPath := segmentPaths(t, s)[0]
+	pristine, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgeries := map[string]func(string) string{
+		"uppercase":   strings.ToUpper,
+		"short":       func(d string) string { return d[:63] },
+		"long":        func(d string) string { return d + "0" },
+		"not-hex":     func(d string) string { return "zz" + d[2:] },
+		"empty":       func(string) string { return "" },
+		"prefix-0x":   func(d string) string { return "0x" + d[:62] },
+		"space-after": func(d string) string { return d[:63] + " " },
+	}
+	for name, forge := range forgeries {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(segPath, pristine, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resignSegment(t, segPath, func(f *segFooter) { f.Entries[0].SHA256 = forge(f.Entries[0].SHA256) })
+			h := mustOpen(t, dir)
+			if _, ok := h.Get(k); ok {
+				t.Error("a record whose digest is not 64 lowercase hex digits was served")
+			}
+			if rep, err := h.Verify(); err != nil || rep.OK() {
+				t.Errorf("verify = %+v, %v; want a problem", rep, err)
+			}
+		})
+	}
+}
+
 // TestSegScanReloadsReplacedSegment asserts the footer cache does not
 // pin a once-broken path: when the file at a segment path is replaced
 // (a GC'd sequence number reused by a later compaction), the same
@@ -671,6 +715,213 @@ func TestSegScanReloadsReplacedSegment(t *testing.T) {
 	}
 	if _, ok := s.Get(k); !ok {
 		t.Error("handle kept serving a healed segment as broken")
+	}
+}
+
+// cachedSegment returns the handle's cache entry for a segment path,
+// nil if it holds none.
+func cachedSegment(s *Store, path string) *segCacheEntry {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	return s.segs[path]
+}
+
+// closed reports whether a segment reader's file has been closed.
+func closed(r *segReader) bool {
+	_, err := r.f.Stat()
+	return errors.Is(err, os.ErrClosed)
+}
+
+// packedSegment writes one cell for k with the given instruction count
+// into a fresh store, packs it, and returns the segment's path.
+func packedSegment(t *testing.T, k Key, instrs uint64) string {
+	t.Helper()
+	s := openStore(t)
+	if err := s.Put(k, &Cell{Result: &paradet.Result{Workload: k.Workload, Instructions: instrs}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return segmentPaths(t, s)[0]
+}
+
+// TestSegmentHandleFollowsReplacement asserts a cached segment's open
+// file never outlives the file at its path: once another segment is
+// renamed over it, even one with the old size and mtime, the next read
+// serves the new segment's record, never the old handle's bytes, and
+// the old file is closed.
+func TestSegmentHandleFollowsReplacement(t *testing.T) {
+	for _, sameStat := range []bool{false, true} {
+		t.Run(fmt.Sprintf("same-size-and-mtime=%t", sameStat), func(t *testing.T) {
+			s := openStore(t)
+			k := putTestCell(t, s, "stream", 1000)
+			if _, err := s.Compact(CompactOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			segPath := segmentPaths(t, s)[0]
+			if c, ok := s.Get(k); !ok || c.Result.Instructions != 1000 {
+				t.Fatalf("packed cell read %v %+v", ok, c)
+			}
+			old := cachedSegment(s, segPath)
+			if old == nil || old.r == nil {
+				t.Fatal("the read cached no reader")
+			}
+
+			// "2000" has as many digits as "1000", so the segments are
+			// the same size.
+			instrs := uint64(2000)
+			if !sameStat {
+				instrs = 20000
+			}
+			repl := packedSegment(t, k, instrs)
+			fi, err := os.Stat(segPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sameStat {
+				if err := os.Chtimes(repl, fi.ModTime(), fi.ModTime()); err != nil {
+					t.Fatal(err)
+				}
+				if rfi, err := os.Stat(repl); err != nil || rfi.Size() != fi.Size() || !rfi.ModTime().Equal(fi.ModTime()) {
+					t.Fatalf("replacement stat %v (%v), want size %d and mtime %v", rfi, err, fi.Size(), fi.ModTime())
+				}
+			}
+			if err := os.Rename(repl, segPath); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, read := range []string{"first", "repeated"} {
+				c, ok := s.Get(k)
+				if !ok || c.Fingerprint != k.Fingerprint() || c.Result.Instructions != instrs {
+					t.Fatalf("%s read after replacement: %v %+v, want the new segment's cell (%d instructions)", read, ok, c, instrs)
+				}
+			}
+			if !closed(old.r) {
+				t.Error("the replaced segment's file is still open")
+			}
+		})
+	}
+}
+
+// TestSegmentCacheDropsRemovedSegments asserts a segment that leaves
+// the listing leaves the cache too, its file closed: at once when this
+// handle's GC removes it, and on the next read when another handle's
+// does.
+func TestSegmentCacheDropsRemovedSegments(t *testing.T) {
+	s := openStore(t)
+	k := putTestCell(t, s, "stream", 1000)
+	past := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(s.Path(k), past, past); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	segPath := segmentPaths(t, s)[0]
+	other := mustOpen(t, s.Dir())
+	for _, h := range []*Store{s, other} {
+		if _, ok := h.Get(k); !ok {
+			t.Fatal("packed cell missed")
+		}
+	}
+	ours, theirs := cachedSegment(s, segPath), cachedSegment(other, segPath)
+	if ours == nil || ours.r == nil || theirs == nil || theirs.r == nil {
+		t.Fatal("the reads cached no reader")
+	}
+
+	st, err := s.GC(time.Now().Add(-24*time.Hour), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsRemoved != 1 {
+		t.Fatalf("GC stats = %+v, want 1 segment removed", st)
+	}
+	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
+		t.Fatalf("GC left the segment file: %v", err)
+	}
+	if cachedSegment(s, segPath) != nil || !closed(ours.r) {
+		t.Error("GC kept the removed segment's cache entry or open file")
+	}
+
+	if c, ok := other.Get(k); ok {
+		t.Fatalf("another handle read a removed segment's cell: %+v", c)
+	}
+	if cachedSegment(other, segPath) != nil || !closed(theirs.r) {
+		t.Error("a read kept the cache entry or open file of a segment that left the listing")
+	}
+}
+
+// TestSegmentReadsRaceReplacement races packed reads on one handle
+// against a writer that keeps renaming one of two segments over the
+// same path (run it under -race). A read that loses a race with the
+// close of a replaced file may miss, but every hit must be one of the
+// two cells.
+func TestSegmentReadsRaceReplacement(t *testing.T) {
+	s := openStore(t)
+	k := putTestCell(t, s, "stream", 1000)
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	segPath := segmentPaths(t, s)[0]
+	images := make([][]byte, 2)
+	for i, instrs := range []uint64{1000, 20000} {
+		data, err := os.ReadFile(packedSegment(t, k, instrs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[i] = data
+	}
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			tmp := filepath.Join(filepath.Dir(segPath), ".tmp-race")
+			if err := os.WriteFile(tmp, images[i%2], 0o644); err != nil {
+				writerDone <- err
+				return
+			}
+			if err := os.Rename(tmp, segPath); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c, ok := s.Get(k)
+				if !ok {
+					continue
+				}
+				hits.Add(1)
+				if c.Fingerprint != k.Fingerprint() || c.Result.Instructions != 1000 && c.Result.Instructions != 20000 {
+					errs <- fmt.Errorf("read served %+v", c)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("%d of 800 reads hit", hits.Load())
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -8,11 +8,12 @@
 //	GET  /v1/cells?figure=&workload=&point=[&scheme=]   cell by identity (warm only)
 //	GET  /v1/grid?figure=            a figure's expanded grid + fingerprints
 //	GET  /v1/figures/{name}          a rendered figure (simulates cold cells)
-//	POST /v1/campaigns               run a campaign spec, stream progress
+//	POST /v1/campaigns               run a campaign spec on the server's pool, stream progress
 //	GET  /metrics                    Prometheus text format
 //
 // Warm cells are served straight from the store's loose→segment read
-// path with zero simulation. Cold figures and campaigns execute
+// path with zero simulation, each as the body its verified decode
+// encoded once. Cold figures and campaigns execute
 // through the ordinary campaign engine against the target's store,
 // under fingerprint-keyed single-flight dedupe: N concurrent
 // identical requests cost one set of simulations, and every response
@@ -189,12 +190,28 @@ func (s *Server) noteShared(shared bool) {
 }
 
 // writeJSON renders v with the trailing newline curl users expect.
+// Cells are served by writeCell instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	enc.Encode(v)
+}
+
+// writeCell serves a stored cell: its body (resultstore.Cell.Body), the
+// bytes writeJSON would write for it. A cell the store read returned
+// carries its body already encoded.
+func writeCell(w http.ResponseWriter, c *resultstore.Cell) {
+	body, err := c.Body()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode cell: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // apiError is the error envelope every non-2xx JSON response uses.
@@ -273,7 +290,7 @@ func (s *Server) handleCellByFingerprint(w http.ResponseWriter, r *http.Request)
 	}
 	s.cellHits.Add(1)
 	obsCellHit.Inc()
-	writeJSON(w, http.StatusOK, cell)
+	writeCell(w, cell)
 }
 
 // figureOptions lifts the common query parameters (instrs, workloads)
@@ -353,7 +370,7 @@ func (s *Server) handleCellQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cellHits.Add(1)
 	obsCellHit.Inc()
-	writeJSON(w, http.StatusOK, cell)
+	writeCell(w, cell)
 }
 
 // gridCell is one row of the /v1/grid listing.
@@ -512,7 +529,9 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 // store, streaming one progress-protocol line per completed cell (the
 // exact Event schema pdsweep's workers emit) and a final summary
 // line. Identical concurrent submissions are single-flighted: one
-// simulates, the rest replay from the warmed store.
+// simulates, the rest replay from the warmed store. The campaign runs
+// on the server's pool (Config.Parallel): the spec's Parallel is
+// ignored, so a client cannot widen it.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
@@ -524,9 +543,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "malformed campaign spec: %v", err)
 		return
 	}
-	if spec.Parallel == 0 {
-		spec.Parallel = s.parallel
-	}
+	spec.Parallel = s.parallel
 	cells, err := campaign.Expand(r.Context(), spec, s.sim)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

@@ -3,10 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,6 +188,107 @@ func TestCellResponseBytes(t *testing.T) {
 		if got := fetch(fp); got != replaced+"\n" {
 			t.Errorf("%s cell after a Put: body is not the new stored JSON plus a newline:\n%s", c.name, got)
 		}
+	}
+}
+
+// TestNonCanonicalCellServedCanonically guards the body rule: a loose
+// cell that decodes and passes every check but is not MarshalIndent
+// output (compact, with an unknown field and a case-variant duplicate
+// key) is served as the canonical encoding of what the server decoded,
+// never as the stored bytes, by fingerprint and by identity, on a
+// first and on a repeated request.
+func TestNonCanonicalCellServedCanonically(t *testing.T) {
+	_, st, ts := newTestServer(t, nil)
+	spec, err := experiments.SpecNamed("fig7", experiments.Options{Workloads: []string{"bitcount"}, MaxInstrs: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := campaign.Expand(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := cells[slices.IndexFunc(cells, func(c campaign.CellID) bool { return c.Scheme == campaign.SchemeProtected })]
+	fp := id.Fingerprint()
+	compact, err := json.Marshal(resultstore.Cell{
+		Schema: resultstore.SchemaVersion, Fingerprint: fp,
+		Workload: id.Key.Workload, Scheme: id.Key.Scheme, Config: id.Key.Config,
+		Result: &paradet.Result{Workload: id.Workload, Instructions: 2000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decoder ignores the unknown field, and the later "workload"
+	// overrides the decoy under "Workload".
+	stored := []byte(`{"unknown_field":"not served","Workload":"decoy",` + string(compact[1:]))
+	var decoded resultstore.Cell
+	if err := json.Unmarshal(stored, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Workload != id.Workload {
+		t.Fatalf("decoded workload %q, want %q", decoded.Workload, id.Workload)
+	}
+	canonical, err := json.MarshalIndent(&decoded, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(canonical) + "\n"
+	path := st.Path(id.Key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	query := url.Values{"figure": {"fig7"}, "workloads": {"bitcount"}, "instrs": {"2000"},
+		"workload": {id.Workload}, "point": {id.Point}, "scheme": {string(id.Scheme)}}
+	for _, route := range []string{"/v1/cells/" + fp, "/v1/cells?" + query.Encode()} {
+		for _, req := range []string{"first", "repeated"} {
+			resp, err := http.Get(ts.URL + route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d (%v), body %s", route, resp.StatusCode, err, body)
+			}
+			if string(body) != want {
+				t.Errorf("GET %s, %s request: body is not the canonical encoding of the decoded cell:\n%s", route, req, body)
+			}
+		}
+	}
+}
+
+// TestRepeatedCellGetEncodesNothing asserts a repeated warm GET
+// /v1/cells/{fp} writes the body its read's verified decode encoded.
+// The cell carries a 256-key map, so encoding it per request would
+// cost over 500 allocations; without that, the handler, the store read
+// and the recorder take about 30.
+func TestRepeatedCellGetEncodesNothing(t *testing.T) {
+	srv, st, _ := newTestServer(t, nil)
+	k := resultstore.Key{Workload: "bitcount", Scheme: "protected", Config: paradet.DefaultConfig()}
+	res := &paradet.Result{Workload: "bitcount", SealsByReason: map[string]uint64{}}
+	for i := 0; i < 256; i++ {
+		res.SealsByReason[fmt.Sprintf("reason-%03d", i)] = uint64(i)
+	}
+	if err := st.Put(k, &resultstore.Cell{Result: res}); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(st.Path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cells/"+k.Fingerprint(), nil))
+		if rec.Code != http.StatusOK || rec.Body.String() != string(stored)+"\n" {
+			t.Fatalf("GET cell: status %d, body %s", rec.Code, rec.Body)
+		}
+	}
+	get() // the first read decodes and encodes
+	if allocs := testing.AllocsPerRun(20, get); allocs > 100 {
+		t.Errorf("a repeated GET did %.0f allocations, want <= 100 (is the cell encoded per request?)", allocs)
 	}
 }
 
@@ -422,6 +527,62 @@ func TestCampaignStreamsProtocolLines(t *testing.T) {
 	}
 	if !sum.Done || sum.Cells != 1 || sum.Sims != 1 || sum.Err != "" {
 		t.Fatalf("bad summary: %s", lines[1])
+	}
+}
+
+// peakSim fakes protected runs and records the peak number running
+// at once.
+type peakSim struct {
+	campaign.Simulator
+	mu            sync.Mutex
+	running, peak int
+}
+
+func (p *peakSim) Run(ctx context.Context, cfg paradet.Config, prog *paradet.Program) (*paradet.Result, error) {
+	p.mu.Lock()
+	p.running++
+	p.peak = max(p.peak, p.running)
+	p.mu.Unlock()
+	time.Sleep(20 * time.Millisecond) // long enough for a wider pool to overlap runs
+	p.mu.Lock()
+	p.running--
+	p.mu.Unlock()
+	return &paradet.Result{Workload: prog.Name(), Instructions: cfg.MaxInstrs}, nil
+}
+
+// TestCampaignRunsOnServerPool asserts a POSTed campaign runs on the
+// server's pool: a spec asking for 4 workers still runs one cell at a
+// time on a server built with Parallel 1.
+func TestCampaignRunsOnServerPool(t *testing.T) {
+	sim := &peakSim{Simulator: campaign.Default()}
+	_, _, ts := newTestServer(t, sim)
+	spec := testSpec(2000)
+	spec.Parallel = 4
+	spec.Points = nil
+	for n := 1; n <= 4; n++ {
+		cfg := paradet.DefaultConfig()
+		cfg.NumCheckers = n
+		spec.Points = append(spec.Points, campaign.Point{Label: fmt.Sprintf("checkers=%d", n), Config: cfg})
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	var sum campaignSummary
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || !sum.Done || sum.Err != "" || sum.Sims != 4 {
+		t.Fatalf("summary %+v (%v), want 4 cells simulated without error:\n%s", sum, err, out)
+	}
+	sim.mu.Lock()
+	defer sim.mu.Unlock()
+	if sim.peak != 1 {
+		t.Fatalf("%d simulations ran at once on a server with Parallel 1", sim.peak)
 	}
 }
 

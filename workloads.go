@@ -1,7 +1,10 @@
 package paradet
 
 import (
+	"sync"
+
 	"paradet/internal/asm"
+	"paradet/internal/isa"
 	"paradet/internal/workloads"
 )
 
@@ -30,13 +33,33 @@ func Workloads() []WorkloadInfo {
 	return out
 }
 
-// LoadWorkload assembles one of the named workloads.
+// assembled holds each registered kernel's program, assembled on its
+// first load and shared by every later one: an isa.Program is
+// read-only, and the kernel sources never change.
+var assembled = func() map[string]func() (*isa.Program, error) {
+	all := workloads.All()
+	m := make(map[string]func() (*isa.Program, error), len(all))
+	for _, info := range all {
+		m[info.Name] = sync.OnceValues(func() (*isa.Program, error) {
+			_, src, err := workloads.Get(info.Name)
+			if err != nil {
+				return nil, err
+			}
+			return asm.Assemble(src)
+		})
+	}
+	return m
+}()
+
+// LoadWorkload returns one of the named workloads. Each kernel is
+// assembled once per process; every Program it returns shares that
+// read-only image.
 func LoadWorkload(name string) (*Program, WorkloadInfo, error) {
-	info, src, err := workloads.Get(name)
+	info, _, err := workloads.Get(name)
 	if err != nil {
 		return nil, WorkloadInfo{}, err
 	}
-	p, err := asm.Assemble(src)
+	p, err := assembled[name]()
 	if err != nil {
 		return nil, WorkloadInfo{}, err
 	}

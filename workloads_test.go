@@ -1,6 +1,9 @@
 package paradet
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestWorkloadsAssembleAndRun(t *testing.T) {
 	infos := Workloads()
@@ -85,5 +88,60 @@ func TestWorkloadIPCContrast(t *testing.T) {
 func TestLoadWorkloadUnknown(t *testing.T) {
 	if _, _, err := LoadWorkload("no-such-kernel"); err == nil {
 		t.Fatal("unknown workload must error")
+	}
+}
+
+// TestLoadWorkloadSharesProgram checks that each kernel is assembled
+// once per process: every load returns the same read-only isa.Program,
+// also when eight goroutines load (and run) all nine kernels at once.
+// CI runs it under -race.
+func TestLoadWorkloadSharesProgram(t *testing.T) {
+	names := make([]string, 0, len(Workloads()))
+	for _, w := range Workloads() {
+		names = append(names, w.Name)
+	}
+	cfg := smallConfig()
+	cfg.MaxInstrs = 300
+	const goroutines = 8
+	progs := make([][]*Program, goroutines)
+	var wg sync.WaitGroup
+	for g := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				p, _, err := LoadWorkload(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := Run(cfg, p); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				progs[g] = append(progs[g], p)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, name := range names {
+		p, _, err := LoadWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := LoadWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.prog != again.prog {
+			t.Errorf("%s: two loads assembled two programs", name)
+		}
+		for g := range progs {
+			if progs[g][i].prog != p.prog {
+				t.Errorf("%s: goroutine %d's load assembled its own program", name, g)
+			}
+		}
 	}
 }
