@@ -30,9 +30,11 @@
 // across both layouts, plus segment health. gc ages out cells not
 // written since -older-than ago (whole segments once every record in
 // them is that old); everything it removes simply re-simulates on next
-// use. verify checks every loose cell's fingerprint against its
-// content and every segment's footer and per-record checksums,
-// exiting 1 on any inconsistency.
+// use. verify checks every segment's footer and per-record checksums
+// and judges every cell, loose or packed, by the rule reads apply
+// (schema, fingerprint, identity fields and payload), so the copies it
+// calls consistent are exactly those a read would serve; it exits 1 on
+// any problem.
 //
 // Subcommands never create a store: they operate on directories some
 // campaign already wrote (only merge's -into destination is created),

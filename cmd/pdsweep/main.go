@@ -77,6 +77,9 @@ import (
 // trace so they never collide with shard-numbered slice processes.
 const telemetryPIDBase = 1000
 
+// tick is the minimum interval between progress lines on stderr.
+const tick = time.Second
+
 func main() {
 	n := flag.Int("n", 2, "number of shard workers to split the sweep across")
 	retries := flag.Int("retries", 1, "relaunches allowed per shard before the sweep fails")
@@ -86,7 +89,6 @@ func main() {
 	healthTimeout := flag.Duration("health-timeout", 5*time.Second, "per-probe liveness timeout (a host failing its probes is quarantined)")
 	dryRun := flag.Bool("dry-run", false, "print the planned shard-to-host assignment and store, then exit without launching anything")
 	compact := flag.Bool("compact", false, "pack the store into a segment file before assembly (keep -store-root to reuse the packed store)")
-	tick := flag.Duration("tick", time.Second, "minimum interval between progress lines on stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event timeline of the sweep to this file (open in chrome://tracing or Perfetto): shards as processes, cells as slices")
 	var sweep orchestrator.WorkerFlags
 	sweep.RegisterSweep(flag.CommandLine)
@@ -139,7 +141,7 @@ func main() {
 		return
 	}
 
-	// Live aggregate ticker: one line per -tick, plus milestones the
+	// Live aggregate ticker: one line per tick, plus milestones the
 	// throttle must not eat (handled by the final summary). Every
 	// snapshot is also kept (unthrottled) for the /progress endpoint.
 	var mu sync.Mutex
@@ -149,7 +151,7 @@ func main() {
 		mu.Lock()
 		defer mu.Unlock()
 		lastSnap = s
-		if time.Since(lastPrint) < *tick {
+		if time.Since(lastPrint) < tick {
 			return
 		}
 		lastPrint = time.Now()

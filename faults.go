@@ -58,6 +58,22 @@ func (f Fault) String() string {
 	return fmt.Sprintf("%s fault: %s bit %d at dyn-inst %d", kind, f.Target, f.Bit, f.Seq)
 }
 
+// Validate reports whether the fault can be injected: a known target,
+// a strike point of at least 1 and a bit of 0-63. Every path that
+// takes a fault (runs, classification, campaign fault grids) applies
+// it before anything simulates.
+func (f Fault) Validate() error {
+	switch {
+	case !f.Target.Valid():
+		return fmt.Errorf("paradet: unknown fault target %q", f.Target)
+	case f.Seq == 0:
+		return fmt.Errorf("paradet: fault Seq must be >= 1")
+	case f.Bit > 63:
+		return fmt.Errorf("paradet: fault bit %d out of range (0-63)", f.Bit)
+	}
+	return nil
+}
+
 // Valid reports whether the target names a known injection path.
 func (t FaultTarget) Valid() bool {
 	_, ok := targetByName[t]
@@ -77,18 +93,11 @@ func FaultTargets() []FaultTarget {
 func planFaults(faults []Fault) (*faultPlan, error) {
 	inj := &fault.Injector{}
 	for _, f := range faults {
-		t, ok := targetByName[f.Target]
-		if !ok {
-			return nil, fmt.Errorf("paradet: unknown fault target %q", f.Target)
-		}
-		if f.Seq == 0 {
-			return nil, fmt.Errorf("paradet: fault Seq must be >= 1")
-		}
-		if f.Bit > 63 {
-			return nil, fmt.Errorf("paradet: fault bit %d out of range (0-63)", f.Bit)
+		if err := f.Validate(); err != nil {
+			return nil, err
 		}
 		inj.Faults = append(inj.Faults, fault.Fault{
-			Target: t, Seq: f.Seq, Bit: f.Bit, Sticky: f.Sticky, CheckerID: f.CheckerID,
+			Target: targetByName[f.Target], Seq: f.Seq, Bit: f.Bit, Sticky: f.Sticky, CheckerID: f.CheckerID,
 		})
 	}
 	return &faultPlan{inj: inj, main: inj.MainHook()}, nil

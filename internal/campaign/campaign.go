@@ -195,7 +195,8 @@ type memoEntry struct {
 }
 
 // get returns key's payload and whether this call ran simulate: from
-// the memo entry, else from the store, else from simulate, whose
+// the memo entry, else from the store (which serves only a cell
+// holding the payload its key produces), else from simulate, whose
 // payload is then put back best-effort. A golden is put back too, under
 // its protected cell key, which then serves a protected cell of its
 // config.
@@ -220,7 +221,7 @@ func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate fu
 		hits, sims = &m.ctrs.baseHits, &m.ctrs.baseSims
 	}
 	if m.store != nil && w != goldenWork {
-		if c, ok := m.store.Get(key); ok && holds(key, c) {
+		if c, ok := m.store.Get(key); ok {
 			hits.Add(1)
 			if ref {
 				obsRefHit.Inc()
@@ -246,18 +247,6 @@ func (m *memo) get(ctx context.Context, key resultstore.Key, w work, simulate fu
 		m.store.Put(key, c) // best-effort
 	}
 	return c, true, nil
-}
-
-// holds reports whether a stored cell carries the payload its key's
-// cell produces.
-func holds(k resultstore.Key, c *resultstore.Cell) bool {
-	switch {
-	case k.Fault != nil:
-		return c.FaultRecord != nil
-	case k.Scheme == string(SchemeLockstep), k.Scheme == string(SchemeRMT):
-		return c.Baseline != nil
-	}
-	return c.Result != nil
 }
 
 // Execute runs the campaign with a background context and no store.

@@ -96,19 +96,15 @@ func (g *FaultGrid) validate(name string) error {
 	if len(g.Targets) == 0 || len(g.Seqs) == 0 || len(g.Bits) == 0 {
 		return fmt.Errorf("campaign %q: fault grid needs targets, seqs and bits", name)
 	}
+	// Every fault of the grid, without building it (Sticky does not
+	// change validity).
 	for _, t := range g.Targets {
-		if !t.Valid() {
-			return fmt.Errorf("campaign %q: unknown fault target %q", name, t)
-		}
-	}
-	for _, seq := range g.Seqs {
-		if seq == 0 {
-			return fmt.Errorf("campaign %q: fault seq must be >= 1", name)
-		}
-	}
-	for _, bit := range g.Bits {
-		if bit > 63 {
-			return fmt.Errorf("campaign %q: fault bit %d out of range (0-63)", name, bit)
+		for _, seq := range g.Seqs {
+			for _, bit := range g.Bits {
+				if err := (paradet.Fault{Target: t, Seq: seq, Bit: bit}).Validate(); err != nil {
+					return fmt.Errorf("campaign %q: %w", name, err)
+				}
+			}
 		}
 	}
 	return nil

@@ -158,6 +158,38 @@ func TestStoreServesMixedSchemes(t *testing.T) {
 	}
 }
 
+// TestMismatchedStoredPayloadResimulates asserts a stored cell whose
+// payload does not match its key (a protected cell holding only a
+// Baseline) is re-simulated, not used, and that the run's put replaces
+// it with a cell the store serves.
+func TestMismatchedStoredPayloadResimulates(t *testing.T) {
+	dir := t.TempDir()
+	cfg := paradet.DefaultConfig()
+	cfg.MaxInstrs = 3000
+	spec := Spec{Name: "mismatch", Workloads: []string{"bitcount"}, Points: []Point{{Label: "p", Config: cfg}}}
+	key := resultstore.Key{Workload: "bitcount", Scheme: string(SchemeProtected), Config: cfg}
+	st, _ := resultstore.Open(dir)
+	if err := st.Put(key, &resultstore.Cell{Baseline: &paradet.BaselineResult{Scheme: "lockstep"}}); err != nil {
+		t.Fatal(err)
+	}
+	sim := newTrackingSim()
+	out, err := ExecuteContext(context.Background(), spec, sim, Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if r := out.Results[0]; r.Cached || r.Res == nil || sim.runs.Load() != 1 || out.Stats.CellHits != 0 {
+		t.Errorf("cached=%v result=%v runs=%d stats=%+v: want the cell re-simulated once",
+			r.Cached, r.Res != nil, sim.runs.Load(), out.Stats)
+	}
+	fresh, _ := resultstore.Open(dir)
+	if c, ok := fresh.Get(key); !ok || c.Result == nil || c.Baseline != nil {
+		t.Error("the re-simulated cell did not replace the mismatched one")
+	}
+}
+
 // TestReferenceMemoisation asserts that points sharing a store key
 // share one simulation: lockstep/RMT points that differ only in knobs
 // their scheme ignores (checker knobs; the main-core clock under

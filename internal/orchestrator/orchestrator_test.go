@@ -595,15 +595,14 @@ func TestShellJoin(t *testing.T) {
 	}
 }
 
-// TestSSHArgs pins the ssh argv shape — options, then `--` BEFORE the
-// destination (OpenSSH stops option parsing at the destination, so a
-// later `--` would become the first word of the remote command and
-// the remote shell would reject it) — and proves the remote command
-// string actually executes under a POSIX shell.
+// TestSSHArgs pins the ssh argv shape — `--` BEFORE the destination
+// (OpenSSH stops option parsing at the destination, so a later `--`
+// would become the first word of the remote command and the remote
+// shell would reject it) — and proves the remote command string
+// actually executes under a POSIX shell.
 func TestSSHArgs(t *testing.T) {
-	s := SSH{Host: "hosta", Options: []string{"-o", "BatchMode=yes"}, Dir: "/w"}
-	got := s.args([]string{"./experiments", "-run", "fig7"})
-	want := []string{"-o", "BatchMode=yes", "--", "hosta", `cd '/w' && './experiments' '-run' 'fig7'`}
+	got := SSH{Host: "hosta"}.args([]string{"./experiments", "-run", "fig7"})
+	want := []string{"--", "hosta", `'./experiments' '-run' 'fig7'`}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("ssh args = %q, want %q", got, want)
 	}

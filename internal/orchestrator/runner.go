@@ -27,8 +27,6 @@ type Runner interface {
 // pool pdsweep builds without -hosts is N of them, giving
 // single-machine sweeps N-way parallelism with no setup.
 type Local struct {
-	// Dir is the working directory ("" = inherit).
-	Dir string
 	// Env is appended to the inherited environment. pdsweep uses it to
 	// cap each local worker's GOMAXPROCS so N workers share the
 	// machine instead of each spawning a full-width simulation pool.
@@ -49,7 +47,6 @@ func (l Local) Name() string {
 // Run implements Runner.
 func (l Local) Run(ctx context.Context, argv []string, stdout, stderr io.Writer) error {
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
-	cmd.Dir = l.Dir
 	if len(l.Env) > 0 {
 		cmd.Env = append(os.Environ(), l.Env...)
 	}
@@ -61,20 +58,16 @@ func (l Local) Run(ctx context.Context, argv []string, stdout, stderr io.Writer)
 
 // SSH runs worker commands on a remote host through the system ssh
 // client, inheriting the user's ssh config (keys, jump hosts,
-// multiplexing). The campaign binary must exist on the remote host,
-// and the orchestrator's store root must be a path shared between the
-// orchestrator and every ssh runner (NFS or similar), because the
-// workers write the one store the assembly step reads locally.
+// multiplexing, ports): options belong there, not in the runner. The
+// command runs in the remote login directory. The campaign binary must
+// exist on the remote host, and the orchestrator's store root must be
+// a path shared between the orchestrator and every ssh runner (NFS or
+// similar), because the workers write the one store the assembly step
+// reads locally.
 type SSH struct {
 	// Host is the ssh destination (host, user@host, or an ssh_config
 	// alias).
 	Host string
-	// Options are extra arguments placed before the host (e.g. "-p",
-	// "2222", "-o", "BatchMode=yes").
-	Options []string
-	// Dir, when non-empty, is the remote working directory to cd into
-	// before running the command.
-	Dir string
 }
 
 // Name implements Runner.
@@ -98,11 +91,7 @@ func (s SSH) Run(ctx context.Context, argv []string, stdout, stderr io.Writer) e
 // would become the first word of the remote command and the remote
 // shell would reject it.
 func (s SSH) args(argv []string) []string {
-	remote := shellJoin(argv)
-	if s.Dir != "" {
-		remote = "cd " + shellQuote(s.Dir) + " && " + remote
-	}
-	return append(append(append([]string{}, s.Options...), "--", s.Host), remote)
+	return []string{"--", s.Host, shellJoin(argv)}
 }
 
 // shellJoin renders argv as one POSIX shell command line, each word

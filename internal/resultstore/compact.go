@@ -32,8 +32,8 @@ type CompactStats struct {
 	Dups int
 	// Hot counts cells newer than the cutoff, left loose.
 	Hot int
-	// Corrupt counts unreadable or inconsistent loose cells, left in
-	// place for verify/gc to deal with.
+	// Corrupt counts loose cells that are unreadable or fail
+	// decodeCell's rule, left in place for verify/gc to deal with.
 	Corrupt int
 	// Removed counts loose files deleted after the segment verified.
 	Removed int
@@ -81,18 +81,10 @@ func (s *Store) Compact(opts CompactOptions) (CompactStats, error) {
 	}
 	// Snapshot the segment readers once: a per-cell directory rescan
 	// would make compaction O(cells x segments) in filesystem calls on
-	// exactly the network filesystems it exists to relieve. packedTwin
+	// exactly the network filesystems it exists to relieve. holdsValid
 	// still read-verifies the record before the loose copy may be
 	// deleted.
 	readers, _ := s.segScan()
-	packedTwin := func(fp string) bool {
-		for _, r := range readers {
-			if c, _, err := r.get(fp); err == nil && c != nil {
-				return true
-			}
-		}
-		return false
-	}
 	var pack []segSource
 	var packPaths, dupPaths []string
 	for _, path := range files {
@@ -105,12 +97,12 @@ func (s *Store) Compact(opts CompactOptions) (CompactStats, error) {
 			st.Hot++
 			continue
 		}
-		c, data, ok := readCell(path)
-		if !ok || c.Schema != SchemaVersion || !c.consistent(path) {
+		c, data, err := readLoose(path)
+		if err != nil {
 			st.Corrupt++
 			continue
 		}
-		if packedTwin(c.Fingerprint) {
+		if holdsValid(readers, c.Fingerprint) {
 			st.Dups++
 			dupPaths = append(dupPaths, path)
 			continue

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -199,7 +200,10 @@ func FuzzCellRoundTrip(f *testing.F) {
 // never panic, never over-allocate from attacker-controlled lengths,
 // and any record it does serve must satisfy every integrity invariant
 // (a fuzzed file that forges all the checksums is still only able to
-// serve internally-consistent cells).
+// serve internally-consistent cells). Each input's trailer is re-signed
+// first (resignTrailer): a mutator cannot forge SHA-256, so without it
+// every change to the footer would stop at the footer checksum and the
+// footer parse and bounds checks behind it would never run.
 func FuzzSegmentOpen(f *testing.F) {
 	// Seed with a real two-record segment plus characteristic damage.
 	seedDir := f.TempDir()
@@ -238,13 +242,14 @@ func FuzzSegmentOpen(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		path := filepath.Join(t.TempDir(), "00000001.seg")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, resignTrailer(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		r, err := openSegment(path)
 		if err != nil {
 			return // rejected closed: exactly what corrupt input deserves
 		}
+		defer r.close()
 		for _, e := range r.footer.Entries {
 			c, payload, err := r.read(e)
 			if err != nil {
@@ -263,8 +268,30 @@ func FuzzSegmentOpen(f *testing.F) {
 			if c.Schema != SchemaVersion {
 				t.Fatal("read served a foreign-schema record")
 			}
+			if !c.payloadMatchesKey() {
+				t.Fatal("read served a record whose payload does not match its key")
+			}
 		}
 	})
+}
+
+// resignTrailer returns data with the trailer's footer checksum
+// recomputed over the footer bytes the trailer's length names, as
+// resignSegment does for a rewritten footer. Data too short for a
+// trailer, or naming a footer out of bounds, is returned unchanged.
+func resignTrailer(data []byte) []byte {
+	if len(data) < len(segMagic)+segTrailerLen {
+		return data
+	}
+	trailer := len(data) - segTrailerLen
+	footerLen := int(binary.BigEndian.Uint32(data[trailer:]))
+	if footerLen > trailer-len(segMagic) {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	sum := sha256.Sum256(out[trailer-footerLen : trailer])
+	copy(out[trailer+4:], sum[:])
+	return out
 }
 
 // canonicalFmt is the fmt-based rendering Key.Canonical replaced,

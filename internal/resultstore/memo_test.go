@@ -52,8 +52,9 @@ func TestGetReusesVerifiedDecode(t *testing.T) {
 
 // TestMemoJudgesChangedBytesAfresh asserts changed bytes get today's
 // outcome: a rewritten loose file decodes again, a damaged one misses
-// or falls through to its packed twin, and a changed packed record
-// misses on its checksum or, re-signed, decodes again.
+// or falls through to its packed twin, a packed twin equal to the
+// verified loose bytes reuses their decode, and a changed packed
+// record misses on its checksum or, re-signed, decodes again.
 func TestMemoJudgesChangedBytesAfresh(t *testing.T) {
 	s := openStore(t)
 	k := putTestCell(t, s, "stream", 1000)
@@ -103,7 +104,8 @@ func TestMemoJudgesChangedBytesAfresh(t *testing.T) {
 	if _, err := s.Compact(CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	packed := get("packed record", 7, 1)
+	// The record's bytes equal the loose decode's: its entry serves it.
+	packed := get("packed record", 7, 0)
 	put(7)
 	if err := os.WriteFile(s.Path(k), []byte("{damaged"), 0o644); err != nil {
 		t.Fatal(err)
@@ -139,35 +141,49 @@ func TestMemoJudgesChangedBytesAfresh(t *testing.T) {
 	get("re-signed packed record", 8, 2)
 }
 
-// TestMemoKeepsLayersApart asserts a packed record never reuses a
-// decode that passed only the loose checks: bytes whose embedded
-// fingerprint names their file, but whose identity fields hash to
-// another key, are served loose and refused packed.
-func TestMemoKeepsLayersApart(t *testing.T) {
+// TestEditedIdentityIsMiss asserts a cell whose identity fields were
+// edited, so that they no longer fingerprint to its name, is a miss by
+// key and by fingerprint, loose and packed, even after its unedited
+// bytes were read and memoized.
+func TestEditedIdentityIsMiss(t *testing.T) {
 	s := openStore(t)
-	k := testKey()
+	k := putTestCell(t, s, "stream", 1000)
 	fp := k.Fingerprint()
-	forged := &Cell{Schema: SchemaVersion, Fingerprint: fp, Workload: "other", Scheme: k.Scheme, Config: k.Config,
-		Result: &paradet.Result{Instructions: 1}}
-	data, err := json.MarshalIndent(forged, "", " ")
+	if _, ok := s.Get(k); !ok {
+		t.Fatal("stored cell missed")
+	}
+	data, err := os.ReadFile(s.cellPath(fp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(s.cellPath(fp), data); err != nil {
+	edited := bytes.Replace(data, []byte(`"workload": "stream"`), []byte(`"workload": "other"`), 1)
+	if bytes.Equal(edited, data) {
+		t.Fatal("workload field not found in the stored cell")
+	}
+	miss := func(layout string) {
+		t.Helper()
+		if c, ok := s.Get(k); ok {
+			t.Errorf("%s: Get served the edited cell (workload %q)", layout, c.Workload)
+		}
+		if c, ok := s.GetFingerprint(fp); ok {
+			t.Errorf("%s: GetFingerprint served the edited cell (workload %q)", layout, c.Workload)
+		}
+	}
+	if err := writeFileAtomic(s.cellPath(fp), edited); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetFingerprint(fp); !ok {
-		t.Fatal("the loose checks refused the forged cell; the test needs them to pass it")
+	miss("loose")
+	var c Cell
+	if err := json.Unmarshal(edited, &c); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := writeSegment(s.segDir(), []segSource{{fp: fp, data: data, cell: forged, created: time.Now()}}); err != nil {
+	if _, _, err := writeSegment(s.segDir(), []segSource{{fp: fp, data: edited, cell: &c, created: time.Now()}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(s.cellPath(fp)); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := s.GetFingerprint(fp); ok {
-		t.Errorf("forged packed record served: %+v", c)
-	}
+	miss("packed")
 }
 
 // TestMemoBounded asserts the memo never holds more than memoCapacity
@@ -178,11 +194,12 @@ func TestMemoBounded(t *testing.T) {
 		k := testKey()
 		k.Config.MaxInstrs = uint64(i + 1)
 		fp := k.Fingerprint()
-		data, err := json.Marshal(&Cell{Schema: SchemaVersion, Fingerprint: fp, Workload: k.Workload, Scheme: k.Scheme, Config: k.Config})
+		data, err := json.Marshal(&Cell{Schema: SchemaVersion, Fingerprint: fp, Workload: k.Workload, Scheme: k.Scheme, Config: k.Config,
+			Result: &paradet.Result{Instructions: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.decode(fp, packedLayer, data, sha256.Sum256(data)); err != nil {
+		if _, err := m.decode(fp, data, sha256.Sum256(data)); err != nil {
 			t.Fatal(err)
 		}
 		if n := len(m.entries); n > memoCapacity {

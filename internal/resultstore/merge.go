@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -24,13 +25,13 @@ import (
 // interchangeable). Source segment records land as loose cells in the
 // destination — byte-identical to the loose cell they were packed
 // from — so merging never creates segments; the operator compacts the
-// destination separately if wanted. Unreadable or
-// fingerprint-inconsistent source cells, and structurally broken
-// source segments, are skipped with a warning, never an error. A
-// parseable source cell or segment footer carrying a different
-// SchemaVersion refuses the whole merge before anything is copied: its
-// store belongs to an incompatible engine, and folding it in would
-// bury cells that can never hit.
+// destination separately if wanted. Source cells that are unreadable
+// or fail decodeCell's rule, and structurally broken source segments,
+// are skipped with a warning, never an error. A source loose cell
+// that decodeCell refuses for its schema, or a segment footer carrying
+// a different SchemaVersion, refuses the whole merge before anything
+// is copied: its store belongs to an incompatible engine, and folding
+// it in would bury cells that can never hit.
 func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 	var st MergeStats
 	st.Sources = len(srcs)
@@ -46,13 +47,10 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 			return st, err
 		}
 		for _, path := range files {
-			c, _, ok := readCell(path)
-			if !ok {
-				continue // counted (and warned about) during the copy pass
-			}
-			if c.Schema != SchemaVersion {
-				return st, fmt.Errorf("resultstore: %s has schema %d, this engine writes schema %d: refusing cross-schema merge",
-					path, c.Schema, SchemaVersion)
+			// Other failures are counted (and warned about) during the
+			// copy pass.
+			if _, _, err := readLoose(path); errors.Is(err, errSchema) {
+				return st, fmt.Errorf("resultstore: %s: %v: refusing cross-schema merge", path, err)
 			}
 		}
 		readers, _ := src.segScan()
@@ -70,15 +68,9 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 	// dup is read-verified before it suppresses a copy.
 	dstReaders, _ := dst.segScan()
 	copyCell := func(fp string, data []byte) error {
-		if existing, _, ok := readCell(dst.cellPath(fp)); ok && existing.consistent(dst.cellPath(fp)) {
+		if _, _, err := readLoose(dst.cellPath(fp)); err == nil || holdsValid(dstReaders, fp) {
 			st.Dups++
 			return nil
-		}
-		for _, r := range dstReaders {
-			if c, _, err := r.get(fp); err == nil && c != nil {
-				st.Dups++
-				return nil
-			}
 		}
 		if err := writeFileAtomic(dst.cellPath(fp), data); err != nil {
 			return err
@@ -92,8 +84,8 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 			return st, err
 		}
 		for _, path := range files {
-			c, data, ok := readCell(path)
-			if !ok || !c.consistent(path) {
+			c, data, err := readLoose(path)
+			if err != nil {
 				st.Corrupt++
 				st.Warnings = append(st.Warnings, fmt.Sprintf("skipping corrupt cell %s", path))
 				continue
@@ -133,7 +125,8 @@ type MergeStats struct {
 	// Dups counts source cells whose fingerprint the destination
 	// already held (overlapping shards, re-merged stores).
 	Dups int
-	// Corrupt counts unreadable or inconsistent source cells skipped.
+	// Corrupt counts skipped source cells: unreadable, or failing
+	// decodeCell's rule.
 	Corrupt int
 	// Warnings describes each skipped cell, for operators to surface.
 	Warnings []string
@@ -299,8 +292,9 @@ func (s *Store) Footprint() (Footprint, error) {
 	}
 	seen := map[string]bool{}
 	for _, path := range files {
-		c, _, ok := readCell(path)
-		if !ok {
+		// A listing, not a judgement: any parseable file counts.
+		var c Cell
+		if data, err := os.ReadFile(path); err != nil || json.Unmarshal(data, &c) != nil {
 			fp.Corrupt++
 			continue
 		}
@@ -341,21 +335,23 @@ type VerifyReport struct {
 	Good  int
 	// Segments counts segment files examined.
 	Segments int
-	// Problems describes every inconsistency found: unparseable cells,
-	// fingerprint mismatches, foreign schema versions, structurally
-	// damaged segments and corrupt segment records.
+	// Problems describes every inconsistency found: cells that fail
+	// decodeCell's rule (unparseable, foreign schema, fingerprint or
+	// payload mismatch), structurally damaged segments and corrupt
+	// segment records.
 	Problems []string
 }
 
 // OK reports whether the store verified clean.
 func (r VerifyReport) OK() bool { return len(r.Problems) == 0 }
 
-// Verify checks every loose cell file parses, carries this engine's
-// schema version, and fingerprints consistently with its own content
-// and file name; checks every segment's structure (magic, trailer,
-// footer checksum) and every packed record's payload checksum, parse,
-// schema and fingerprint. Problems are reported, not repaired: Get
-// already degrades mismatches to misses, and gc/compact clean them up.
+// Verify judges every loose cell file by decodeCell's rule under the
+// fingerprint its file name gives; checks every segment's structure
+// (magic, trailer, footer checksum); and judges every packed record
+// by its payload checksum and the same rule. So the copies Verify
+// calls good are exactly those Get would serve. Problems are reported,
+// not repaired: Get already degrades them to misses, and gc/compact
+// clean them up.
 // Segment footers are re-read from disk here, bypassing the in-memory
 // cache, so damage inflicted after a segment was first read is still
 // caught.
@@ -367,19 +363,11 @@ func (s *Store) Verify() (VerifyReport, error) {
 	var rep VerifyReport
 	for _, path := range files {
 		rep.Cells++
-		c, _, ok := readCell(path)
-		if !ok {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: unparseable", path))
+		if _, _, err := readLoose(path); err != nil {
+			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: %v", path, err))
 			continue
 		}
-		switch {
-		case c.Schema != SchemaVersion:
-			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: schema %d, engine writes %d", path, c.Schema, SchemaVersion))
-		case !c.consistent(path):
-			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: fingerprint does not match content", path))
-		default:
-			rep.Good++
-		}
+		rep.Good++
 	}
 	segFiles, err := s.segmentFiles()
 	if err != nil {
@@ -431,27 +419,17 @@ func (s *Store) cellFiles() ([]string, error) {
 	return out, nil
 }
 
-// readCell loads one cell file, returning its raw bytes alongside the
-// parsed cell so callers that re-write the file (Merge) need no second
-// read; ok is false for unreadable or unparseable files.
-func readCell(path string) (*Cell, []byte, bool) {
+// readLoose reads the loose cell file at path and judges it by
+// decodeCell's rule under the fingerprint its file name gives,
+// returning the raw bytes too so Merge can copy them without a second
+// read.
+func readLoose(path string) (*Cell, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, false
+		return nil, nil, err
 	}
-	var c Cell
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, nil, false
-	}
-	return &c, data, true
-}
-
-// consistent reports whether the cell's embedded fingerprint matches
-// both a recomputation from its identity fields and its file name —
-// the content-addressing invariant Merge and Verify rely on.
-func (c *Cell) consistent(path string) bool {
-	want := Key{Workload: c.Workload, Scheme: c.Scheme, Config: c.Config, Fault: c.Fault}.Fingerprint()
-	return c.Fingerprint == want && filepath.Base(path) == want+".json"
+	c, err := decodeCell(data, strings.TrimSuffix(filepath.Base(path), ".json"))
+	return c, data, err
 }
 
 // sameDir reports whether two store roots name the same directory.

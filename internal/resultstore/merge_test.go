@@ -286,3 +286,79 @@ func TestVerify(t *testing.T) {
 		t.Errorf("Good = %d, want 1", rep.Good)
 	}
 }
+
+// TestMismatchedPayloadIsRefusedEverywhere asserts every reader applies
+// the payload part of the cell rule: a protected key holding only a
+// Baseline is a miss, one verify problem, and corrupt to both Compact
+// (which leaves it loose) and Merge (which does not copy it).
+func TestMismatchedPayloadIsRefusedEverywhere(t *testing.T) {
+	s, dst := openStore(t), openStore(t)
+	k := testKey()
+	fp := k.Fingerprint()
+	if err := s.Put(k, &Cell{Baseline: &paradet.BaselineResult{Scheme: "lockstep"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetFingerprint(fp); ok {
+		t.Error("GetFingerprint served a protected cell holding a Baseline")
+	}
+	rep, err := s.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cells != 1 || rep.Good != 0 || len(rep.Problems) != 1 {
+		t.Errorf("verify = %+v, want 1 cell, 0 good, 1 problem", rep)
+	}
+	st, err := s.Compact(CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Corrupt != 1 || st.Packed != 0 || looseCount(t, s) != 1 {
+		t.Errorf("compact = %+v with %d loose cells, want 1 corrupt left loose", st, looseCount(t, s))
+	}
+	mst, err := Merge(dst, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mst.Corrupt != 1 || mst.Copied != 0 || looseCount(t, dst) != 0 {
+		t.Errorf("merge = %+v with %d destination cells, want 1 corrupt, none copied", mst, looseCount(t, dst))
+	}
+}
+
+// TestPayloadMustMatchKey asserts a cell is served only when it sets
+// exactly the payload its key produces: FaultRecord for a fault cell,
+// Baseline for lockstep and RMT, Result otherwise.
+func TestPayloadMustMatchKey(t *testing.T) {
+	res, base, rec := &paradet.Result{}, &paradet.BaselineResult{}, &paradet.FaultRecord{}
+	fault := &paradet.Fault{Target: paradet.FaultDestReg, Seq: 40, Bit: 5}
+	for _, tc := range []struct {
+		scheme string
+		fault  *paradet.Fault
+		cell   Cell
+		served bool
+	}{
+		{"protected", nil, Cell{Result: res}, true},
+		{"unprotected", nil, Cell{Result: res}, true},
+		{"lockstep", nil, Cell{Baseline: base}, true},
+		{"rmt", nil, Cell{Baseline: base}, true},
+		{"protected", fault, Cell{FaultRecord: rec}, true},
+		{"protected", nil, Cell{}, false},
+		{"protected", nil, Cell{Result: res, Baseline: base}, false},
+		{"unprotected", nil, Cell{FaultRecord: rec}, false},
+		{"lockstep", nil, Cell{Result: res}, false},
+		{"rmt", nil, Cell{Baseline: base, FaultRecord: rec}, false},
+		{"protected", fault, Cell{Result: res}, false},
+		{"protected", fault, Cell{Result: res, FaultRecord: rec}, false},
+	} {
+		s := openStore(t)
+		k := testKey()
+		k.Scheme, k.Fault = tc.scheme, tc.fault
+		c := tc.cell
+		if err := s.Put(k, &c); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.GetFingerprint(k.Fingerprint()); ok != tc.served {
+			t.Errorf("%s (fault %v) holding result=%v baseline=%v fault_record=%v: served %v, want %v",
+				tc.scheme, tc.fault != nil, c.Result != nil, c.Baseline != nil, c.FaultRecord != nil, ok, tc.served)
+		}
+	}
+}

@@ -15,9 +15,10 @@
 // with the engine schema version, so cells survive process restarts
 // and are shared safely between concurrent processes: writes go to a
 // temp file in the target directory and are renamed into place, which
-// is atomic on POSIX filesystems. A cell whose embedded schema version
-// or fingerprint does not match is treated as a miss, never an error —
-// bumping SchemaVersion invalidates every existing cell.
+// is atomic on POSIX filesystems. A cell whose schema version,
+// fingerprint, identity fields or payload do not match its name is
+// treated as a miss, never an error (decodeCell) — bumping
+// SchemaVersion invalidates every existing cell.
 package resultstore
 
 import (
@@ -204,7 +205,9 @@ func (k Key) Fingerprint() string {
 }
 
 // Cell is one stored result. Exactly one of Result, Baseline and
-// FaultRecord is set, matching the key's scheme and fault dimension.
+// FaultRecord is set, matching the key's scheme and fault dimension;
+// a stored cell that breaks this, or whose identity fields do not
+// fingerprint to its name, reads as a miss (decodeCell).
 type Cell struct {
 	Schema      int            `json:"schema"`
 	Fingerprint string         `json:"fingerprint"`
@@ -298,10 +301,9 @@ func (s *Store) cellPath(fp string) string {
 
 // Get loads the cell for a key: the loose cell tree first (writes
 // always land there, so it is never staler than a segment), then the
-// packed segment index. Missing, unreadable, schema-mismatched or
-// fingerprint-mismatched cells in either layout report a miss (false),
-// so a stale or corrupt store degrades to re-simulation, never to
-// failure.
+// packed segment index. Missing or unreadable cells, and cells that
+// fail decodeCell's rule, report a miss (false) in either layout, so a
+// stale or corrupt store degrades to re-simulation, never to failure.
 //
 // Every Get reads the cell's bytes, but bytes equal to those of an
 // earlier verified decode return that decode's cell again: the
@@ -329,7 +331,7 @@ func (s *Store) GetFingerprint(fp string) (*Cell, bool) {
 // from its key.
 func (s *Store) get(fp string, k *Key) (*Cell, bool) {
 	if data, err := os.ReadFile(s.cellPath(fp)); err == nil {
-		if c, err := s.memo.decode(fp, looseLayer, data, sha256.Sum256(data)); err == nil {
+		if c, err := s.memo.decode(fp, data, sha256.Sum256(data)); err == nil {
 			obsReadLoose.Inc()
 			if obs.Enabled() {
 				obs.Emit(obs.Entry{Event: "store_hit", Workload: c.Workload, Scheme: c.Scheme, Hit: true, Detail: "loose"})

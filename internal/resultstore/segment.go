@@ -182,17 +182,16 @@ func openSegment(path string) (_ *segReader, err error) {
 func (r *segReader) close() { r.f.Close() }
 
 // read loads and authenticates one record: payload checksum against
-// the footer, then decodeCell's JSON parse, schema, and the
-// content-addressing invariant (embedded fingerprint == footer
-// fingerprint == recomputation from the identity fields). Any failure
-// is an error — callers on the read path treat it as a miss, so
-// corruption degrades to re-simulation and never to wrong data.
+// the footer, then decodeCell's rule under the footer's fingerprint.
+// Any failure is an error — callers on the read path treat it as a
+// miss, so corruption degrades to re-simulation and never to wrong
+// data.
 func (r *segReader) read(e segEntry) (*Cell, []byte, error) {
 	data, _, err := r.payload(e)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := decodeCell(data, e.Fingerprint, packedLayer)
+	c, err := decodeCell(data, e.Fingerprint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
 	}
@@ -215,14 +214,17 @@ func (r *segReader) payload(e segEntry) ([]byte, [sha256.Size]byte, error) {
 	return data, sum, nil
 }
 
-// get reads the record for a fingerprint, reporting (nil, nil, nil)
-// when the segment simply does not hold it.
-func (r *segReader) get(fp string) (*Cell, []byte, error) {
-	i, ok := r.byFP[fp]
-	if !ok {
-		return nil, nil, nil
+// holdsValid reports whether one of readers holds a record for fp
+// that read accepts.
+func holdsValid(readers []*segReader, fp string) bool {
+	for _, r := range readers {
+		if i, ok := r.byFP[fp]; ok {
+			if _, _, err := r.read(r.footer.Entries[i]); err == nil {
+				return true
+			}
+		}
 	}
-	return r.read(r.footer.Entries[i])
+	return false
 }
 
 // segmentFiles lists the store's segment files in sorted order,
@@ -323,8 +325,8 @@ func (s *Store) dropSegment(path string, ce *segCacheEntry) {
 
 // segGet serves one fingerprint from the segment layer, through the
 // read memo: every record read is checked against its footer
-// checksum, and only its decode may be reused. Damaged records and
-// broken segments are misses.
+// checksum, and only its decode may be reused. Damaged records, cells
+// that fail decodeCell and broken segments are misses.
 func (s *Store) segGet(fp string) (*Cell, bool) {
 	readers, _ := s.segScan()
 	for _, r := range readers {
@@ -336,7 +338,7 @@ func (s *Store) segGet(fp string) (*Cell, bool) {
 		if err != nil {
 			continue
 		}
-		if c, err := s.memo.decode(fp, packedLayer, data, sum); err == nil {
+		if c, err := s.memo.decode(fp, data, sum); err == nil {
 			return c, true
 		}
 	}
