@@ -26,15 +26,17 @@
 // fall through loose cells to segments transparently and writes still
 // land loose, so compaction never races live sweeps.
 //
-// stats reports the per-scheme footprint (cells, fault cells, bytes)
-// across both layouts, plus segment health. gc ages out cells not
-// written since -older-than ago (whole segments once every record in
-// them is that old); everything it removes simply re-simulates on next
-// use. verify checks every segment's footer and per-record checksums
-// and judges every cell, loose or packed, by the rule reads apply
-// (schema, fingerprint, identity fields and payload), so the copies it
-// calls consistent are exactly those a read would serve; it exits 1 on
-// any problem.
+// stats and verify are two views of one judged pass over every stored
+// copy, loose or packed, by the rule reads apply (schema, fingerprint,
+// identity fields and payload; packed records after their footer and
+// payload checksums). stats reports the per-scheme footprint (cells,
+// fault cells, bytes) of the cells a read serves, one copy per
+// fingerprint, plus the copies a read refuses and segment health.
+// verify counts every copy, calls consistent exactly those a read
+// would serve, lists each problem, and exits 1 on any. gc ages out
+// cells not written since -older-than ago (whole segments once every
+// record in them is that old); everything it removes simply
+// re-simulates on next use.
 //
 // Subcommands never create a store: they operate on directories some
 // campaign already wrote (only merge's -into destination is created),
@@ -173,7 +175,7 @@ func runStats(args []string) error {
 			fp.LooseCells, fp.SegmentCells, fp.Segments, float64(fp.SegmentBytes)/1024)
 	}
 	if fp.Corrupt > 0 {
-		fmt.Printf("  corrupt: %d unreadable cell file(s) (run verify for detail)\n", fp.Corrupt)
+		fmt.Printf("  corrupt: %d stored cop(ies) a read refuses (run verify for detail)\n", fp.Corrupt)
 	}
 	if fp.BrokenSegments > 0 {
 		fmt.Printf("  corrupt: %d broken segment file(s) (run verify for detail)\n", fp.BrokenSegments)

@@ -81,7 +81,7 @@ func (s *Store) Compact(opts CompactOptions) (CompactStats, error) {
 	}
 	// Snapshot the segment readers once: a per-cell directory rescan
 	// would make compaction O(cells x segments) in filesystem calls on
-	// exactly the network filesystems it exists to relieve. holdsValid
+	// exactly the network filesystems it exists to relieve. firstRecord
 	// still read-verifies the record before the loose copy may be
 	// deleted.
 	readers, _ := s.segScan()
@@ -97,12 +97,12 @@ func (s *Store) Compact(opts CompactOptions) (CompactStats, error) {
 			st.Hot++
 			continue
 		}
-		c, data, err := readLoose(path)
+		c, data, _, err := s.readLoose(path)
 		if err != nil {
 			st.Corrupt++
 			continue
 		}
-		if holdsValid(readers, c.Fingerprint) {
+		if _, ok := s.firstRecord(readers, c.Fingerprint); ok {
 			st.Dups++
 			dupPaths = append(dupPaths, path)
 			continue
@@ -126,7 +126,7 @@ func (s *Store) Compact(opts CompactOptions) (CompactStats, error) {
 		r, err := openSegment(segPath)
 		if err == nil {
 			for _, e := range r.footer.Entries {
-				if _, _, rerr := r.read(e); rerr != nil {
+				if _, _, rerr := s.readRecord(r, e); rerr != nil {
 					err = rerr
 					break
 				}

@@ -3,6 +3,8 @@ package resultstore
 import (
 	"encoding/json"
 	"testing"
+
+	"paradet"
 )
 
 // TestStatsReportGolden pins the pdstore stats -json wire format. The
@@ -48,7 +50,7 @@ func TestStatsReportRoundTrip(t *testing.T) {
 	}
 	for _, w := range []string{"a", "b", "c"} {
 		k := Key{Workload: w, Scheme: "protected"}
-		if err := s.Put(k, &Cell{}); err != nil {
+		if err := s.Put(k, &Cell{Result: &paradet.Result{Workload: w}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -250,8 +250,9 @@ func FuzzSegmentOpen(f *testing.F) {
 			return // rejected closed: exactly what corrupt input deserves
 		}
 		defer r.close()
+		var s Store // an empty memo: every record is judged afresh
 		for _, e := range r.footer.Entries {
-			c, payload, err := r.read(e)
+			c, payload, err := s.readRecord(r, e)
 			if err != nil {
 				continue
 			}
@@ -376,11 +377,10 @@ func readFuzzCorpus(t *testing.T, dir string) [][]any {
 	return out
 }
 
-// TestCanonicalMatchesFmtReference asserts Key.Canonical and
-// Key.Fingerprint render every key exactly as the fmt-based reference
-// does: on FuzzCellRoundTrip's seeds and corpus, and on seeded random
-// keys whose names need quoting or carry invalid UTF-8.
-func TestCanonicalMatchesFmtReference(t *testing.T) {
+// cellRoundTripKeys returns the keys of FuzzCellRoundTrip's seeds and
+// corpus.
+func cellRoundTripKeys(t *testing.T) []Key {
+	t.Helper()
 	keys := []Key{ // FuzzCellRoundTrip's seeds
 		fuzzKey("stream", "protected", 1_000_000_000, 250_000_000, 0, 0, 10000, 0,
 			12, 2048, 16, 0, 0, 0, false, false, false, false, ""),
@@ -399,6 +399,15 @@ func TestCanonicalMatchesFmtReference(t *testing.T) {
 			a[8].(int), a[9].(int), a[10].(int), a[11].(int), a[12].(int), a[13].(int64),
 			a[14].(bool), a[15].(bool), a[16].(bool), a[17].(bool), a[18].(string)))
 	}
+	return keys
+}
+
+// TestCanonicalMatchesFmtReference asserts Key.Canonical and
+// Key.Fingerprint render every key exactly as the fmt-based reference
+// does: on FuzzCellRoundTrip's seeds and corpus, and on seeded random
+// keys whose names need quoting or carry invalid UTF-8.
+func TestCanonicalMatchesFmtReference(t *testing.T) {
+	keys := cellRoundTripKeys(t)
 	rng := rand.New(rand.NewPCG(21, 1))
 	pieces := []string{"stream", "bitcount", "dest-reg", "\n", "\r", `"`, `\`, "=", "é", "\xff", "\xc3", " ", ""}
 	name := func() string {

@@ -8,68 +8,72 @@ import (
 	"sync"
 )
 
-// memoCapacity bounds a Store's memo of verified decodes. The paper's
-// whole evaluation grid is 180 cells per instruction sample, so the
-// memo holds several samples' grids. An entry of that grid takes
-// 8.2 KiB of heap on average (2.5 KiB of decoded cell, the rest its
-// encoded body), so a full memo holds about 8.2 MiB.
+// memoCapacity bounds a Store's memo of verdicts. The paper's whole
+// evaluation grid is 180 cells per instruction sample, so the memo
+// holds several samples' grids. An entry of that grid takes 2.5 KiB of
+// heap on average for its decoded cell, and 8.2 KiB once the cell's
+// body has been encoded (Cell.Body), so a full memo of served cells
+// holds about 8.2 MiB.
 const memoCapacity = 1024
 
-// memoEntry is one verified decode: the SHA-256 of the exact bytes
-// that were decoded and passed decodeCell, and the cell they decoded
-// to, which carries its encoded body (Cell.Body).
-type memoEntry struct {
-	sum  [sha256.Size]byte
-	cell *Cell
+// memoKey names one judged copy: the fingerprint it was read under and
+// the SHA-256 of its exact bytes.
+type memoKey struct {
+	fp  string
+	sum [sha256.Size]byte
 }
 
-// cellMemo is a Store's bounded memo of verified decodes, one per
-// fingerprint, so a read of unchanged bytes skips the JSON decode and
-// the checks. Both layouts apply the same rule (decodeCell), so a
-// fingerprint's loose and packed copies share one entry. Reads still
-// read the bytes every time: changed, truncated or corrupt bytes hash
-// differently and are judged afresh. The lock is never held across
-// file I/O or decoding.
+// verdict is decodeCell's judgement of one copy: the cell it decoded
+// to, or its refusal.
+type verdict struct {
+	cell *Cell
+	err  error
+}
+
+// cellMemo is a Store's bounded memo of verdicts, one per judged copy,
+// so a read of unchanged bytes skips the JSON decode and the checks,
+// whether they passed or not. Both layouts apply the same rule, so a
+// loose file and a segment record with equal bytes share one verdict.
+// Reads still read the bytes every time: changed, truncated or corrupt
+// bytes hash differently and are judged afresh. The lock is never held
+// across file I/O or decoding.
 type cellMemo struct {
 	mu      sync.Mutex
-	entries map[string]memoEntry
+	entries map[memoKey]verdict
 }
 
-// decode returns the cell that data, read under fingerprint fp,
-// decodes to. It reuses the cell of an earlier verified decode of the
-// same bytes, and otherwise judges data afresh (decodeCell) and
-// encodes the cell's body (encodeBody), remembering the result if both
-// succeed. The body is set before the cell is shared, so readers never
-// see it change.
-func (m *cellMemo) decode(fp string, data []byte, sum [sha256.Size]byte) (*Cell, error) {
+// judge returns the verdict on data, read under fingerprint fp, whose
+// SHA-256 is sum: that of an earlier judgement of the same bytes, or
+// decodeCell's, remembered. It is decodeCell's only caller, so every
+// reader of stored bytes applies the one rule, and a cell it returns
+// is shared: callers must not modify it.
+func (m *cellMemo) judge(fp string, data []byte, sum [sha256.Size]byte) (*Cell, error) {
+	key := memoKey{fp, sum}
 	m.mu.Lock()
-	e, ok := m.entries[fp]
+	v, ok := m.entries[key]
 	m.mu.Unlock()
-	if ok && e.sum == sum {
+	if ok {
 		obsDecodeMemo.Inc()
-		return e.cell, nil
+		return v.cell, v.err
 	}
 	obsDecodeJSON.Inc()
 	c, err := decodeCell(data, fp)
 	if err == nil {
-		c.body, err = encodeBody(c)
-	}
-	if err != nil {
-		return nil, err
+		c.enc = new(lazyBody) // set before the cell is shared
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries == nil {
-		m.entries = make(map[string]memoEntry)
+		m.entries = make(map[memoKey]verdict)
 	}
-	if _, ok := m.entries[fp]; !ok && len(m.entries) >= memoCapacity {
+	if _, ok := m.entries[key]; !ok && len(m.entries) >= memoCapacity {
 		for old := range m.entries { // evict an arbitrary entry
 			delete(m.entries, old)
 			break
 		}
 	}
-	m.entries[fp] = memoEntry{sum, c}
-	return c, nil
+	m.entries[key] = verdict{c, err}
+	return c, err
 }
 
 // errSchema marks bytes written under another engine schema. Merge
@@ -87,9 +91,9 @@ var errSchema = errors.New("schema")
 //     to fp;
 //  4. it sets exactly the payload its key produces (see Cell).
 //
-// Every read of a cell's content applies it: Get and GetFingerprint
-// through the read memo, and Compact, Merge and Verify directly. Any
-// failure is an error, which readers treat as a miss.
+// Every judgement of stored bytes applies it, through the read memo
+// (cellMemo.judge). Any failure is an error, which readers treat as a
+// miss.
 func decodeCell(data []byte, fp string) (*Cell, error) {
 	var c Cell
 	if err := json.Unmarshal(data, &c); err != nil {
@@ -116,6 +120,14 @@ func (c *Cell) payloadMatchesKey() bool {
 		(c.Result != nil) == (!fault && !baseline)
 }
 
+// lazyBody is a shared cell's response body, encoded on the first
+// Body call.
+type lazyBody struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
 // encodeBody renders a cell as served: its canonical JSON, indented as
 // Put writes it, plus a newline. It never reuses the bytes a cell was
 // read from, which may be compact or carry fields the decode ignored.
@@ -125,7 +137,7 @@ func encodeBody(c *Cell) ([]byte, error) {
 		return nil, err
 	}
 	// Copy into an exact-size slice: MarshalIndent's buffer has room
-	// for twice the compact encoding, and the memo keeps the body.
+	// for twice the compact encoding, and a shared cell keeps the body.
 	body := make([]byte, len(b)+1)
 	copy(body, b)
 	body[len(b)] = '\n'

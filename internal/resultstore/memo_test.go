@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +56,9 @@ func TestGetReusesVerifiedDecode(t *testing.T) {
 // outcome: a rewritten loose file decodes again, a damaged one misses
 // or falls through to its packed twin, a packed twin equal to the
 // verified loose bytes reuses their decode, and a changed packed
-// record misses on its checksum or, re-signed, decodes again.
+// record misses on its checksum or, re-signed, decodes again. The
+// damaged loose copy's refusal is remembered, so later reads do not
+// decode it again.
 func TestMemoJudgesChangedBytesAfresh(t *testing.T) {
 	s := openStore(t)
 	k := putTestCell(t, s, "stream", 1000)
@@ -127,7 +131,7 @@ func TestMemoJudgesChangedBytesAfresh(t *testing.T) {
 	if err := os.WriteFile(seg, changed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	get("changed packed record", 0, 1) // the damaged loose copy decodes; the record fails its checksum
+	get("changed packed record", 0, 0) // the damaged loose copy's refusal is remembered; the record fails its checksum
 	// Re-signed, the changed record passes its checksum and decodes.
 	resignSegment(t, seg, func(f *segFooter) {
 		e := f.Entries[0]
@@ -138,7 +142,110 @@ func TestMemoJudgesChangedBytesAfresh(t *testing.T) {
 	if err := os.Chtimes(seg, later, later); err != nil {
 		t.Fatal(err)
 	}
-	get("re-signed packed record", 8, 2)
+	get("re-signed packed record", 8, 1)
+}
+
+// TestRefusedLooseCopyIsJudgedOnce asserts a fingerprint whose loose
+// copy is refused and whose packed copy is served costs no JSON decode
+// on a repeated Get: the refusal is remembered like the served cell.
+func TestRefusedLooseCopyIsJudgedOnce(t *testing.T) {
+	s := openStore(t)
+	k := putTestCell(t, s, "stream", 1000)
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	putTestCell(t, s, "stream", 1000) // a loose copy beside the record
+	data, err := os.ReadFile(s.Path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(data, []byte(`"workload": "stream"`), []byte(`"workload": "forged"`), 1)
+	if err := os.WriteFile(s.Path(k), edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := s.Get(k)
+	if !ok || first.Workload != "stream" {
+		t.Fatalf("Get = %v, %v; want the packed record", first, ok)
+	}
+	d0, r0 := decodeCounts()
+	for i := 0; i < 5; i++ {
+		if c, ok := s.Get(k); !ok || c != first {
+			t.Fatalf("repeated Get %d = %p, %v; want the first read's %p", i, c, ok, first)
+		}
+	}
+	if d1, r1 := decodeCounts(); d1 != d0 || r1-r0 != 10 {
+		t.Errorf("5 repeated Gets decoded %d and reused %d verdicts, want 0 and 10", d1-d0, r1-r0)
+	}
+}
+
+// TestMemoNeverChangesVerdict asserts the memo's verdict on any bytes,
+// first and repeated, is decodeCell's: the same cell or the same
+// refusal. The bytes are the cells Put would write for
+// FuzzCellRoundTrip's seeds and corpus, and seeded mutations of them,
+// each judged under its own fingerprint and a wrong one.
+func TestMemoNeverChangesVerdict(t *testing.T) {
+	var m cellMemo
+	rng := rand.New(rand.NewPCG(25, 1))
+	mutate := func(b []byte) []byte {
+		b = append([]byte(nil), b...)
+		i := rng.IntN(len(b))
+		switch rng.IntN(4) {
+		case 0: // flip one bit: mostly valid JSON with a changed value
+			b[i] ^= 1 << rng.IntN(8)
+		case 1:
+			b = b[:i]
+		case 2:
+			b = append(b[:i], b[i+rng.IntN(len(b)-i):]...)
+		default:
+			b[i] = `{}[]",:0 tn`[rng.IntN(11)]
+		}
+		return b
+	}
+	var served, refused int
+	for _, k := range cellRoundTripKeys(t) {
+		fp := k.Fingerprint()
+		other := k
+		other.Workload += "'"
+		data, err := json.MarshalIndent(&Cell{Schema: SchemaVersion, Fingerprint: fp, Workload: k.Workload, Scheme: k.Scheme,
+			Config: k.Config, Fault: k.Fault, Result: &paradet.Result{Workload: k.Workload, Instructions: 7}}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants := [][]byte{data}
+		for i := 0; i < 60; i++ {
+			variants = append(variants, mutate(data))
+		}
+		for _, v := range variants {
+			for _, under := range []string{fp, other.Fingerprint()} {
+				want, wantErr := decodeCell(v, under)
+				if wantErr == nil {
+					served++
+				} else {
+					refused++
+				}
+				for _, pass := range []string{"first", "repeated"} {
+					_, r0 := decodeCounts()
+					got, err := m.judge(under, v, sha256.Sum256(v))
+					if _, r1 := decodeCounts(); pass == "repeated" && r1-r0 != 1 {
+						t.Fatalf("a repeated judgement of %q was not served by the memo", v)
+					}
+					if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+						t.Fatalf("%s verdict on %q: error %v, decodeCell's %v", pass, v, err, wantErr)
+					}
+					if err == nil {
+						g := *got
+						g.enc = nil
+						if !reflect.DeepEqual(g, *want) {
+							t.Fatalf("%s verdict on %q: cell %+v, decodeCell's %+v", pass, v, g, *want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if served == 0 || refused == 0 {
+		t.Errorf("%d served and %d refused verdicts: want both outcomes covered", served, refused)
+	}
 }
 
 // TestEditedIdentityIsMiss asserts a cell whose identity fields were
@@ -199,7 +306,7 @@ func TestMemoBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.decode(fp, data, sha256.Sum256(data)); err != nil {
+		if _, err := m.judge(fp, data, sha256.Sum256(data)); err != nil {
 			t.Fatal(err)
 		}
 		if n := len(m.entries); n > memoCapacity {
@@ -213,8 +320,9 @@ func TestMemoBounded(t *testing.T) {
 
 // TestMemoConcurrentGetPutCompact races readers, writers and a
 // compactor on one handle (run it under -race). Every read must serve
-// a cell of the key asked for, and once the race is over the handle
-// must read what a handle with an empty memo reads.
+// a cell of the key asked for, whose body (encoded by whichever reader
+// asks first) is that cell's encoding, and once the race is over the
+// handle must read what a handle with an empty memo reads.
 func TestMemoConcurrentGetPutCompact(t *testing.T) {
 	s := openStore(t)
 	const nkeys, rounds = 6, 20
@@ -257,8 +365,16 @@ func TestMemoConcurrentGetPutCompact(t *testing.T) {
 					} else {
 						c, ok = s.GetFingerprint(k.Fingerprint())
 					}
-					if ok && (c.Fingerprint != k.Fingerprint() || c.Result == nil || c.Result.Workload != k.Workload) {
+					if !ok {
+						continue
+					}
+					if c.Fingerprint != k.Fingerprint() || c.Result == nil || c.Result.Workload != k.Workload {
 						return fmt.Errorf("read of %s served %s (%+v)", k.Workload, c.Workload, c.Result)
+					}
+					body, err := c.Body()
+					want, werr := encodeBody(c)
+					if err != nil || werr != nil || !bytes.Equal(body, want) {
+						return fmt.Errorf("read of %s: body %q (%v) is not the cell's encoding", k.Workload, body, err)
 					}
 				}
 			}

@@ -1,9 +1,10 @@
 package resultstore
 
 import (
-	"encoding/json"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -49,7 +50,7 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 		for _, path := range files {
 			// Other failures are counted (and warned about) during the
 			// copy pass.
-			if _, _, err := readLoose(path); errors.Is(err, errSchema) {
+			if _, _, _, err := src.readLoose(path); errors.Is(err, errSchema) {
 				return st, fmt.Errorf("resultstore: %s: %v: refusing cross-schema merge", path, err)
 			}
 		}
@@ -68,7 +69,8 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 	// dup is read-verified before it suppresses a copy.
 	dstReaders, _ := dst.segScan()
 	copyCell := func(fp string, data []byte) error {
-		if _, _, err := readLoose(dst.cellPath(fp)); err == nil || holdsValid(dstReaders, fp) {
+		_, _, _, err := dst.readLoose(dst.cellPath(fp))
+		if _, packed := dst.firstRecord(dstReaders, fp); err == nil || packed {
 			st.Dups++
 			return nil
 		}
@@ -84,10 +86,10 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 			return st, err
 		}
 		for _, path := range files {
-			c, data, err := readLoose(path)
+			c, data, _, err := src.readLoose(path)
 			if err != nil {
 				st.Corrupt++
-				st.Warnings = append(st.Warnings, fmt.Sprintf("skipping corrupt cell %s", path))
+				st.Warnings = append(st.Warnings, fmt.Sprintf("skipping corrupt cell %s: %v", path, err))
 				continue
 			}
 			if err := copyCell(c.Fingerprint, data); err != nil {
@@ -95,13 +97,13 @@ func Merge(dst *Store, srcs ...*Store) (MergeStats, error) {
 			}
 		}
 		readers, broken := src.segScan()
-		for _, path := range broken {
+		for _, err := range broken {
 			st.Corrupt++
-			st.Warnings = append(st.Warnings, fmt.Sprintf("skipping broken segment %s", path))
+			st.Warnings = append(st.Warnings, fmt.Sprintf("skipping broken segment: %v", err))
 		}
 		for _, r := range readers {
 			for _, e := range r.footer.Entries {
-				c, data, err := r.read(e)
+				c, data, err := src.readRecord(r, e)
 				if err != nil {
 					st.Corrupt++
 					st.Warnings = append(st.Warnings, fmt.Sprintf("skipping corrupt segment record: %v", err))
@@ -220,27 +222,27 @@ func (s *Store) GC(cutoff time.Time, dry bool) (GCStats, error) {
 // ever grow (with omitempty), never change.
 type SchemeFootprint struct {
 	Scheme string `json:"scheme"`
-	// Cells and Bytes count the scheme's cell files and their size.
+	// Cells and Bytes count the scheme's served copies and their size.
 	Cells int   `json:"cells"`
 	Bytes int64 `json:"bytes"`
 	// Faults counts the fault-injection cells among them.
 	Faults int `json:"faults"`
 }
 
-// Footprint summarises a store's on-disk contents. JSON names as for
-// SchemeFootprint.
+// Footprint summarises a store's on-disk contents as reads see them
+// (Store.survey). JSON names as for SchemeFootprint.
 type Footprint struct {
-	// Cells and Bytes total every readable cell across both layouts,
-	// deduplicated by fingerprint (a cell present loose and packed
-	// counts once).
+	// Cells and Bytes total the cells a read serves, one copy per
+	// fingerprint across both layouts: the copy Get would return.
 	Cells int   `json:"cells"`
 	Bytes int64 `json:"bytes"`
-	// LooseCells counts cells living as individual files.
+	// LooseCells counts the served copies that are cell files.
 	LooseCells int `json:"loose_cells"`
-	// Corrupt counts unreadable cell files.
+	// Corrupt counts every stored copy, loose or packed, that a read
+	// refuses (run verify for detail).
 	Corrupt int `json:"corrupt"`
-	// Segments counts packed segment files; SegmentCells the records
-	// inside them (net of loose shadows); SegmentBytes their file size.
+	// Segments counts readable segment files; SegmentCells the served
+	// copies inside them; SegmentBytes their file size.
 	Segments     int   `json:"segments"`
 	SegmentCells int   `json:"segment_cells"`
 	SegmentBytes int64 `json:"segment_bytes"`
@@ -265,135 +267,144 @@ type StatsReport struct {
 	Footprint
 }
 
-// Footprint scans the loose cell tree and the packed segments and
-// reports the per-scheme footprint. Compaction moves cells between
-// layouts without changing them, so per-scheme cell counts are
-// identical before and after a compact.
-func (s *Store) Footprint() (Footprint, error) {
-	files, err := s.cellFiles()
-	if err != nil {
-		return Footprint{}, err
-	}
-	var fp Footprint
-	byScheme := map[string]*SchemeFootprint{}
-	count := func(scheme string, size int64, fault bool) {
-		fp.Cells++
-		fp.Bytes += size
-		row := byScheme[scheme]
-		if row == nil {
-			row = &SchemeFootprint{Scheme: scheme}
-			byScheme[scheme] = row
-		}
-		row.Cells++
-		row.Bytes += size
-		if fault {
-			row.Faults++
-		}
-	}
-	seen := map[string]bool{}
-	for _, path := range files {
-		// A listing, not a judgement: any parseable file counts.
-		var c Cell
-		if data, err := os.ReadFile(path); err != nil || json.Unmarshal(data, &c) != nil {
-			fp.Corrupt++
-			continue
-		}
-		var size int64
-		if fi, err := os.Stat(path); err == nil {
-			size = fi.Size()
-		}
-		fp.LooseCells++
-		seen[c.Fingerprint] = true
-		count(c.Scheme, size, c.Fault != nil)
-	}
-	readers, broken := s.segScan()
-	fp.BrokenSegments = len(broken)
-	for _, r := range readers {
-		fp.Segments++
-		fp.SegmentBytes += r.size
-		for _, e := range r.footer.Entries {
-			if seen[e.Fingerprint] {
-				continue // the loose copy already counted it
-			}
-			seen[e.Fingerprint] = true
-			fp.SegmentCells++
-			count(e.Scheme, e.Length, e.Fault)
-		}
-	}
-	for _, row := range byScheme {
-		fp.Schemes = append(fp.Schemes, *row)
-	}
-	sort.Slice(fp.Schemes, func(i, j int) bool { return fp.Schemes[i].Scheme < fp.Schemes[j].Scheme })
-	return fp, nil
-}
-
-// VerifyReport is the outcome of a store integrity check.
+// VerifyReport is the outcome of a store integrity check (Store.survey).
 type VerifyReport struct {
-	// Cells counts cells examined (loose files plus segment records);
-	// Good counts the consistent ones.
+	// Cells counts the copies examined (loose files plus segment
+	// records); Good counts those a read accepts.
 	Cells int
 	Good  int
 	// Segments counts segment files examined.
 	Segments int
-	// Problems describes every inconsistency found: cells that fail
+	// Problems describes every inconsistency found: copies that fail
 	// decodeCell's rule (unparseable, foreign schema, fingerprint or
-	// payload mismatch), structurally damaged segments and corrupt
-	// segment records.
+	// payload mismatch), corrupt segment records, structurally damaged
+	// segments and footers of another schema.
 	Problems []string
 }
 
 // OK reports whether the store verified clean.
 func (r VerifyReport) OK() bool { return len(r.Problems) == 0 }
 
-// Verify judges every loose cell file by decodeCell's rule under the
-// fingerprint its file name gives; checks every segment's structure
-// (magic, trailer, footer checksum); and judges every packed record
-// by its payload checksum and the same rule. So the copies Verify
-// calls good are exactly those Get would serve. Problems are reported,
-// not repaired: Get already degrades them to misses, and gc/compact
-// clean them up.
-// Segment footers are re-read from disk here, bypassing the in-memory
-// cache, so damage inflicted after a segment was first read is still
-// caught.
+// Index lists the cells a read serves, sorted by fingerprint. Created
+// is the loose file's modification time, or for a packed cell the time
+// its loose original was written (from the segment footer).
+func (s *Store) Index() ([]IndexEntry, error) {
+	sv, err := s.survey()
+	return sv.index, err
+}
+
+// Footprint reports the per-scheme footprint of the cells a read
+// serves, and the copies it refuses. Compaction moves cells between
+// layouts without changing them, so per-scheme cell counts are
+// identical before and after a compact.
+func (s *Store) Footprint() (Footprint, error) {
+	sv, err := s.survey()
+	return sv.foot, err
+}
+
+// Verify judges every stored copy: each loose cell file under the
+// fingerprint its name gives, and each record of every segment by its
+// footer checksum and then the same rule (decodeCell). Good copies are
+// exactly those Get would serve. Problems are reported, not repaired:
+// Get already degrades them to misses, and gc/compact clean them up.
+// Segments are read through the handle's footer cache, which reopens a
+// file whose identity, size or modification time changed; every record
+// is re-checksummed whatever the cache holds.
 func (s *Store) Verify() (VerifyReport, error) {
+	sv, err := s.survey()
+	return sv.verify, err
+}
+
+// survey is one judged pass over a store: Index, Footprint and Verify
+// are its views.
+type survey struct {
+	index  []IndexEntry
+	foot   Footprint
+	verify VerifyReport
+}
+
+// survey judges every stored copy through the read memo in the order
+// a read tries them: loose files in path order, then segment records,
+// newest segment first. So a fingerprint's first passing copy is the
+// one Get serves: that copy alone is listed, and counted in its layout
+// and scheme. Every refused copy is corrupt and one problem, as are
+// broken segments and footers of another schema.
+func (s *Store) survey() (survey, error) {
 	files, err := s.cellFiles()
 	if err != nil {
-		return VerifyReport{}, err
+		return survey{}, err
 	}
-	var rep VerifyReport
-	for _, path := range files {
+	var sv survey
+	foot, rep := &sv.foot, &sv.verify
+	refused := func(problem string) {
 		rep.Cells++
-		if _, _, err := readLoose(path); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: %v", path, err))
-			continue
-		}
+		foot.Corrupt++
+		rep.Problems = append(rep.Problems, problem)
+	}
+	served := map[string]bool{}
+	schemes := map[string]*SchemeFootprint{}
+	// passed counts a copy a read accepts and reports whether it is the
+	// one a read serves, listing and counting it if so.
+	passed := func(c *Cell, size int64, created string) bool {
+		rep.Cells++
 		rep.Good++
+		if served[c.Fingerprint] {
+			return false
+		}
+		served[c.Fingerprint] = true
+		sv.index = append(sv.index, IndexEntry{Fingerprint: c.Fingerprint, Workload: c.Workload, Scheme: c.Scheme, Created: created})
+		foot.Cells++
+		foot.Bytes += size
+		row := schemes[c.Scheme]
+		if row == nil {
+			row = &SchemeFootprint{Scheme: c.Scheme}
+			schemes[c.Scheme] = row
+		}
+		row.Cells++
+		row.Bytes += size
+		if c.Fault != nil {
+			row.Faults++
+		}
+		return true
 	}
-	segFiles, err := s.segmentFiles()
-	if err != nil {
-		return rep, err
-	}
-	for _, path := range segFiles {
-		rep.Segments++
-		r, err := openSegment(path)
+	for _, path := range files {
+		c, data, fi, err := s.readLoose(path)
 		if err != nil {
-			rep.Problems = append(rep.Problems, err.Error())
+			refused(fmt.Sprintf("%s: %v", path, err))
 			continue
 		}
+		if passed(c, int64(len(data)), fi.ModTime().UTC().Format(time.RFC3339)) {
+			foot.LooseCells++
+		}
+	}
+	readers, broken := s.segScan()
+	foot.Segments, foot.BrokenSegments = len(readers), len(broken)
+	rep.Segments = len(readers) + len(broken)
+	for _, err := range broken {
+		rep.Problems = append(rep.Problems, err.Error())
+	}
+	for _, r := range readers {
+		foot.SegmentBytes += r.size
 		if r.footer.Schema != SchemaVersion {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: footer schema %d, engine writes %d", path, r.footer.Schema, SchemaVersion))
+			rep.Problems = append(rep.Problems, fmt.Sprintf("%s: footer schema %d, engine writes %d", r.path, r.footer.Schema, SchemaVersion))
 		}
 		for _, e := range r.footer.Entries {
-			rep.Cells++
-			if _, _, err := r.read(e); err != nil {
-				rep.Problems = append(rep.Problems, err.Error())
+			c, _, err := s.readRecord(r, e)
+			if err != nil {
+				refused(err.Error())
 				continue
 			}
-			rep.Good++
+			if passed(c, e.Length, e.Created) {
+				foot.SegmentCells++
+			}
 		}
-		r.close()
 	}
-	return rep, nil
+	for _, row := range schemes {
+		foot.Schemes = append(foot.Schemes, *row)
+	}
+	sort.Slice(foot.Schemes, func(i, j int) bool { return foot.Schemes[i].Scheme < foot.Schemes[j].Scheme })
+	sort.Slice(sv.index, func(i, j int) bool { return sv.index[i].Fingerprint < sv.index[j].Fingerprint })
+	return sv, nil
 }
 
 // cellFiles lists every cell file under the store's tree in sorted
@@ -419,17 +430,29 @@ func (s *Store) cellFiles() ([]string, error) {
 	return out, nil
 }
 
-// readLoose reads the loose cell file at path and judges it by
-// decodeCell's rule under the fingerprint its file name gives,
-// returning the raw bytes too so Merge can copy them without a second
-// read.
-func readLoose(path string) (*Cell, []byte, error) {
-	data, err := os.ReadFile(path)
+// readLoose reads the loose cell file at path and judges it through
+// the read memo under the fingerprint its file name gives. It returns
+// the raw bytes too, so Merge can copy them without a second read, and
+// the open file's stat, so a listing needs no second path lookup. The
+// file is read to the size its stat gives: cell files are replaced by
+// rename, never rewritten, and bytes read from one edited in place are
+// judged like any others.
+func (s *Store) readLoose(path string) (*Cell, []byte, os.FileInfo, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	c, err := decodeCell(data, strings.TrimSuffix(filepath.Base(path), ".json"))
-	return c, data, err
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, nil, nil, err
+	}
+	c, err := s.memo.judge(strings.TrimSuffix(filepath.Base(path), ".json"), data, sha256.Sum256(data))
+	return c, data, fi, err
 }
 
 // sameDir reports whether two store roots name the same directory.

@@ -7,8 +7,8 @@
 //	<dir>/cells/<fp[:2]>/<fp>.json
 //
 // Compaction packs cells into segment files (segment.go). The cell
-// files and segment footers are the store's only record of what it
-// holds; Index lists the cells from them.
+// files and segments are the store's only record of what it holds;
+// Index lists the cells a read serves from them.
 //
 // Fingerprints are SHA-256 over an explicit, field-by-field rendering
 // of the key (never over Go struct memory or field order), prefixed
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -221,20 +220,22 @@ type Cell struct {
 	Baseline    *paradet.BaselineResult `json:"baseline_result,omitempty"`
 	FaultRecord *paradet.FaultRecord    `json:"fault_record,omitempty"`
 
-	// body is the encoding a verified decode made (encodeBody), set
-	// before the cell is shared; nil on a cell no read returned.
-	body []byte
+	// enc holds the body of a cell the read memo shares, encoded on
+	// its first Body call; nil on a cell no read returned.
+	enc *lazyBody
 }
 
 // Body returns the cell's response body: its canonical JSON, indented
 // as Put writes it, plus a newline. A cell that Get or GetFingerprint
-// returned carries the body its verified decode encoded, so serving it
-// encodes nothing; any other cell is encoded now, by the same function.
+// returned is encoded on its first Body call and keeps that body, so
+// serving it again encodes nothing; any other cell is encoded on every
+// call, by the same function.
 func (c *Cell) Body() ([]byte, error) {
-	if c.body != nil {
-		return c.body, nil
+	if c.enc == nil {
+		return encodeBody(c)
 	}
-	return encodeBody(c)
+	c.enc.once.Do(func() { c.enc.body, c.enc.err = encodeBody(c) })
+	return c.enc.body, c.enc.err
 }
 
 // IndexEntry is one cell of the store's listing (Index).
@@ -254,7 +255,7 @@ type Store struct {
 	// segMu guards the lazily-built segment footer cache (segment.go).
 	segMu sync.Mutex
 	segs  map[string]*segCacheEntry
-	// memo holds the read path's verified decodes (memo.go).
+	// memo holds the verdict on every copy the store judged (memo.go).
 	memo cellMemo
 }
 
@@ -305,9 +306,9 @@ func (s *Store) cellPath(fp string) string {
 // fail decodeCell's rule, report a miss (false) in either layout, so a
 // stale or corrupt store degrades to re-simulation, never to failure.
 //
-// Every Get reads the cell's bytes, but bytes equal to those of an
-// earlier verified decode return that decode's cell again: the
-// returned cell is shared and must not be modified.
+// Every Get reads the cell's bytes, but bytes the store already judged
+// get that verdict again (cellMemo): the returned cell is shared and
+// must not be modified.
 func (s *Store) Get(k Key) (*Cell, bool) { return s.get(k.Fingerprint(), &k) }
 
 // GetFingerprint loads a cell by fingerprint alone — the
@@ -330,17 +331,15 @@ func (s *Store) GetFingerprint(fp string) (*Cell, bool) {
 // a hit names the cell's own workload and scheme, which Put copied
 // from its key.
 func (s *Store) get(fp string, k *Key) (*Cell, bool) {
-	if data, err := os.ReadFile(s.cellPath(fp)); err == nil {
-		if c, err := s.memo.decode(fp, data, sha256.Sum256(data)); err == nil {
-			obsReadLoose.Inc()
-			if obs.Enabled() {
-				obs.Emit(obs.Entry{Event: "store_hit", Workload: c.Workload, Scheme: c.Scheme, Hit: true, Detail: "loose"})
-			}
-			return c, true
+	if c, _, _, err := s.readLoose(s.cellPath(fp)); err == nil {
+		obsReadLoose.Inc()
+		if obs.Enabled() {
+			obs.Emit(obs.Entry{Event: "store_hit", Workload: c.Workload, Scheme: c.Scheme, Hit: true, Detail: "loose"})
 		}
-		// A damaged loose cell still falls through: its packed twin (if
-		// any) is independently checksummed.
+		return c, true
 	}
+	// A missing or refused loose cell falls through: its packed twin (if
+	// any) is independently checksummed.
 	c, ok := s.segGet(fp)
 	if !ok {
 		obsReadMiss.Inc()
@@ -434,44 +433,4 @@ func writeFileAtomic(path string, data []byte) error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	return nil
-}
-
-// Index lists every cell the store holds, sorted by fingerprint: each
-// readable loose cell, then each packed segment record that no loose
-// cell shadows. Created is the loose file's modification time, or for a
-// packed cell the time its loose original was written (from the
-// segment footer).
-func (s *Store) Index() ([]IndexEntry, error) {
-	files, err := s.cellFiles()
-	if err != nil {
-		return nil, err
-	}
-	byFP := map[string]IndexEntry{}
-	for _, path := range files {
-		// Only the identity fields are decoded; an unparseable file is
-		// skipped.
-		var id struct{ Fingerprint, Workload, Scheme string }
-		if data, err := os.ReadFile(path); err != nil || json.Unmarshal(data, &id) != nil {
-			continue
-		}
-		created := ""
-		if fi, err := os.Stat(path); err == nil {
-			created = fi.ModTime().UTC().Format(time.RFC3339)
-		}
-		byFP[id.Fingerprint] = IndexEntry{Fingerprint: id.Fingerprint, Workload: id.Workload, Scheme: id.Scheme, Created: created}
-	}
-	readers, _ := s.segScan()
-	for _, r := range readers {
-		for _, e := range r.footer.Entries {
-			if _, ok := byFP[e.Fingerprint]; !ok {
-				byFP[e.Fingerprint] = IndexEntry{Fingerprint: e.Fingerprint, Workload: e.Workload, Scheme: e.Scheme, Created: e.Created}
-			}
-		}
-	}
-	out := make([]IndexEntry, 0, len(byFP))
-	for _, e := range byFP {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
-	return out, nil
 }

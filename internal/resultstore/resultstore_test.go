@@ -199,6 +199,100 @@ func TestIndexListsLayouts(t *testing.T) {
 	}
 }
 
+// TestListingsAgreeWithReads asserts Index, Footprint and Verify
+// describe the copies a read serves, on one store holding a healthy
+// loose cell, a loose cell with an edited identity, a loose cell whose
+// payload does not match its scheme, and a refused loose copy
+// shadowing a valid packed record (beside a second packed record of
+// another scheme).
+func TestListingsAgreeWithReads(t *testing.T) {
+	s := openStore(t)
+	shadowed := putTestCell(t, s, "stream", 1000)
+	unprot := Key{Workload: "stream", Scheme: "unprotected", Config: paradet.DefaultConfig()}
+	if err := s.Put(unprot, &Cell{Result: &paradet.Result{Workload: "stream"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.Path(shadowed), []byte("{damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	healthy := putTestCell(t, s, "randacc", 1000)
+	edited := Key{Workload: "bitcount", Scheme: "lockstep", Config: paradet.DefaultConfig()}
+	if err := s.Put(edited, &Cell{Baseline: &paradet.BaselineResult{Scheme: "lockstep"}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.Path(edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := strings.Replace(string(data), `"workload": "bitcount"`, `"workload": "forged"`, 1)
+	if err := os.WriteFile(s.Path(edited), []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mismatched := Key{Workload: "bitcount", Scheme: "rmt", Config: paradet.DefaultConfig()}
+	if err := s.Put(mismatched, &Cell{Result: &paradet.Result{}}); err != nil {
+		t.Fatal(err)
+	}
+
+	idx, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foot, err := s.Footprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]IndexEntry{}
+	for _, e := range idx {
+		listed[e.Fingerprint] = e
+	}
+	for _, k := range []Key{shadowed, unprot, healthy, edited, mismatched} {
+		c, served := s.GetFingerprint(k.Fingerprint())
+		e, ok := listed[k.Fingerprint()]
+		if ok != served {
+			t.Errorf("%s/%s: listed %v, served %v", k.Workload, k.Scheme, ok, served)
+		}
+		if ok && served && (e.Workload != c.Workload || e.Scheme != c.Scheme) {
+			t.Errorf("%s/%s: listed as %s/%s", k.Workload, k.Scheme, e.Workload, e.Scheme)
+		}
+	}
+	if len(idx) != 3 || foot.Cells != len(idx) {
+		t.Errorf("index lists %d cells, footprint counts %d, want 3", len(idx), foot.Cells)
+	}
+	if rep.Cells != 6 || rep.Good != 3 || len(rep.Problems) != 3 || foot.Corrupt != rep.Cells-rep.Good {
+		t.Errorf("verify = %+v, footprint corrupt %d; want 6 copies, 3 good, 3 problems, corrupt = copies - good", rep, foot.Corrupt)
+	}
+	if foot.LooseCells != 1 || foot.SegmentCells != 2 || foot.Segments != 1 {
+		t.Errorf("layout = %d loose, %d packed in %d segment(s), want 1, 2 in 1", foot.LooseCells, foot.SegmentCells, foot.Segments)
+	}
+	// size is the length of k's served copy, loose file or packed
+	// record: both hold the bytes Put wrote.
+	size := func(k Key) int64 {
+		c, ok := s.Get(k)
+		if !ok {
+			t.Fatalf("%s/%s missed", k.Workload, k.Scheme)
+		}
+		data, err := json.MarshalIndent(c, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(data))
+	}
+	want := []SchemeFootprint{
+		{Scheme: "protected", Cells: 2, Bytes: size(healthy) + size(shadowed)},
+		{Scheme: "unprotected", Cells: 1, Bytes: size(unprot)},
+	}
+	if len(foot.Schemes) != len(want) || foot.Schemes[0] != want[0] || foot.Schemes[1] != want[1] {
+		t.Errorf("schemes = %+v, want %+v", foot.Schemes, want)
+	}
+}
+
 // TestSchemaMismatchIsMiss asserts that a cell written by a different
 // (hypothetical) schema version is ignored, not an error.
 func TestSchemaMismatchIsMiss(t *testing.T) {

@@ -66,8 +66,8 @@ type segEntry struct {
 	// never matches its record).
 	sum   [sha256.Size]byte
 	sumOK bool
-	// Workload, Scheme and Fault mirror the cell's identity so stats
-	// and Index need not read the record itself.
+	// Workload, Scheme and Fault mirror the cell's identity. The store
+	// itself lists and counts a packed cell from its judged record.
 	Workload string `json:"workload"`
 	Scheme   string `json:"scheme"`
 	Fault    bool   `json:"fault,omitempty"`
@@ -102,10 +102,11 @@ type segReader struct {
 
 // openSegment opens a segment and verifies its structure: magic,
 // trailer, footer checksum, and entry bounds. Record payloads are not
-// read here; read verifies each on access. A structurally damaged
-// segment (truncated, bad footer checksum, missing trailer) fails
-// loudly — the whole file is unusable, and every cell in it degrades
-// to re-simulation. The reader keeps the file open until close.
+// read here; Store.readRecord verifies each on access. A structurally
+// damaged segment (truncated, bad footer checksum, missing trailer)
+// fails loudly — the whole file is unusable, and every cell in it
+// degrades to re-simulation. The reader keeps the file open until
+// close.
 func openSegment(path string) (_ *segReader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -162,7 +163,7 @@ func openSegment(path string) (_ *segReader, err error) {
 		// Compare without adding Offset+Length: both are
 		// attacker-controlled and the sum can wrap int64, which would
 		// slip a near-MaxInt64 Length past the check and panic the
-		// make([]byte, Length) in read.
+		// make([]byte, Length) in payload.
 		if e.Offset < int64(len(segMagic))+4 || e.Length <= 0 ||
 			e.Length > footerOff || e.Offset > footerOff-e.Length {
 			return nil, fmt.Errorf("segment %s: entry %s out of bounds", path, e.Fingerprint)
@@ -181,17 +182,17 @@ func openSegment(path string) (_ *segReader, err error) {
 // misses.
 func (r *segReader) close() { r.f.Close() }
 
-// read loads and authenticates one record: payload checksum against
-// the footer, then decodeCell's rule under the footer's fingerprint.
-// Any failure is an error — callers on the read path treat it as a
-// miss, so corruption degrades to re-simulation and never to wrong
-// data.
-func (r *segReader) read(e segEntry) (*Cell, []byte, error) {
-	data, _, err := r.payload(e)
+// readRecord loads and authenticates one record of r: payload
+// checksum against the footer, then the read memo's verdict under the
+// footer's fingerprint. Any failure is an error — callers on the read
+// path treat it as a miss, so corruption degrades to re-simulation and
+// never to wrong data.
+func (s *Store) readRecord(r *segReader, e segEntry) (*Cell, []byte, error) {
+	data, sum, err := r.payload(e)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := decodeCell(data, e.Fingerprint)
+	c, err := s.memo.judge(e.Fingerprint, data, sum)
 	if err != nil {
 		return nil, nil, fmt.Errorf("segment %s: record %s: %w", r.path, e.Fingerprint, err)
 	}
@@ -214,17 +215,17 @@ func (r *segReader) payload(e segEntry) ([]byte, [sha256.Size]byte, error) {
 	return data, sum, nil
 }
 
-// holdsValid reports whether one of readers holds a record for fp
-// that read accepts.
-func holdsValid(readers []*segReader, fp string) bool {
+// firstRecord returns the first record for fp among readers that
+// readRecord accepts: the packed copy a read serves.
+func (s *Store) firstRecord(readers []*segReader, fp string) (*Cell, bool) {
 	for _, r := range readers {
 		if i, ok := r.byFP[fp]; ok {
-			if _, _, err := r.read(r.footer.Entries[i]); err == nil {
-				return true
+			if c, _, err := s.readRecord(r, r.footer.Entries[i]); err == nil {
+				return c, true
 			}
 		}
 	}
-	return false
+	return nil, false
 }
 
 // segmentFiles lists the store's segment files in sorted order,
@@ -250,9 +251,11 @@ func (s *Store) segmentFiles() ([]string, error) {
 }
 
 // segScan returns verified readers for the store's current segments,
-// newest (highest sequence) first, plus the paths of structurally
-// broken segments. Footers are cached per file — broken files too —
-// with the reader's open file, and reopened whenever the path names
+// newest (highest sequence) first, plus the open error of each
+// structurally broken segment (a segments directory that cannot be
+// listed is one such error: none of its segments can be read). Footers
+// are cached per file — broken files too, with their error — with the
+// reader's open file, and reopened whenever the path names
 // another file or the file's size or mtime changes (a GC'd sequence
 // number could in principle be reused by a later compaction, and a
 // once-broken path can be replaced by a healthy segment). An entry
@@ -260,10 +263,10 @@ func (s *Store) segmentFiles() ([]string, error) {
 // entry's file is closed. Record reads re-verify their checksum every
 // time regardless, so a stale reader, or one closed under a racing
 // read, can at worst miss, never serve wrong data.
-func (s *Store) segScan() (readers []*segReader, broken []string) {
+func (s *Store) segScan() (readers []*segReader, broken []error) {
 	paths, err := s.segmentFiles()
 	if err != nil {
-		return nil, nil
+		return nil, []error{err}
 	}
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
@@ -287,12 +290,12 @@ func (s *Store) segScan() (readers []*segReader, broken []string) {
 			continue
 		}
 		if ce == nil {
-			r, _ := openSegment(path) // nil reader = broken, cached as such
-			ce = &segCacheEntry{fi: fi, r: r}
+			r, err := openSegment(path) // nil reader = broken, cached as such
+			ce = &segCacheEntry{fi: fi, r: r, err: err}
 			s.segs[path] = ce
 		}
 		if ce.r == nil {
-			broken = append(broken, path)
+			broken = append(broken, ce.err)
 			continue
 		}
 		readers = append(readers, ce.r)
@@ -302,10 +305,11 @@ func (s *Store) segScan() (readers []*segReader, broken []string) {
 
 // segCacheEntry is one cached segment-footer parse, with the stat its
 // path had just before the parse. A nil reader records a structurally
-// broken file.
+// broken file, and err why openSegment refused it.
 type segCacheEntry struct {
-	fi os.FileInfo
-	r  *segReader
+	fi  os.FileInfo
+	r   *segReader
+	err error
 }
 
 // current reports whether fi, a fresh stat of the entry's path, names
@@ -323,26 +327,13 @@ func (s *Store) dropSegment(path string, ce *segCacheEntry) {
 	}
 }
 
-// segGet serves one fingerprint from the segment layer, through the
-// read memo: every record read is checked against its footer
-// checksum, and only its decode may be reused. Damaged records, cells
-// that fail decodeCell and broken segments are misses.
+// segGet serves one fingerprint from the segment layer: every record
+// read is checked against its footer checksum, and only its verdict
+// may be reused. Damaged records, cells that fail decodeCell and
+// broken segments are misses.
 func (s *Store) segGet(fp string) (*Cell, bool) {
 	readers, _ := s.segScan()
-	for _, r := range readers {
-		i, ok := r.byFP[fp]
-		if !ok {
-			continue
-		}
-		data, sum, err := r.payload(r.footer.Entries[i])
-		if err != nil {
-			continue
-		}
-		if c, err := s.memo.decode(fp, data, sum); err == nil {
-			return c, true
-		}
-	}
-	return nil, false
+	return s.firstRecord(readers, fp)
 }
 
 // segSource is one loose cell queued for packing.

@@ -12,8 +12,8 @@
 //	GET  /metrics                    Prometheus text format
 //
 // Warm cells are served straight from the store's loose→segment read
-// path with zero simulation, each as the body its verified decode
-// encoded once. Cold figures and campaigns execute
+// path with zero simulation, each as the body its cell encoded on its
+// first serve. Cold figures and campaigns execute
 // through the ordinary campaign engine against the target's store,
 // under fingerprint-keyed single-flight dedupe: N concurrent
 // identical requests cost one set of simulations, and every response
@@ -201,7 +201,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeCell serves a stored cell: its body (resultstore.Cell.Body), the
 // bytes writeJSON would write for it. A cell the store read returned
-// carries its body already encoded.
+// encodes its body once, on its first serve.
 func writeCell(w http.ResponseWriter, c *resultstore.Cell) {
 	body, err := c.Body()
 	if err != nil {
@@ -241,8 +241,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatus reports the store's identity and load. indexed_cells
-// counts the readable cells the target's Index lists, which parses
-// every loose cell.
+// counts the cells the target's Index lists: those a read serves, each
+// stored copy judged through the store's read memo.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	idx, err := s.target.Index()
 	status := struct {

@@ -124,6 +124,48 @@ func TestAPIStatusCodes(t *testing.T) {
 	}
 }
 
+// TestStatusCountsServedCells asserts /v1/status's indexed_cells
+// counts only the cells the cell route serves: a loose cell whose
+// workload was edited answers 404 and is not indexed.
+func TestStatusCountsServedCells(t *testing.T) {
+	srv, st, _ := newTestServer(t, nil)
+	var keys []resultstore.Key
+	for _, w := range []string{"bitcount", "randacc"} {
+		k := resultstore.Key{Workload: w, Scheme: "protected", Config: paradet.DefaultConfig()}
+		if err := st.Put(k, &resultstore.Cell{Result: &paradet.Result{Workload: w}}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	data, err := os.ReadFile(st.Path(keys[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(data), `"workload": "randacc"`, `"workload": "forged"`, 1)
+	if err := os.WriteFile(st.Path(keys[1]), []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	for i, want := range []int{http.StatusOK, http.StatusNotFound} {
+		if code := get("/v1/cells/" + keys[i].Fingerprint()).Code; code != want {
+			t.Errorf("GET %s cell: status %d, want %d", keys[i].Workload, code, want)
+		}
+	}
+	var status struct {
+		Indexed int `json:"indexed_cells"`
+	}
+	if err := json.NewDecoder(get("/v1/status").Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Indexed != 1 {
+		t.Errorf("indexed_cells = %d, want 1 (the edited cell is refused)", status.Indexed)
+	}
+}
+
 // TestCellResponseBytes pins the body of GET /v1/cells/{fp}: the
 // stored JSON plus a newline, for a loose and a packed cell, on the
 // first request and on a repeated one; once a Put replaces the cell,
@@ -261,7 +303,7 @@ func TestNonCanonicalCellServedCanonically(t *testing.T) {
 }
 
 // TestRepeatedCellGetEncodesNothing asserts a repeated warm GET
-// /v1/cells/{fp} writes the body its read's verified decode encoded.
+// /v1/cells/{fp} writes the body the cell encoded on its first serve.
 // The cell carries a 256-key map, so encoding it per request would
 // cost over 500 allocations; without that, the handler, the store read
 // and the recorder take about 30.
